@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Sequence, Union
 
 Scalar = Fraction
@@ -74,12 +75,11 @@ def fraction_str(x: Fraction) -> str:
 # bitset helpers
 
 def bits_of(mask: int) -> Iterator[int]:
-    j = 0
+    """Indices of the set bits of ``mask``, in increasing order."""
     while mask:
-        if mask & 1:
-            yield j
-        mask >>= 1
-        j += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def mask_of(indices) -> int:
@@ -137,6 +137,13 @@ class Instance:
         if getattr(self.reward, "m", None) != self.m:
             raise ValueError("reward function arity does not match action count")
         object.__setattr__(self, "_agent_masks", tuple(masks))
+        # costs as integers over one common denominator, so that a slice's
+        # cost is one exact integer sum
+        den = lcm(*[c.denominator for c in self.costs])
+        object.__setattr__(self, "_cost_den", den)
+        object.__setattr__(self, "_cost_nums",
+                           tuple(c.numerator * (den // c.denominator)
+                                 for c in self.costs))
 
     @property
     def m(self) -> int:
@@ -160,7 +167,8 @@ class Instance:
         return S & ~self._agent_masks[i]
 
     def cost(self, mask: int) -> Fraction:
-        return sum((self.costs[j] for j in bits_of(mask)), ZERO)
+        nums = self._cost_nums
+        return Fraction(sum(nums[j] for j in bits_of(mask)), self._cost_den)
 
     def check_profile(self, S: int) -> None:
         if not 0 <= S <= self.full_mask:

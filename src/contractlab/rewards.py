@@ -167,6 +167,8 @@ def classify(f: RewardFunction) -> ClassReport:
 
     XOS membership is decided per set by an exact LP (is there a nonnegative
     additive function matching f on the set and dominated by f everywhere).
+    A max of nonnegative additive clauses is monotone, so XOS also requires
+    monotone, which the per-set LP alone does not check.
     Gross substitutes is deliberately not tested.
     """
     m = f.m
@@ -227,7 +229,7 @@ def classify(f: RewardFunction) -> ClassReport:
             if not subadditive:
                 break
 
-    xos = normalized and nonnegative and all(
+    xos = normalized and nonnegative and monotone and all(
         _xos_supporting_clause_exists(table, m, S) for S in range(1, 1 << m))
 
     return ClassReport(monotone=monotone, normalized=normalized, additive=additive,

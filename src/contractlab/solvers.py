@@ -1,13 +1,21 @@
 """Exact rational LP solver and equilibrium benchmarks built on it.
 
-The simplex is a textbook two-phase tableau method with Bland's anti-cycling
-rule, run entirely over fractions.Fraction. Exactness matters: equilibria hold
-with ties, so every comparison must be decided without rounding.
+The simplex is a two-phase tableau method with Bland's anti-cycling rule. It
+pivots fraction-free over integers: each row is scaled to integers, and the
+tableau holds Python ints over one common denominator, updated by Bareiss
+pivots whose divisions are exact. Homogeneous ">=" rows are negated into
+"<=" rows that start basic on their slacks, so only rows with a positive
+right-hand side that are not "<=" get an artificial. Before an optimum is
+returned it is certified on the original program: x is primal feasible, the
+duals read off the final tableau are dual feasible, and the two objective
+values agree. Exactness matters: equilibria hold with ties, so every
+comparison must be decided without rounding.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .core import (
@@ -48,118 +56,210 @@ class LpResult:
     value: Optional[Fraction] = None
 
 
-def _pivot(rows, obj, basis, r, c):
-    piv = rows[r][c]
-    rows[r] = [v / piv for v in rows[r]]
-    pivot_row = rows[r]
-    for idx in range(len(rows)):
-        if idx != r and rows[idx][c] != 0:
-            coef = rows[idx][c]
-            rows[idx] = [v - coef * w for v, w in zip(rows[idx], pivot_row)]
-    if obj[c] != 0:
-        coef = obj[c]
-        obj[:] = [v - coef * w for v, w in zip(obj, pivot_row)]
+def _integer_row(values):
+    """``values`` times the lcm of their denominators, as ints, and that lcm."""
+    scale = lcm(*[v.denominator for v in values])
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _eliminate(row, prow, p, d, c):
+    q = row[c]
+    if q:
+        return [(p * v - q * w) // d for v, w in zip(row, prow)]
+    if p == d:
+        return row
+    return [p * v // d for v in row]
+
+
+def _pivot(tab, basis, d, r, c):
+    """Fraction-free pivot on tab[r][c]; returns the new common denominator.
+
+    ``tab`` holds integer rows whose true values are the entries over the
+    common denominator ``d``; its rows past ``len(basis)`` are objective
+    rows. Each entry is, up to one common sign, a minor of the initial
+    integer tableau (Bareiss), so every division below is exact. The
+    denominator becomes the pivot and is kept positive by negating the
+    tableau when the pivot is negative.
+    """
+    prow = tab[r]
+    p = prow[c]
+    for idx, row in enumerate(tab):
+        if idx != r:
+            tab[idx] = _eliminate(row, prow, p, d, c)
     basis[r] = c
+    if p < 0:
+        tab[:] = [[-v for v in row] for row in tab]
+        p = -p
+    return p
 
 
-def _iterate(rows, obj, basis, allowed_cols):
-    """Maximize with Bland's rule; returns 'optimal' or 'unbounded'."""
+def _iterate(tab, basis, d, allowed_cols):
+    """Maximize the last row of ``tab`` with Bland's rule; returns the status,
+    'optimal' or 'unbounded', and the final common denominator."""
     while True:
+        obj = tab[-1]
         enter = None
         for j in range(allowed_cols):
             if obj[j] > 0:
                 enter = j
                 break
         if enter is None:
-            return "optimal"
+            return "optimal", d
         best_r = None
-        best_ratio = None
-        for r in range(len(rows)):
-            coef = rows[r][enter]
+        for r in range(len(basis)):
+            coef = tab[r][enter]
             if coef > 0:
-                ratio = rows[r][-1] / coef
-                if (best_r is None or ratio < best_ratio
-                        or (ratio == best_ratio and basis[r] < basis[best_r])):
-                    best_r, best_ratio = r, ratio
+                rhs = tab[r][-1]
+                if best_r is None:
+                    best_r, best_rhs, best_coef = r, rhs, coef
+                    continue
+                # rhs / coef against best_rhs / best_coef; both coefs are > 0
+                left, right = rhs * best_coef, best_rhs * coef
+                if left < right or (left == right and basis[r] < basis[best_r]):
+                    best_r, best_rhs, best_coef = r, rhs, coef
         if best_r is None:
-            return "unbounded"
-        _pivot(rows, obj, basis, best_r, enter)
+            return "unbounded", d
+        d = _pivot(tab, basis, d, best_r, enter)
+
+
+_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 
 
 def solve_lp(lp: LinearProgram) -> LpResult:
     n = len(lp.objective)
-    sign = ONE if lp.sense == "max" else -ONE
-    objective = [sign * Fraction(c) for c in lp.objective]
 
-    # normalize rows so every rhs is nonnegative
-    norm = []
+    # scale rows to integers; make every rhs nonnegative and every
+    # homogeneous ">=" row a "<=" row, so that it starts basic on its slack
+    tab, rels, scales = [], [], []
     for coeffs, rel, rhs in lp.rows:
-        coeffs = [Fraction(c) for c in coeffs]
-        rhs = Fraction(rhs)
-        if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        norm.append((coeffs, rel, rhs))
+        row, scale = _integer_row([*coeffs, rhs])
+        if row[-1] < 0 or (row[-1] == 0 and rel == ">="):
+            row = [-v for v in row]
+            rel = _FLIP[rel]
+            scale = -scale
+        tab.append(row)
+        rels.append(rel)
+        scales.append(scale)
 
-    n_slack = sum(1 for _, rel, _ in norm if rel != "=")
-    n_art = sum(1 for _, rel, _ in norm if rel != "<=")
-    total = n + n_slack + n_art
-    rows, basis = [], []
-    slack_at, art_at = n, n + n_slack
-    for coeffs, rel, rhs in norm:
-        row = coeffs + [ZERO] * (n_slack + n_art) + [rhs]
+    n_slack = sum(1 for rel in rels if rel != "=")
+    n_art = sum(1 for rel in rels if rel != "<=")
+    first_art = n + n_slack
+    total = first_art + n_art
+    basis = []
+    slack_at, art_at = n, first_art
+    for row, rel in zip(tab, rels):
+        row[n:n] = [0] * (n_slack + n_art)
         if rel == "<=":
-            row[slack_at] = ONE
+            row[slack_at] = 1
             basis.append(slack_at)
             slack_at += 1
         elif rel == ">=":
-            row[slack_at] = -ONE
+            row[slack_at] = -1
             slack_at += 1
-            row[art_at] = ONE
+            row[art_at] = 1
             basis.append(art_at)
             art_at += 1
         else:
-            row[art_at] = ONE
+            row[art_at] = 1
             basis.append(art_at)
             art_at += 1
-        rows.append(row)
+    # the column holding row r's unit entry at the start reads its dual
+    unit = list(basis)
+    dropped = set()
 
+    d = 1
     if n_art:
-        obj1 = [ZERO] * total + [ZERO]
-        for j in range(n + n_slack, total):
-            obj1[j] = -ONE
-        for r, b in enumerate(basis):
-            if b >= n + n_slack:
-                obj1 = [v + w for v, w in zip(obj1, rows[r])]
-        _iterate(rows, obj1, basis, total)
-        if -obj1[-1] < 0:
+        obj1 = [0] * first_art + [-1] * n_art + [0]
+        for row, b in zip(tab, basis):
+            if b >= first_art:
+                obj1 = [v + w for v, w in zip(obj1, row)]
+        tab.append(obj1)
+        _, d = _iterate(tab, basis, d, total)
+        if tab.pop()[-1] > 0:
             return LpResult(status="infeasible")
         # pivot remaining zero-level artificials out, or drop redundant rows
         r = 0
-        while r < len(rows):
-            if basis[r] >= n + n_slack:
-                col = next((j for j in range(n + n_slack) if rows[r][j] != 0), None)
+        while r < len(basis):
+            if basis[r] >= first_art:
+                col = next((j for j in range(first_art) if tab[r][j] != 0), None)
                 if col is None:
-                    del rows[r]
+                    dropped.add(basis[r])
+                    del tab[r]
                     del basis[r]
                     continue
-                _pivot(rows, obj1, basis, r, col)
+                d = _pivot(tab, basis, d, r, col)
             r += 1
 
-    obj = objective + [ZERO] * (n_slack + n_art) + [ZERO]
-    for r, b in enumerate(basis):
-        if obj[b] != 0:
-            coef = obj[b]
-            obj = [v - coef * w for v, w in zip(obj, rows[r])]
-    status = _iterate(rows, obj, basis, n + n_slack)
+    objective, obj_scale = _integer_row(lp.objective)
+    if lp.sense == "min":
+        objective = [-c for c in objective]
+    obj = [d * c for c in objective] + [0] * (total - n + 1)
+    for row, b in zip(tab, basis):
+        if b < n and objective[b] != 0:
+            coef = objective[b]
+            obj = [v - coef * w for v, w in zip(obj, row)]
+    tab.append(obj)
+    status, d = _iterate(tab, basis, d, first_art)
     if status == "unbounded":
         return LpResult(status="unbounded")
+    obj = tab.pop()
     x = [ZERO] * n
-    for r, b in enumerate(basis):
+    for row, b in zip(tab, basis):
         if b < n:
-            x[b] = rows[r][-1]
-    return LpResult(status="optimal", x=tuple(x), value=sign * -obj[-1])
+            x[b] = Fraction(row[-1], d)
+    del tab
+    # the reduced cost of a row's unit column is minus its dual; undo the
+    # row's and the objective's scaling
+    y = [ZERO if u in dropped else Fraction(-scale * obj[u], d * obj_scale)
+         for scale, u in zip(scales, unit)]
+    return LpResult(status="optimal", x=tuple(x), value=_certify(lp, x, y))
+
+
+def _certify(lp: LinearProgram, x, y) -> Fraction:
+    """Prove x optimal for ``lp`` with the dual y; returns the value c.x.
+
+    Runs exactly on the original rows and objective, apart from the tableau.
+    With c negated for "min", x must satisfy every row and x >= 0; y needs
+    y_i >= 0 on "<=" rows and y_i <= 0 on ">=" rows, A^T y >= c and
+    b.y == c.x, and weak duality then makes x optimal. Raises RuntimeError
+    on any mismatch.
+    """
+    sign = 1 if lp.sense == "max" else -1
+    if len(x) != len(lp.objective) or len(y) != len(lp.rows):
+        raise RuntimeError("LP certificate: wrong length")
+    support = [(j, v) for j, v in enumerate(x) if v != 0]
+    if any(v < 0 for _, v in support):
+        raise RuntimeError("LP certificate: x has a negative entry")
+    x_den = lcm(*[v.denominator for _, v in support])
+    x_num = [(j, v.numerator * (x_den // v.denominator)) for j, v in support]
+    # A^T y over the common denominator ay_den, grown as duals come in
+    ay, ay_den = [0] * len(x), 1
+    dual_value = ZERO
+    for (coeffs, rel, rhs), yi in zip(lp.rows, y):
+        ints, scale = _integer_row([*coeffs, rhs])
+        b = ints.pop() * x_den
+        lhs = sum(ints[j] * v for j, v in x_num)
+        if (lhs > b and rel != ">=") or (lhs < b and rel != "<="):
+            raise RuntimeError("LP certificate: x violates a row")
+        if (yi < 0 and rel == "<=") or (yi > 0 and rel == ">="):
+            raise RuntimeError("LP certificate: a dual has the wrong sign")
+        if yi == 0:
+            continue
+        dual_value += yi * rhs
+        z = yi / scale
+        if ay_den % z.denominator:
+            grow = z.denominator // gcd(ay_den, z.denominator)
+            ay = [v * grow for v in ay]
+            ay_den *= grow
+        zn = z.numerator * (ay_den // z.denominator)
+        ay = [v + zn * w for v, w in zip(ay, ints)]
+    objective, obj_scale = _integer_row(lp.objective)
+    if any(v * obj_scale < sign * c * ay_den for v, c in zip(ay, objective)):
+        raise RuntimeError("LP certificate: the dual violates A^T y >= c")
+    value = sum((lp.objective[j] * v for j, v in support), ZERO)
+    if sign * value != dual_value:
+        raise RuntimeError("LP certificate: primal and dual values differ")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +357,9 @@ def best_pne_binary(inst: Instance):
     """Best pure equilibrium in the binary case via the closed form
     g(S) = f(S) * (1 - sum_{i in S} c_i / f(i | S\\{i})).
 
-    Sets containing a costly action with zero marginal cannot be induced and
-    are skipped. Returns (profile, inducing contract, utility).
+    A free action needs no share. Sets containing a costly action whose
+    marginal is not positive cannot be induced and are skipped. Returns
+    (profile, inducing contract, utility).
     """
     if not inst.binary:
         raise ValueError("closed-form search needs binary actions")
@@ -274,12 +375,12 @@ def best_pne_binary(inst: Instance):
         for j in range(inst.m):
             if not S >> j & 1:
                 continue
-            marginal = fS - f(S & ~(1 << j))
-            if marginal == 0:
-                if inst.costs[j] > 0:
-                    redundant = True
-                    break
+            if inst.costs[j] == 0:
                 continue
+            marginal = fS - f(S & ~(1 << j))
+            if marginal <= 0:
+                redundant = True
+                break
             shares[j] = inst.costs[j] / marginal
             share_sum += shares[j]
         if redundant:

@@ -16,6 +16,7 @@ from contractlab.core import (
     submasks,
     welfare,
 )
+from contractlab.rewards import AdditiveReward
 from contractlab.fixtures import (
     random_instance,
     separation_example,
@@ -38,6 +39,17 @@ def test_submasks_ascending():
 
 def test_mask_roundtrip():
     assert mask_of(bits_of(0b1011)) == 0b1011
+
+
+def test_bits_of_and_cost_on_sparse_wide_masks():
+    rng = random.Random(12)
+    costs = [F(rng.randint(0, 9), rng.randint(1, 7)) for _ in range(300)]
+    inst = make_instance([[c] for c in costs], AdditiveReward([F(0)] * 300))
+    for _ in range(50):
+        picked = sorted(rng.sample(range(300), rng.randint(0, 5)))
+        mask = mask_of(picked)
+        assert list(bits_of(mask)) == picked
+        assert inst.cost(mask) == sum((costs[j] for j in picked), F(0))
 
 
 def test_instance_rejects_out_of_order_owners():

@@ -96,6 +96,13 @@ def test_classify_hierarchy_on_generated():
         assert sup.supermodular and sup.monotone
 
 
+def test_classify_non_monotone_is_not_xos():
+    # each per-set clause LP succeeds, but a max of nonnegative clauses is
+    # monotone and f drops from {0} to {0, 1}
+    rep = classify(TableReward([F(0), F(2), F(0), F(1)]))
+    assert not rep.monotone and not rep.xos
+
+
 def test_xos_clause_inequality():
     # for XOS f the supporting clause gives
     # sum over N' of f(S) - f(S_{-i}) <= f(union of N' slices)

@@ -3,10 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from contractlab.core import Contract, ZERO
+from contractlab import solvers
+from contractlab.core import Contract, ZERO, make_instance
 from contractlab.equilibria import is_cce, is_ce, is_pne
 from contractlab.solvers import (
     LinearProgram,
+    _certify,
     best_cce,
     best_ce,
     best_pne_binary,
@@ -15,10 +17,13 @@ from contractlab.solvers import (
     solve_lp,
     worst_cce,
 )
+from contractlab.rewards import TableReward
 from contractlab.fixtures import (
     golden_ratio_instance,
     random_contract,
     random_instance,
+    sample_cce,
+    sample_ce,
     separation_example,
     subadditive_gap_instance,
     supermodular_cce_gap_instance,
@@ -174,3 +179,113 @@ def test_chain_of_benchmarks():
         assert v_cce >= v_ce
         if v_pne is not None:
             assert v_ce >= v_pne
+
+
+def test_solve_lp_homogeneous_rows_only():
+    # x1 >= x2 >= x3 with sum 1: the optimum spreads evenly
+    r = solve_lp(lp([1, 2, 4], "max", [([1, -1, 0], ">=", 0), ([0, 1, -1], ">=", 0),
+                                       ([1, 1, 1], "=", 1)]))
+    assert r.status == "optimal" and r.value == F(7, 3)
+    assert r.x == (F(1, 3), F(1, 3), F(1, 3))
+    r = solve_lp(lp([-1, 0], "max", [([1, -1], ">=", 0)]))
+    assert r.status == "optimal" and r.value == 0 and r.x == (0, 0)
+    r = solve_lp(lp([1, 1], "min", [([F(1, 2), F(-1, 3)], ">=", 0),
+                                    ([F(-1, 4), 1], ">=", 0)]))
+    assert r.status == "optimal" and r.value == 0
+    r = solve_lp(lp([1, 0], "max", [([1, -1], ">=", 0)]))
+    assert r.status == "unbounded"
+
+
+def test_solve_lp_redundant_equalities_negative_pivot(monkeypatch):
+    # row 3 is row 1 plus row 2: one artificial stays basic at zero after
+    # phase one and leaves on a negative entry, and one row is dropped
+    pivots = []
+    real_pivot = solvers._pivot
+
+    def spy(tab, basis, d, r, c):
+        pivots.append((tab[r][c], len(basis)))
+        return real_pivot(tab, basis, d, r, c)
+
+    monkeypatch.setattr(solvers, "_pivot", spy)
+    r = solve_lp(lp([-1, 2, 1], "max", [([1, 0, 0], "=", 0), ([1, -1, 0], "=", 0),
+                                        ([2, -1, 0], "=", 0), ([1, 1, 1], "<=", 3)]))
+    assert r.status == "optimal" and r.value == 3 and r.x == (0, 0, 3)
+    assert any(p < 0 for p, _ in pivots)
+    assert pivots[-1][1] == 3
+
+
+def test_solve_lp_infeasible_and_unbounded():
+    assert solve_lp(lp([1, 1], "max", [([1, 1], "=", 1), ([1, 1], "=", 2)])).status \
+        == "infeasible"
+    # x1 >= x2 and x2 >= x1 + 1
+    assert solve_lp(lp([1, 1], "max", [([1, -1], ">=", 0), ([-1, 1], ">=", 1)])).status \
+        == "infeasible"
+    assert solve_lp(lp([1, 1], "min", [([1, 1], "<=", -1)])).status == "infeasible"
+    assert solve_lp(lp([1, -1], "max", [([1, -1], "<=", 1), ([0, 1], ">=", 1)])).status \
+        == "optimal"
+    assert solve_lp(lp([1, 0], "max", [([1, -1], "<=", 1), ([0, 1], ">=", 1)])).status \
+        == "unbounded"
+    assert solve_lp(lp([-1, -1], "min", [([1, 1], "=", 1), ([1, -2], "<=", 0)])).value \
+        == -1
+    assert solve_lp(lp([0, -1], "min", [([1, -1], "=", 0)])).status == "unbounded"
+
+
+def test_certificate_rejects_tampered_results(monkeypatch):
+    prog = lp([1, 1], "max", [([1, 2], "<=", 4), ([3, 1], "<=", 6)])
+    x, y = (F(8, 5), F(6, 5)), (F(2, 5), F(1, 5))
+    assert _certify(prog, x, y) == F(14, 5)
+    for bad_x, bad_y in [((F(2), F(1)), y),            # violates row 2
+                         ((F(-1), F(2)), y),           # negative entry
+                         (x, (F(2, 5), F(-1, 5))),     # dual sign
+                         (x, (F(1, 5), F(1, 5))),      # A^T y < c
+                         ((ZERO, ZERO), y),            # values differ
+                         (x, (F(1), ZERO))]:
+        with pytest.raises(RuntimeError):
+            _certify(prog, bad_x, bad_y)
+    # the ">=" form of the same program needs nonpositive duals
+    flipped = lp([1, 1], "max", [([-1, -2], ">=", -4), ([-3, -1], ">=", -6)])
+    assert _certify(flipped, x, (F(-2, 5), F(-1, 5))) == F(14, 5)
+    with pytest.raises(RuntimeError):
+        _certify(flipped, x, y)
+
+    real_pivot = solvers._pivot
+
+    def off_by_one(tab, basis, d, r, c):
+        d = real_pivot(tab, basis, d, r, c)
+        tab[r][-1] += 1
+        return d
+
+    monkeypatch.setattr(solvers, "_pivot", off_by_one)
+    with pytest.raises(RuntimeError):
+        solve_lp(prog)
+
+
+def test_lp_benchmarks_ordered_on_random_instances():
+    rng = random.Random(24)
+    for trial, kind in enumerate(["additive", "coverage", "xos", "supermodular",
+                                  "table"] * 2):
+        inst = random_instance(kind, 970 + trial, 2, [2, 1])
+        a = random_contract(inst.n, rng)
+        _, lo = worst_cce(inst, a)
+        _, mid = best_ce(inst, a)
+        _, hi = best_cce(inst, a)
+        for _, v in enumerate_pne(inst, a):
+            assert lo <= v <= mid
+        assert lo <= mid <= hi
+        for sampler, top in ((sample_cce, hi), (sample_ce, mid)):
+            D = sampler(inst, a, random.Random(trial))
+            value = (1 - a.total()) * D.expected_reward(inst)
+            assert lo <= value <= top
+
+
+def test_best_pne_binary_non_monotone():
+    # agent 0 joining agent 1 lowers f: {0, 1} cannot be induced
+    inst = make_instance([[1], [1]], TableReward([0, 10, 10, 9]))
+    S, a, utility = best_pne_binary(inst)
+    assert (S, a.alpha, utility) == (1, (F(1, 10), ZERO), 9)
+    assert is_pne(inst, S, a)
+    # a free action needs no share, whatever its marginal
+    free = make_instance([[0], [1]], TableReward([0, 10, 10, 9]))
+    S, a, utility = best_pne_binary(free)
+    assert (S, a.alpha, utility) == (1, (ZERO, ZERO), 10)
+    assert is_pne(free, S, a)
