@@ -1,8 +1,9 @@
 """Command-line driver: serialization, verification, transformations,
 benchmark reproduction, and gap reports.
 
-Exit codes: 0 check passed, 1 check verified false, 2 parse or usage error,
-3 capacity cap exceeded.
+Exit codes: 0 check passed, 1 check verified false, 2 parse or usage error
+(including a library ValueError raised on the given input), 3 capacity cap
+exceeded, 4 internal error (a failed post-check, RuntimeError).
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from .rewards import (
     classify,
 )
 
-PASS, FAIL, PARSE_ERROR, CAPACITY_ERROR = 0, 1, 2, 3
+PASS, FAIL, PARSE_ERROR, CAPACITY_ERROR, INTERNAL_ERROR = 0, 1, 2, 3, 4
 
 
 class InputError(Exception):
@@ -176,6 +177,8 @@ def parse_profile(raw: str, inst: Instance) -> int:
         ids = [int(p) for p in raw.split(",")]
     except ValueError as exc:
         raise InputError(f"bad profile {raw!r}: {exc}") from None
+    if min(ids) < 0:
+        raise InputError(f"bad profile {raw!r}: negative action id")
     mask = mask_of(ids)
     try:
         inst.check_profile(mask)
@@ -552,6 +555,13 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+def _positive_int(raw: str) -> int:
+    """argparse type of a size or count: an integer of at least 1."""
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="contractlab",
@@ -588,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap-report", help="equilibrium benchmarks over a grid")
     p.add_argument("instance")
-    p.add_argument("--resolution", type=int, default=4)
+    p.add_argument("--resolution", type=_positive_int, default=4)
     p.add_argument("--concepts", nargs="+", default=["best_pne", "best_cce"],
                    choices=["best_pne", "best_cce", "worst_cce", "best_ce"])
     p.add_argument("--cells", default=None,
@@ -602,11 +612,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a fixture or random instance")
     p.add_argument("name")
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--digits", type=int, default=50)
+    p.add_argument("--n", type=_positive_int, default=4)
+    p.add_argument("--digits", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kind", default=None)
-    p.add_argument("--actions", type=int, default=1,
+    p.add_argument("--actions", type=_positive_int, default=1,
                    help="actions per agent for random instances")
     p.set_defaults(fn=cmd_gen)
     return parser
@@ -623,6 +633,13 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return CAPACITY_ERROR
+    except ValueError as exc:
+        # the library rejects the given instance, contract or value
+        print(f"error: {exc}", file=sys.stderr)
+        return PARSE_ERROR
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -30,18 +30,25 @@ class CapacityError(Exception):
     """A brute-force enumeration would exceed the configured cap."""
 
 
-def enum_cap_bits() -> int:
+def _caps() -> tuple:
+    """(enumeration bits, profile count) from CONTRACTLAB_CAP="bits[,profiles]"."""
     raw = os.environ.get("CONTRACTLAB_CAP")
+    caps = [DEFAULT_ENUM_CAP_BITS, DEFAULT_PROFILE_CAP]
     if raw:
-        return int(raw.split(",")[0])
-    return DEFAULT_ENUM_CAP_BITS
+        parts = raw.split(",")
+        if len(parts) > 2 or not all(p.strip().isdecimal() for p in parts):
+            raise ValueError(f"CONTRACTLAB_CAP={raw!r} is not 'bits[,profiles]' "
+                             f"with nonnegative integers")
+        caps[:len(parts)] = [int(p) for p in parts]
+    return tuple(caps)
+
+
+def enum_cap_bits() -> int:
+    return _caps()[0]
 
 
 def profile_cap() -> int:
-    raw = os.environ.get("CONTRACTLAB_CAP")
-    if raw and "," in raw:
-        return int(raw.split(",")[1])
-    return DEFAULT_PROFILE_CAP
+    return _caps()[1]
 
 
 def check_enum_bits(bits: int, what: str) -> None:

@@ -1,5 +1,9 @@
 """Distribution types, exact equilibrium verifiers, and best-response dynamics.
 
+Each of CE, CCE and dropout stability is one family of linear regret rows,
+written once in ``regret_rows``: the verifiers evaluate those rows on a
+support, and the LP benchmarks and samplers take them as constraints.
+
 All verifiers use weak inequalities decided in exact rational arithmetic. The
 optional ``tol`` argument exists only for fixtures built from rational
 approximations of irrational constants; by default comparisons are exact.
@@ -8,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -18,6 +23,7 @@ from .core import (
     ZERO,
     agent_utility,
     check_enum_bits,
+    check_profile_count,
     principal_utility,
     submasks,
 )
@@ -92,6 +98,8 @@ class ProductDistribution:
             for mask, _ in entries:
                 if mask & ~inst.agent_mask(i):
                     raise ValueError(f"slice {mask:#x} not owned by agent {i}")
+        check_profile_count(prod(len(entries) for entries in self.per_agent),
+                            "product distribution")
         combos = [(0, ONE)]
         for entries in self.per_agent:
             if len(entries) == 1:
@@ -142,44 +150,70 @@ def is_pne(inst: Instance, S: int, a: Contract, tol=None) -> Verdict:
     return OK
 
 
-def is_cce(inst: Instance, D: JointDistribution, a: Contract, tol=None) -> Verdict:
-    """No agent gains in expectation by committing to a fixed slice."""
-    eps = _tol(tol)
-    fvals = [(S, p, inst.reward.value(S)) for S, p in D.support]
+def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[int],
+                f: Callable[[int], Fraction]):
+    """The regret rows of ``concept`` ("ce", "cce" or "dropout") over ``profiles``.
+
+    Yields (agent, recommendation, deviation T, follow, deviate): follow[k] is
+    the agent's utility a_i f(S) - c(S_i) at S = profiles[k], deviate[k] its
+    utility a_i f(S_-i | T) - c(T) after switching its slice to T, both 0
+    outside the recommendation's group. A distribution p satisfies the row
+    when sum p * follow >= sum p * deviate. CE groups profiles by the agent's
+    slice R, in order of first appearance, and skips T == R; CCE has one group
+    per agent (None); dropout is CCE with T = 0 only. Agents come in order,
+    deviations in ``submasks`` order, and a group's rows share one follow list.
+    """
+    if concept not in ("ce", "cce", "dropout"):
+        raise ValueError(f"unknown concept {concept!r}")
+    fvals = [f(S) for S in profiles]
     for i in range(inst.n):
         mask = inst.agent_mask(i)
-        check_enum_bits(mask.bit_count(), f"is_cce agent {i}")
-        base = sum((p * (a[i] * fS - inst.cost(S & mask)) for S, p, fS in fvals), ZERO)
-        for T in submasks(mask):
-            dev = sum((p * a[i] * inst.reward.value((S & ~mask) | T)
-                       for S, p, fS in fvals), ZERO) - inst.cost(T)
-            if dev > base + eps:
-                return Verdict(False, agent=i, deviation=T, lhs=base, rhs=dev)
+        if concept != "dropout":
+            check_enum_bits(mask.bit_count(), f"{concept} rows agent {i}")
+        groups: dict = {}
+        for k, S in enumerate(profiles):
+            groups.setdefault(S & mask if concept == "ce" else None, []).append(k)
+        for rec, members in groups.items():
+            follow = [ZERO] * len(profiles)
+            for k in members:
+                follow[k] = a[i] * fvals[k] - inst.cost(profiles[k] & mask)
+            for T in (0,) if concept == "dropout" else submasks(mask):
+                if T == rec:
+                    continue
+                cT = inst.cost(T)
+                deviate = [ZERO] * len(profiles)
+                for k in members:
+                    deviate[k] = a[i] * f((profiles[k] & ~mask) | T) - cT
+                yield i, rec, T, follow, deviate
+
+
+def _violation(inst: Instance, D: JointDistribution, a: Contract, concept: str,
+               tol) -> Verdict:
+    """The first regret row of ``concept`` that D violates, as a witness."""
+    eps = _tol(tol)
+    profiles, probs = zip(*D.support)
+    group = None
+    # zero terms are skipped: a CE row is zero outside its group
+    for i, rec, T, follow, deviate in regret_rows(inst, a, concept, profiles,
+                                                  inst.reward.value):
+        if follow is not group:
+            group = follow
+            lhs = sum((p * v for p, v in zip(probs, follow) if v), ZERO)
+        rhs = sum((p * v for p, v in zip(probs, deviate) if v), ZERO)
+        if rhs > lhs + eps:
+            return Verdict(False, agent=i, deviation=T, recommendation=rec,
+                           lhs=lhs, rhs=rhs)
     return OK
+
+
+def is_cce(inst: Instance, D: JointDistribution, a: Contract, tol=None) -> Verdict:
+    """No agent gains in expectation by committing to a fixed slice."""
+    return _violation(inst, D, a, "cce", tol)
 
 
 def is_ce(inst: Instance, D: JointDistribution, a: Contract, tol=None) -> Verdict:
     """No agent gains by re-mapping any recommended slice to another slice."""
-    eps = _tol(tol)
-    for i in range(inst.n):
-        mask = inst.agent_mask(i)
-        check_enum_bits(mask.bit_count(), f"is_ce agent {i}")
-        groups: dict = {}
-        for S, p in D.support:
-            groups.setdefault(S & mask, []).append((S, p))
-        for rec, entries in groups.items():
-            weight = sum((p for _, p in entries), ZERO)
-            base = sum((p * a[i] * inst.reward.value(S) for S, p in entries),
-                       ZERO) - weight * inst.cost(rec)
-            for T in submasks(mask):
-                if T == rec:
-                    continue
-                dev = sum((p * a[i] * inst.reward.value((S & ~mask) | T)
-                           for S, p in entries), ZERO) - weight * inst.cost(T)
-                if dev > base + eps:
-                    return Verdict(False, agent=i, deviation=T,
-                                   recommendation=rec, lhs=base, rhs=dev)
-    return OK
+    return _violation(inst, D, a, "ce", tol)
 
 
 def is_mne(inst: Instance, P: ProductDistribution, a: Contract, tol=None) -> Verdict:
@@ -190,16 +224,7 @@ def is_mne(inst: Instance, P: ProductDistribution, a: Contract, tol=None) -> Ver
 def is_dropout_stable(inst: Instance, D: JointDistribution, a: Contract,
                       tol=None) -> Verdict:
     """No agent gains in expectation by switching to taking no action."""
-    eps = _tol(tol)
-    for i in range(inst.n):
-        mask = inst.agent_mask(i)
-        lhs = sum((p * (a[i] * inst.reward.value(S) - inst.cost(S & mask))
-                   for S, p in D.support), ZERO)
-        rhs = sum((p * a[i] * inst.reward.value(S & ~mask)
-                   for S, p in D.support), ZERO)
-        if rhs > lhs + eps:
-            return Verdict(False, agent=i, deviation=0, lhs=lhs, rhs=rhs)
-    return OK
+    return _violation(inst, D, a, "dropout", tol)
 
 
 def best_response_dynamics(inst: Instance, start: int, a: Contract,

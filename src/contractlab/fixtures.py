@@ -8,9 +8,17 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Optional
 
-from .core import Contract, Instance, ONE, ZERO, bits_of, make_instance, mask_of
+from .core import (
+    Contract,
+    Instance,
+    ONE,
+    ZERO,
+    bits_of,
+    check_enum_bits,
+    make_instance,
+    mask_of,
+)
 from .equilibria import JointDistribution, ProductDistribution
 from .rewards import (
     AdditiveReward,
@@ -19,6 +27,7 @@ from .rewards import (
     TableReward,
     XosReward,
 )
+from .solvers import equilibrium_lp
 
 HALF = Fraction(1, 2)
 
@@ -187,6 +196,8 @@ def random_instance(kind: str, seed: int, n: int, sizes) -> Instance:
     rng = random.Random(seed)
     counts = _split_actions(rng, n, sizes)
     m = sum(counts)
+    if kind in ("supermodular", "table"):
+        check_enum_bits(m, f"random {kind} instance")
     if kind == "additive":
         reward = AdditiveReward([Fraction(rng.randint(0, 20)) for _ in range(m)])
     elif kind == "coverage":
@@ -219,66 +230,28 @@ def random_instance(kind: str, seed: int, n: int, sizes) -> Instance:
     return make_instance(agents, reward)
 
 
+def _random_objective(rng: random.Random):
+    return lambda S: Fraction(rng.randint(-5, 10))
+
+
 def sample_dropout_stable(inst: Instance, a: Contract,
-                          rng: random.Random) -> Optional[JointDistribution]:
+                          rng: random.Random) -> JointDistribution:
     """A vertex of the dropout-stability polytope under a random objective.
 
-    The polytope is never empty (the point mass on the empty profile always
-    qualifies), so this only returns None on an unexpected solver failure.
+    The polytope is never empty: the point mass on the empty profile always
+    qualifies.
     """
-    from .solvers import LinearProgram, solve_lp
-
-    profiles = list(range(1 << inst.m))
-    rows = []
-    for i in range(inst.n):
-        mask = inst.agent_mask(i)
-        coeffs = tuple(
-            a[i] * (inst.reward.value(S) - inst.reward.value(S & ~mask))
-            - inst.cost(S & mask) for S in profiles)
-        rows.append((coeffs, ">=", ZERO))
-    rows.append(((ONE,) * len(profiles), "=", ONE))
-    objective = tuple(Fraction(rng.randint(-5, 10)) for _ in profiles)
-    result = solve_lp(LinearProgram(objective=objective, sense="max",
-                                    rows=tuple(rows)))
-    if result.status != "optimal":
-        return None
-    return JointDistribution(tuple(
-        (S, p) for S, p in zip(profiles, result.x) if p > 0))
+    return equilibrium_lp(inst, a, "dropout", objective=_random_objective(rng))[0]
 
 
-def _sample_from_rows(inst: Instance, rows, rng: random.Random):
-    from .solvers import LinearProgram, solve_lp
-
-    count = 1 << inst.m
-    rows = list(rows)
-    rows.append(((ONE,) * count, "=", ONE))
-    objective = tuple(Fraction(rng.randint(-5, 10)) for _ in range(count))
-    result = solve_lp(LinearProgram(objective=objective, sense="max",
-                                    rows=tuple(rows)))
-    if result.status != "optimal":
-        return None
-    return JointDistribution(tuple(
-        (S, p) for S, p in zip(range(count), result.x) if p > 0))
-
-
-def sample_cce(inst: Instance, a: Contract,
-               rng: random.Random) -> Optional[JointDistribution]:
+def sample_cce(inst: Instance, a: Contract, rng: random.Random) -> JointDistribution:
     """A vertex of the CCE polytope under a random objective."""
-    from .solvers import _cce_rows
-
-    profiles = list(range(1 << inst.m))
-    fvals = [inst.reward.value(S) for S in profiles]
-    return _sample_from_rows(inst, _cce_rows(inst, a, profiles, fvals), rng)
+    return equilibrium_lp(inst, a, "cce", objective=_random_objective(rng))[0]
 
 
-def sample_ce(inst: Instance, a: Contract,
-              rng: random.Random) -> Optional[JointDistribution]:
+def sample_ce(inst: Instance, a: Contract, rng: random.Random) -> JointDistribution:
     """A vertex of the CE polytope under a random objective."""
-    from .solvers import _ce_rows
-
-    profiles = list(range(1 << inst.m))
-    fvals = [inst.reward.value(S) for S in profiles]
-    return _sample_from_rows(inst, _ce_rows(inst, a, profiles, fvals), rng)
+    return equilibrium_lp(inst, a, "ce", objective=_random_objective(rng))[0]
 
 
 def random_contract(n: int, rng: random.Random, denominator: int = 12,

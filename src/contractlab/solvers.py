@@ -10,13 +10,17 @@ returned it is certified on the original program: x is primal feasible, the
 duals read off the final tableau are dual feasible, and the two objective
 values agree. Exactness matters: equilibria hold with ties, so every
 comparison must be decided without rounding.
+
+The equilibrium benchmarks and the ``fixtures`` samplers are one LP,
+``equilibrium_lp``, over the regret rows the distribution verifiers check
+(``equilibria.regret_rows``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import (
     Contract,
@@ -25,9 +29,8 @@ from .core import (
     ZERO,
     check_profile_count,
     principal_utility,
-    submasks,
 )
-from .equilibria import JointDistribution, is_pne
+from .equilibria import JointDistribution, is_pne, regret_rows
 
 
 @dataclass(frozen=True)
@@ -271,76 +274,42 @@ def _profiles(inst: Instance) -> list:
     return list(range(count))
 
 
-def _cce_rows(inst: Instance, a: Contract, profiles, fvals):
-    """One >= 0 row per (agent, fixed deviation slice)."""
-    rows = []
-    for i in range(inst.n):
-        mask = inst.agent_mask(i)
-        for T in submasks(mask):
-            coeffs = []
-            cT = inst.cost(T)
-            for S in profiles:
-                dev = inst.reward.value((S & ~mask) | T)
-                coeffs.append(a[i] * (fvals[S] - dev) - inst.cost(S & mask) + cT)
-            rows.append((tuple(coeffs), ">=", ZERO))
-    return rows
+def equilibrium_lp(inst: Instance, a: Contract, concept: str, sense: str = "max",
+                   objective: Optional[Callable[[int], Fraction]] = None):
+    """An optimal distribution over all profiles subject to the regret rows of
+    ``concept``, with the principal's utility under it.
 
-
-def _ce_rows(inst: Instance, a: Contract, profiles, fvals):
-    """Conditional rows multiplied through by the recommendation's marginal."""
-    rows = []
-    for i in range(inst.n):
-        mask = inst.agent_mask(i)
-        for R in submasks(mask):
-            cR = inst.cost(R)
-            for T in submasks(mask):
-                if T == R:
-                    continue
-                cT = inst.cost(T)
-                coeffs = []
-                for S in profiles:
-                    if S & mask == R:
-                        dev = inst.reward.value((S & ~mask) | T)
-                        coeffs.append(a[i] * (fvals[S] - dev) - cR + cT)
-                    else:
-                        coeffs.append(ZERO)
-                rows.append((tuple(coeffs), ">=", ZERO))
-    return rows
-
-
-def _solve_distribution(inst, a, rows, profiles, fvals, sense):
-    rows = list(rows)
+    ``objective(S)`` weighs profile S, f(S) (expected reward) by default. f is
+    tabulated once for the rows and the objective. Raises RuntimeError unless
+    the LP is solved to optimality.
+    """
+    profiles = _profiles(inst)
+    table = [inst.reward.value(S) for S in profiles]
+    rows = [(tuple(x - y for x, y in zip(follow, deviate)), ">=", ZERO)
+            for *_, follow, deviate in regret_rows(inst, a, concept, profiles,
+                                                   table.__getitem__)]
     rows.append(((ONE,) * len(profiles), "=", ONE))
-    lp = LinearProgram(objective=tuple(fvals[S] for S in profiles),
-                       sense=sense, rows=tuple(rows))
-    result = solve_lp(lp)
+    weights = table if objective is None else [objective(S) for S in profiles]
+    result = solve_lp(LinearProgram(objective=tuple(weights), sense=sense,
+                                    rows=tuple(rows)))
     if result.status != "optimal":
         raise RuntimeError(f"equilibrium LP came back {result.status}")
-    support = tuple((S, p) for S, p in zip(profiles, result.x) if p > 0)
-    dist = JointDistribution(support)
-    return dist, (ONE - a.total()) * result.value
+    dist = JointDistribution(tuple(
+        (S, p) for S, p in zip(profiles, result.x) if p > 0))
+    return dist, (ONE - a.total()) * dist.expectation(table.__getitem__)
 
 
 def best_cce(inst: Instance, a: Contract):
     """CCE maximizing expected reward; returns it with the principal utility."""
-    profiles = _profiles(inst)
-    fvals = [inst.reward.value(S) for S in profiles]
-    return _solve_distribution(inst, a, _cce_rows(inst, a, profiles, fvals),
-                               profiles, fvals, "max")
+    return equilibrium_lp(inst, a, "cce", "max")
 
 
 def worst_cce(inst: Instance, a: Contract):
-    profiles = _profiles(inst)
-    fvals = [inst.reward.value(S) for S in profiles]
-    return _solve_distribution(inst, a, _cce_rows(inst, a, profiles, fvals),
-                               profiles, fvals, "min")
+    return equilibrium_lp(inst, a, "cce", "min")
 
 
 def best_ce(inst: Instance, a: Contract):
-    profiles = _profiles(inst)
-    fvals = [inst.reward.value(S) for S in profiles]
-    return _solve_distribution(inst, a, _ce_rows(inst, a, profiles, fvals),
-                               profiles, fvals, "max")
+    return equilibrium_lp(inst, a, "ce", "max")
 
 
 def enumerate_pne(inst: Instance, a: Contract) -> list:

@@ -78,14 +78,51 @@ def scale_for_existence(inst: Instance, a: Contract, D: JointDistribution,
     return scaled, S
 
 
-def _expected_slice_rewards(inst: Instance, D: JointDistribution):
-    """Per-agent E[f(S_i)] and E[f(S_{-i})] over the support."""
+def _require(verdict, what: str) -> None:
+    """Raise ValueError naming the input and the verdict's witness on failure."""
+    if not verdict:
+        witness = (f"deviation {verdict.deviation:#x}"
+                   if verdict.recommendation is None
+                   else f"recommendation {verdict.recommendation:#x}")
+        raise ValueError(f"input {what} (agent {verdict.agent}, {witness})")
+
+
+def _top(inst: Instance, a: Contract) -> int:
+    """The agent with the largest share, the lowest id on ties."""
+    return max(range(inst.n), key=lambda i: (a[i], -i))
+
+
+def _richer_bundle(inst: Instance, part: AgentPartition,
+                   D: JointDistribution) -> frozenset:
+    """The bundle whose members' slices are worth more under D; b1 on ties."""
+    def bundle_reward(members):
+        masks = 0
+        for i in members:
+            masks |= inst.agent_mask(i)
+        return D.expectation(lambda S: inst.reward.value(S & masks))
+    return part.b1 if bundle_reward(part.b1) >= bundle_reward(part.b2) else part.b2
+
+
+def _lift_start(inst: Instance, a_star: Contract, D_star: JointDistribution):
+    """What both CCE-to-PNE lifts begin with: check the CCE, then Case A.
+
+    Case A: a significant agent is paid (1 + share)/2 and works alone.
+    Returns (the Case A result or None, the top agent, per-agent E[f(S_i)]).
+    """
+    _require(is_cce(inst, D_star, a_star), "distribution is not a CCE")
     own, others = [], []
     for i in range(inst.n):
         mask = inst.agent_mask(i)
-        own.append(D.expectation(lambda S: inst.reward.value(S & mask)))
-        others.append(D.expectation(lambda S: inst.reward.value(S & ~mask)))
-    return own, others
+        own.append(D_star.expectation(lambda S: inst.reward.value(S & mask)))
+        others.append(D_star.expectation(lambda S: inst.reward.value(S & ~mask)))
+    top = _top(inst, a_star)
+    if (a_star[top] > THREE_QUARTERS
+            and (ONE - a_star[top]) * own[top] >= 4 * others[top]):
+        share = (ONE + a_star[top]) / 2
+        contract = Contract.zero(inst.n).replace(top, share)
+        S = potential_maximizer_pne(inst, contract, inst.agent_mask(top))
+        return LiftResult(contract, S, "A", Fraction(4, 17)), top, own
+    return None, top, own
 
 
 def partition_agents(a_star: Contract) -> AgentPartition:
@@ -122,30 +159,15 @@ def lift_xos(inst: Instance, a_star: Contract, D_star: JointDistribution) -> Lif
     Case B: drop the dominant agent, scale the rest by 2.
     Case C: partition into two bundles, scale the better one by 7/6.
     """
-    verdict = is_cce(inst, D_star, a_star)
-    if not verdict:
-        raise ValueError(
-            f"input distribution is not a CCE (agent {verdict.agent}, "
-            f"deviation {verdict.deviation:#x})")
-    own, others = _expected_slice_rewards(inst, D_star)
-    top = max(range(inst.n), key=lambda i: (a_star[i], -i))
+    case_a, top, _ = _lift_start(inst, a_star, D_star)
+    if case_a is not None:
+        return case_a
     if a_star[top] > THREE_QUARTERS:
-        if (ONE - a_star[top]) * own[top] >= 4 * others[top]:
-            share = (ONE + a_star[top]) / 2
-            contract = Contract.zero(inst.n).replace(top, share)
-            S = potential_maximizer_pne(inst, contract, inst.agent_mask(top))
-            return LiftResult(contract, S, "A", Fraction(4, 17))
         params = ScalingParams(gamma=Fraction(2),
                                subset=frozenset(range(inst.n)) - {top})
         contract, S = scale_for_existence(inst, a_star, D_star, params)
         return LiftResult(contract, S, "B", Fraction(1, 20))
-    part = partition_agents(a_star)
-    def bundle_reward(members):
-        masks = 0
-        for i in members:
-            masks |= inst.agent_mask(i)
-        return D_star.expectation(lambda S: inst.reward.value(S & masks))
-    chosen = part.b1 if bundle_reward(part.b1) >= bundle_reward(part.b2) else part.b2
+    chosen = _richer_bundle(inst, partition_agents(a_star), D_star)
     params = ScalingParams(gamma=Fraction(7, 6), subset=chosen)
     contract, S = scale_for_existence(inst, a_star, D_star, params)
     return LiftResult(contract, S, "C", Fraction(1, 112))
@@ -160,7 +182,7 @@ def robustify_case(inst: Instance, a_star: Contract, S_star: int) -> str:
     threshold = Fraction(2, 17) * (ONE - a_star.total()) * inst.reward.value(S_star)
     if inst.reward.value(zero_cost) >= threshold:
         return "A"
-    top = max(range(inst.n), key=lambda i: (a_star[i], -i))
+    top = _top(inst, a_star)
     if a_star[top] > THREE_QUARTERS:
         f_own = inst.reward.value(S_star & inst.agent_mask(top))
         f_others = inst.reward.value(S_star & ~inst.agent_mask(top))
@@ -176,16 +198,12 @@ def robustify_submodular(inst: Instance, a_star: Contract, S_star: int) -> Contr
     Case C: dominant but insignificant agent; zero them, double the rest.
     Case D: partition, 7/6 on the bundle whose slice of S* is worth more.
     """
-    verdict = is_pne(inst, S_star, a_star)
-    if not verdict:
-        raise ValueError(
-            f"input profile is not a PNE (agent {verdict.agent}, "
-            f"deviation {verdict.deviation:#x})")
+    _require(is_pne(inst, S_star, a_star), "profile is not a PNE")
     case = robustify_case(inst, a_star, S_star)
     if case == "A":
         eps = Fraction(1, 2 * inst.n)
         return Contract((eps,) * inst.n)
-    top = max(range(inst.n), key=lambda i: (a_star[i], -i))
+    top = _top(inst, a_star)
     if case == "B":
         return Contract.zero(inst.n).replace(top, (ONE + a_star[top]) / 2)
     if case == "C":
@@ -194,13 +212,8 @@ def robustify_submodular(inst: Instance, a_star: Contract, S_star: int) -> Contr
             if v > 1:
                 raise ValueError(f"doubled share {v} for agent {i} leaves [0, 1]")
         return Contract(tuple(shares))
-    part = partition_agents(a_star)
-    def bundle_reward(members):
-        masks = 0
-        for i in members:
-            masks |= inst.agent_mask(i)
-        return inst.reward.value(S_star & masks)
-    chosen = part.b1 if bundle_reward(part.b1) >= bundle_reward(part.b2) else part.b2
+    chosen = _richer_bundle(inst, partition_agents(a_star),
+                            JointDistribution.point(S_star))
     return Contract(tuple(
         Fraction(7, 6) * a_star[i] if i in chosen else ZERO
         for i in range(inst.n)))
@@ -230,19 +243,10 @@ def scale_for_existence_subadditive(inst: Instance, a: Contract,
 def lift_subadditive(inst: Instance, a_star: Contract,
                      D_star: JointDistribution) -> LiftResult:
     """CCE to PNE for subadditive rewards, losing at most an O(n) factor."""
-    verdict = is_cce(inst, D_star, a_star)
-    if not verdict:
-        raise ValueError(
-            f"input distribution is not a CCE (agent {verdict.agent}, "
-            f"deviation {verdict.deviation:#x})")
-    own, others = _expected_slice_rewards(inst, D_star)
-    top = max(range(inst.n), key=lambda i: (a_star[i], -i))
+    case_a, top, own = _lift_start(inst, a_star, D_star)
+    if case_a is not None:
+        return case_a
     if a_star[top] > THREE_QUARTERS:
-        if (ONE - a_star[top]) * own[top] >= 4 * others[top]:
-            share = (ONE + a_star[top]) / 2
-            contract = Contract.zero(inst.n).replace(top, share)
-            S = potential_maximizer_pne(inst, contract, inst.agent_mask(top))
-            return LiftResult(contract, S, "A", Fraction(4, 17))
         star = max((i for i in range(inst.n) if i != top),
                    key=lambda i: (own[i], -i))
         contract, S = scale_for_existence_subadditive(
@@ -259,11 +263,7 @@ def cce_to_pne_supermodular_binary(inst: Instance, a: Contract,
     """Union of the support is a PNE once agents outside it are zeroed."""
     if not inst.binary:
         raise ValueError("construction needs binary actions")
-    verdict = is_cce(inst, D, a)
-    if not verdict:
-        raise ValueError(
-            f"input distribution is not a CCE (agent {verdict.agent}, "
-            f"deviation {verdict.deviation:#x})")
+    _require(is_cce(inst, D, a), "distribution is not a CCE")
     union = 0
     for S, _ in D.support:
         union |= S
@@ -284,11 +284,7 @@ def ce_to_pne_supermodular(inst: Instance, a: Contract, D: JointDistribution):
     slice of the union, so the forced floor is without loss and the dynamics
     lands on a PNE of the same contract with at least the CE's utility.
     """
-    verdict = is_ce(inst, D, a)
-    if not verdict:
-        raise ValueError(
-            f"input distribution is not a CE (agent {verdict.agent}, "
-            f"recommendation {verdict.recommendation:#x})")
+    _require(is_ce(inst, D, a), "distribution is not a CE")
     union = 0
     for S, _ in D.support:
         union |= S

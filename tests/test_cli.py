@@ -182,3 +182,67 @@ def test_reproduce_registry_complete():
         "C3-mne-valid", "T51-binary-construction", "T52-ce-construction",
         "L32-property", "L36-property",
     }
+
+
+def exit_code(argv):
+    """main's return code, or argparse's exit code for a rejected flag."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_robustify_negative_profile_id(separation_path, capsys):
+    assert exit_code(["robustify", separation_path, "--contract", "1/20,1/20",
+                      "--profile", "-1"]) == 2
+    assert "error: bad profile" in capsys.readouterr().err
+
+
+def test_robustify_non_pne_profile(separation_path, capsys):
+    # under (1/36, 1/36) agent 0 gains by leaving {0, 1}
+    assert exit_code(["robustify", separation_path, "--contract", "1/36,1/36",
+                      "--profile", "0,1"]) == 2
+    assert "error: input profile is not a PNE" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("resolution", ["0", "-2"])
+def test_gap_report_nonpositive_resolution(separation_path, capsys, resolution):
+    assert exit_code(["gap-report", separation_path,
+                      "--resolution", resolution]) == 2
+    assert "error: argument --resolution" in capsys.readouterr().err
+
+
+def test_gen_random_without_agents(capsys):
+    assert exit_code(["gen", "random", "--kind", "additive", "--n", "0"]) == 2
+    assert "error: argument --n" in capsys.readouterr().err
+
+
+def test_gen_subadditive_gap_non_square(capsys):
+    assert exit_code(["gen", "subadditive-gap", "--n", "5"]) == 2
+    assert "error: n must be a perfect square" in capsys.readouterr().err
+
+
+def test_gen_golden_too_few_digits(capsys):
+    assert exit_code(["gen", "golden", "--digits", "3"]) == 2
+    assert "error: need at least 20 digits" in capsys.readouterr().err
+
+
+def test_gen_random_table_past_enumeration_cap(capsys):
+    assert exit_code(["gen", "random", "--kind", "table", "--n", "30"]) == 3
+    assert "capacity:" in capsys.readouterr().err
+
+
+def test_malformed_cap_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("CONTRACTLAB_CAP", "abc")
+    assert exit_code(["gen", "random", "--kind", "table", "--n", "2"]) == 2
+    assert "error: CONTRACTLAB_CAP='abc'" in capsys.readouterr().err
+
+
+def test_failed_post_check_is_an_internal_error(separation_path, monkeypatch,
+                                                capsys):
+    def failing(inst, a):
+        raise RuntimeError("equilibrium LP came back infeasible")
+    monkeypatch.setattr(cli.solvers, "worst_cce", failing)
+    assert exit_code(["robustify", separation_path, "--contract", "1/20,1/20",
+                      "--profile", "0,1"]) == 4
+    assert "internal error: equilibrium LP" in capsys.readouterr().err

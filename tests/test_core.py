@@ -9,10 +9,12 @@ from contractlab.core import (
     agent_utility,
     as_fraction,
     bits_of,
+    enum_cap_bits,
     mask_of,
     make_instance,
     potential,
     principal_utility,
+    profile_cap,
     submasks,
     welfare,
 )
@@ -139,3 +141,13 @@ def test_potential_law_exhaustive():
                     du = agent_utility(inst, S2, a, i) - agent_utility(inst, S, a, i)
                     dphi = potential(inst, S2, a) - potential(inst, S, a)
                     assert du == a[i] * dphi
+
+
+@pytest.mark.parametrize("raw", ["abc", "24,", "24,16,8", "-1", "1.5"])
+def test_malformed_cap_is_a_clear_error(monkeypatch, raw):
+    monkeypatch.setenv("CONTRACTLAB_CAP", raw)
+    for read in (enum_cap_bits, profile_cap):
+        with pytest.raises(ValueError, match="CONTRACTLAB_CAP"):
+            read()
+    monkeypatch.setenv("CONTRACTLAB_CAP", " 20 , 100 ")
+    assert (enum_cap_bits(), profile_cap()) == (20, 100)

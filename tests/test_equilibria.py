@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from contractlab.core import Contract
+from contractlab.core import CapacityError, Contract
 from contractlab.equilibria import (
     JointDistribution,
     ProductDistribution,
@@ -146,3 +146,13 @@ def test_dynamics_reaches_pne():
         a = random_contract(inst.n, rng)
         S = best_response_dynamics(inst, 0, a)
         assert is_pne(inst, S, a)
+
+
+def test_product_expansion_respects_profile_cap(monkeypatch):
+    inst = random_instance("additive", 8, 5, 1)
+    P = ProductDistribution(tuple(((inst.agent_mask(i), F(1, 2)), (0, F(1, 2)))
+                                  for i in range(inst.n)))
+    assert len(P.to_joint(inst).support) == 32
+    monkeypatch.setenv("CONTRACTLAB_CAP", "24,16")
+    with pytest.raises(CapacityError):
+        P.to_joint(inst)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from contractlab.core import CapacityError
 from contractlab.equilibria import is_mne
 from contractlab.rewards import classify
 from contractlab.fixtures import (
@@ -180,3 +181,10 @@ def test_random_contract_budget():
         a = random_contract(3, rng, denominator=8, budget=F(1, 2))
         assert a.total() <= F(1, 2)
         assert all(v.denominator <= 8 for v in a.alpha)
+
+
+def test_random_table_instances_respect_enumeration_cap():
+    # 2^30 table entries would be built before any other check
+    for kind in ("table", "supermodular"):
+        with pytest.raises(CapacityError):
+            random_instance(kind, 0, 30, 1)
