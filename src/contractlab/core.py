@@ -181,6 +181,10 @@ class Instance:
         if not 0 <= S <= self.full_mask:
             raise ValueError(f"profile {S:#x} has bits outside the {self.m} actions")
 
+    def check_contract(self, a: "Contract") -> None:
+        if len(a) != self.n:
+            raise ValueError(f"contract has {len(a)} shares for {self.n} agents")
+
 
 def make_instance(agent_actions: Sequence[Sequence], reward) -> Instance:
     """Build an Instance from per-agent cost lists, in agent order."""

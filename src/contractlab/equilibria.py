@@ -135,6 +135,7 @@ def _tol(tol) -> Fraction:
 def is_pne(inst: Instance, S: int, a: Contract, tol=None) -> Verdict:
     """No agent gains by a unilateral switch of its own slice."""
     inst.check_profile(S)
+    inst.check_contract(a)
     eps = _tol(tol)
     for i in range(inst.n):
         mask = inst.agent_mask(i)
@@ -165,6 +166,7 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
     """
     if concept not in ("ce", "cce", "dropout"):
         raise ValueError(f"unknown concept {concept!r}")
+    inst.check_contract(a)
     fvals = [f(S) for S in profiles]
     for i in range(inst.n):
         mask = inst.agent_mask(i)

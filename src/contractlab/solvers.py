@@ -14,11 +14,17 @@ comparison must be decided without rounding.
 The equilibrium benchmarks and the ``fixtures`` samplers are one LP,
 ``equilibrium_lp``, over the regret rows the distribution verifiers check
 (``equilibria.regret_rows``).
+
+The PNE searches (``enumerate_pne`` and the best_pne cells of
+``grid_search``) read one table, ``_pne_bounds``, built once per call, that
+gives each profile the exact interval of shares under which each agent keeps
+its slice.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
@@ -27,10 +33,11 @@ from .core import (
     Instance,
     ONE,
     ZERO,
+    check_enum_bits,
     check_profile_count,
-    principal_utility,
+    submasks,
 )
-from .equilibria import JointDistribution, is_pne, regret_rows
+from .equilibria import JointDistribution, regret_rows
 
 
 @dataclass(frozen=True)
@@ -268,9 +275,9 @@ def _certify(lp: LinearProgram, x, y) -> Fraction:
 # ---------------------------------------------------------------------------
 # equilibrium benchmarks
 
-def _profiles(inst: Instance) -> list:
+def _profiles(inst: Instance, what: str) -> list:
     count = 1 << inst.m
-    check_profile_count(count, "equilibrium LP")
+    check_profile_count(count, what)
     return list(range(count))
 
 
@@ -283,9 +290,10 @@ def equilibrium_lp(inst: Instance, a: Contract, concept: str, sense: str = "max"
     tabulated once for the rows and the objective. Raises RuntimeError unless
     the LP is solved to optimality.
     """
-    profiles = _profiles(inst)
+    profiles = _profiles(inst, "equilibrium LP")
     table = [inst.reward.value(S) for S in profiles]
-    rows = [(tuple(x - y for x, y in zip(follow, deviate)), ">=", ZERO)
+    rows = [(tuple(x - y if x or y else ZERO for x, y in zip(follow, deviate)),
+             ">=", ZERO)
             for *_, follow, deviate in regret_rows(inst, a, concept, profiles,
                                                    table.__getitem__)]
     rows.append(((ONE,) * len(profiles), "=", ONE))
@@ -312,12 +320,92 @@ def best_ce(inst: Instance, a: Contract):
     return equilibrium_lp(inst, a, "ce", "max")
 
 
+def _pne_bounds(inst: Instance) -> list:
+    """The profiles that are a PNE of some contract, as (S, f(S), bounds).
+
+    S is a PNE of a exactly when lo <= a_i <= hi for every (i, lo, hi) in
+    bounds, None marking an open side. Agent i keeps its slice against T when
+    a_i * (f(S) - f(S_-i | T)) >= c(S_i) - c(T), a bound on a_i whose side is
+    the sign of the gain. Bounds every share in [0, 1] meets are left out, and
+    so is a profile whose interval for some agent is empty.
+    """
+    profiles = _profiles(inst, "PNE table")
+    f = [inst.reward.value(S) for S in profiles]
+    slices = []
+    for i in range(inst.n):
+        mask = inst.agent_mask(i)
+        check_enum_bits(mask.bit_count(), f"PNE table agent {i}")
+        slices.append((i, mask, list(submasks(mask))))
+    # the slice costs as integers over one denominator c_den; with f(S) =
+    # n_S / d_S, the bound of a deviation to T is diff / gain, where
+    # gain = (n_S d_T - n_T d_S) c_den and diff = (c(S_i) - c(T)) d_S d_T.
+    # f keeps its own denominators: one lcm over 2^m arbitrary values can
+    # run to thousands of digits
+    fracs = [(v.numerator, v.denominator) for v in f]
+    every = [T for _, _, subs in slices for T in subs]
+    cnum, c_den = _integer_row([inst.cost(T) for T in every])
+    cost = dict(zip(every, cnum))
+    table = []
+    for S in profiles:
+        n_S, d_S = fracs[S]
+        bounds = []
+        for i, mask, subs in slices:
+            rest, own = S & ~mask, S & mask
+            own_cost = cost[own]
+            # lo = lo_n / lo_d and hi = hi_n / hi_d, denominators positive
+            lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 1
+            for T in subs:
+                if T == own:
+                    continue
+                n_T, d_T = fracs[rest | T]
+                gain = (n_S * d_T - n_T * d_S) * c_den
+                diff = (own_cost - cost[T]) * d_S * d_T
+                if gain > 0:
+                    if diff * lo_d > lo_n * gain:
+                        lo_n, lo_d = diff, gain
+                elif gain < 0:
+                    if diff * hi_d > hi_n * gain:  # diff/gain < hi, gain < 0
+                        hi_n, hi_d = -diff, -gain
+                elif diff > 0:
+                    lo_n, lo_d, hi_n, hi_d = 1, 1, 0, 1  # empty
+                    break
+            if lo_n * hi_d > hi_n * lo_d:
+                break  # no contract makes S a PNE
+            lo = Fraction(lo_n, lo_d) if lo_n > 0 else None
+            hi = Fraction(hi_n, hi_d) if hi_n < hi_d else None
+            if lo is not None or hi is not None:
+                bounds.append((i, lo, hi))
+        else:
+            table.append((S, f[S], tuple(bounds)))
+    return table
+
+
+def _pnes(table: list, a: Contract):
+    """(S, f(S)) for the profiles of ``table`` that are PNEs of ``a``."""
+    alpha = a.alpha
+    for S, fS, bounds in table:
+        if all((lo is None or alpha[i] >= lo) and (hi is None or alpha[i] <= hi)
+               for i, lo, hi in bounds):
+            yield S, fS
+
+
+def _best_pne(table: list, a: Contract):
+    """The principal's utility at the best PNE of ``a`` in ``table``, and the
+    profile; the smallest profile wins a tie."""
+    share = ONE - a.total()
+    best = None
+    for S, fS in _pnes(table, a):
+        value = share * fS
+        if best is None or value > best[0]:
+            best = (value, S)
+    return best
+
+
 def enumerate_pne(inst: Instance, a: Contract) -> list:
     """All pure equilibria with principal utilities, best first."""
-    found = []
-    for S in _profiles(inst):
-        if is_pne(inst, S, a):
-            found.append((S, principal_utility(inst, S, a)))
+    inst.check_contract(a)
+    share = ONE - a.total()
+    found = [(S, share * fS) for S, fS in _pnes(_pne_bounds(inst), a)]
     found.sort(key=lambda e: (-e[1], e[0]))
     return found
 
@@ -332,12 +420,9 @@ def best_pne_binary(inst: Instance):
     """
     if not inst.binary:
         raise ValueError("closed-form search needs binary actions")
-    count = 1 << inst.m
-    check_profile_count(count, "best_pne_binary")
-    f = inst.reward.value
+    f = [inst.reward.value(S) for S in _profiles(inst, "best_pne_binary")]
     best = None
-    for S in range(count):
-        fS = f(S)
+    for S, fS in enumerate(f):
         shares = [ZERO] * inst.n
         share_sum = ZERO
         redundant = False
@@ -346,7 +431,7 @@ def best_pne_binary(inst: Instance):
                 continue
             if inst.costs[j] == 0:
                 continue
-            marginal = fS - f(S & ~(1 << j))
+            marginal = fS - f[S & ~(1 << j)]
             if marginal <= 0:
                 redundant = True
                 break
@@ -395,8 +480,8 @@ def _grid_contracts(n: int, resolution: int):
 def evaluate_cell(inst: Instance, a: Contract, objective: str):
     """Principal utility of the objective at one contract, with a witness."""
     if objective == "best_pne":
-        pnes = enumerate_pne(inst, a)
-        return pnes[0][1], pnes[0][0]
+        inst.check_contract(a)
+        return _best_pne(_pne_bounds(inst), a)
     solver = {"best_cce": best_cce, "worst_cce": worst_cce, "best_ce": best_ce}
     dist, utility = solver[objective](inst, a)
     return utility, dist
@@ -412,10 +497,17 @@ def grid_search(inst: Instance, resolution: int, objective: str,
         raise ValueError(f"unknown objective {objective!r}")
     if resolution < 1:
         raise ValueError("resolution must be positive")
+    explicit_cells = list(explicit_cells)
+    for a in explicit_cells:
+        inst.check_contract(a)
+    if objective == "best_pne":
+        evaluate = partial(_best_pne, _pne_bounds(inst))
+    else:
+        evaluate = partial(evaluate_cell, inst, objective=objective)
     cells = []
     best = None
-    for a in list(_grid_contracts(inst.n, resolution)) + list(explicit_cells):
-        value, witness = evaluate_cell(inst, a, objective)
+    for a in list(_grid_contracts(inst.n, resolution)) + explicit_cells:
+        value, witness = evaluate(a)
         cells.append((a, value))
         if best is None or value > best[1]:
             best = (a, value, witness)
