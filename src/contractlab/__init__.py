@@ -40,6 +40,7 @@ from .solvers import (
     LpResult,
     best_cce,
     best_ce,
+    best_pne,
     best_pne_binary,
     enumerate_pne,
     grid_search,

@@ -15,17 +15,17 @@ The equilibrium benchmarks and the ``fixtures`` samplers are one LP,
 ``equilibrium_lp``, over the regret rows the distribution verifiers check
 (``equilibria.regret_rows``).
 
-The PNE searches (``enumerate_pne`` and the best_pne cells of
-``grid_search``) read one table, ``_pne_bounds``, built once per call, that
-gives each profile the exact interval of shares under which each agent keeps
-its slice.
+The PNE searches (``enumerate_pne``, the best_pne cells of ``grid_search``
+and ``best_pne``, the best PNE over all contracts) read one table,
+``_pne_bounds``, built once per call, that gives each profile the exact
+interval of shares under which each agent keeps its slice.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -320,8 +320,8 @@ def best_ce(inst: Instance, a: Contract):
     return equilibrium_lp(inst, a, "ce", "max")
 
 
-def _pne_bounds(inst: Instance) -> list:
-    """The profiles that are a PNE of some contract, as (S, f(S), bounds).
+def _pne_bounds(inst: Instance):
+    """Yield each profile that is a PNE of some contract as (S, f(S), bounds).
 
     S is a PNE of a exactly when lo <= a_i <= hi for every (i, lo, hi) in
     bounds, None marking an open side. Agent i keeps its slice against T when
@@ -345,7 +345,6 @@ def _pne_bounds(inst: Instance) -> list:
     every = [T for _, _, subs in slices for T in subs]
     cnum, c_den = _integer_row([inst.cost(T) for T in every])
     cost = dict(zip(every, cnum))
-    table = []
     for S in profiles:
         n_S, d_S = fracs[S]
         bounds = []
@@ -376,11 +375,10 @@ def _pne_bounds(inst: Instance) -> list:
             if lo is not None or hi is not None:
                 bounds.append((i, lo, hi))
         else:
-            table.append((S, f[S], tuple(bounds)))
-    return table
+            yield S, f[S], tuple(bounds)
 
 
-def _pnes(table: list, a: Contract):
+def _pnes(table, a: Contract):
     """(S, f(S)) for the profiles of ``table`` that are PNEs of ``a``."""
     alpha = a.alpha
     for S, fS, bounds in table:
@@ -389,7 +387,7 @@ def _pnes(table: list, a: Contract):
             yield S, fS
 
 
-def _best_pne(table: list, a: Contract):
+def _best_pne(table, a: Contract):
     """The principal's utility at the best PNE of ``a`` in ``table``, and the
     profile; the smallest profile wins a tie."""
     share = ONE - a.total()
@@ -410,40 +408,37 @@ def enumerate_pne(inst: Instance, a: Contract) -> list:
     return found
 
 
-def best_pne_binary(inst: Instance):
-    """Best pure equilibrium in the binary case via the closed form
-    g(S) = f(S) * (1 - sum_{i in S} c_i / f(i | S\\{i})).
+def best_pne(inst: Instance):
+    """The best pure equilibrium over all contracts, as (profile, inducing
+    contract, principal utility); the smallest profile wins a tie.
 
-    A free action needs no share. Sets containing a costly action whose
-    marginal is not positive cannot be induced and are skipped. Returns
-    (profile, inducing contract, utility).
+    The cheapest contract that makes S a PNE pays each agent the lower end of
+    its interval, so the best PNE is the largest (1 - sum lo(S)) * f(S) over
+    the profiles whose lower ends sum to at most 1. This assumes f >= 0: a
+    profile of negative reward would rather pay more.
     """
+    best = None
+    for S, fS, bounds in _pne_bounds(inst):
+        shares = [ZERO] * inst.n
+        for i, lo, _ in bounds:
+            shares[i] = lo or ZERO
+        total = sum(shares, ZERO)
+        if total > 1:
+            continue
+        value = (ONE - total) * fS
+        if best is None or value > best[2]:
+            best = (S, shares, value)
+    S, shares, value = best
+    return S, Contract(tuple(shares)), value
+
+
+def best_pne_binary(inst: Instance):
+    """``best_pne`` on binary actions, where it is the closed form
+    g(S) = f(S) * (1 - sum_{i in S} c_i / f(i | S\\{i})), a free action
+    needing no share."""
     if not inst.binary:
         raise ValueError("closed-form search needs binary actions")
-    f = [inst.reward.value(S) for S in _profiles(inst, "best_pne_binary")]
-    best = None
-    for S, fS in enumerate(f):
-        shares = [ZERO] * inst.n
-        share_sum = ZERO
-        redundant = False
-        for j in range(inst.m):
-            if not S >> j & 1:
-                continue
-            if inst.costs[j] == 0:
-                continue
-            marginal = fS - f[S & ~(1 << j)]
-            if marginal <= 0:
-                redundant = True
-                break
-            shares[j] = inst.costs[j] / marginal
-            share_sum += shares[j]
-        if redundant:
-            continue
-        g = fS * (ONE - share_sum)
-        if best is None or g > best[2]:
-            best = (S, shares, g)
-    S, shares, g = best
-    return S, Contract(tuple(shares)), g
+    return best_pne(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +492,13 @@ def grid_search(inst: Instance, resolution: int, objective: str,
         raise ValueError(f"unknown objective {objective!r}")
     if resolution < 1:
         raise ValueError("resolution must be positive")
+    check_enum_bits((comb(resolution + inst.n, inst.n) - 1).bit_length(),
+                    "contract grid")
     explicit_cells = list(explicit_cells)
     for a in explicit_cells:
         inst.check_contract(a)
     if objective == "best_pne":
-        evaluate = partial(_best_pne, _pne_bounds(inst))
+        evaluate = partial(_best_pne, list(_pne_bounds(inst)))
     else:
         evaluate = partial(evaluate_cell, inst, objective=objective)
     cells = []

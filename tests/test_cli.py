@@ -212,6 +212,13 @@ def test_gap_report_nonpositive_resolution(separation_path, capsys, resolution):
     assert "error: argument --resolution" in capsys.readouterr().err
 
 
+def test_gap_report_past_enumeration_cap(separation_path, monkeypatch, capsys):
+    # 21 cells at resolution 5 on two agents need 5 bits
+    monkeypatch.setenv("CONTRACTLAB_CAP", "4")
+    assert exit_code(["gap-report", separation_path, "--resolution", "5"]) == 3
+    assert "capacity: contract grid" in capsys.readouterr().err
+
+
 def test_gen_random_without_agents(capsys):
     assert exit_code(["gen", "random", "--kind", "additive", "--n", "0"]) == 2
     assert "error: argument --n" in capsys.readouterr().err

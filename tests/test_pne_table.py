@@ -1,16 +1,24 @@
 """The tabulated PNE search (enumerate_pne, grid_search best_pne cells,
-evaluate_cell) against profiles filtered one by one with is_pne, and the
-contract-length check shared by the PNE and regret-row entry points."""
+evaluate_cell) against profiles filtered one by one with is_pne, the exact
+best PNE (best_pne) against the best_pne grid, the profile cap of the table,
+and the contract-length check shared by the PNE and regret-row entry
+points."""
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contractlab.core import Contract, ONE, principal_utility
+from contractlab.core import CapacityError, Contract, ONE, principal_utility
 from contractlab.equilibria import is_pne, regret_rows
 from contractlab.fixtures import random_instance
-from contractlab.solvers import enumerate_pne, evaluate_cell, grid_search
+from contractlab.solvers import (
+    best_pne,
+    best_pne_binary,
+    enumerate_pne,
+    evaluate_cell,
+    grid_search,
+)
 
 KINDS = ("additive", "coverage", "xos", "supermodular", "table")
 SIZES = ([2, 1], [2, 2], [1, 1, 1], [2, 1, 1])
@@ -72,6 +80,37 @@ def test_grid_best_pne_matches_is_pne(kind, sizes, data, seed, r):
         if best is None or ref_value > best[1]:
             best = (a, ref_value, ref_S)
     assert (report.best_contract, report.best_value, report.witness) == best
+
+
+@every_instance
+@PROPERTY
+@given(seed=seeds)
+def test_best_pne_bounds_every_grid(kind, sizes, seed):
+    inst = random_instance(kind, seed, len(sizes), sizes)
+    S, a, value = best_pne(inst)
+    assert is_pne(inst, S, a)
+    assert a.total() <= 1
+    assert value == principal_utility(inst, S, a)
+    for r in (1, 2, 3):
+        report = grid_search(inst, r, "best_pne")
+        assert all(value >= cell for _, cell in report.cells)
+        # a contract on the grid is one of its cells
+        if all((share * r).denominator == 1 for share in a.alpha):
+            assert value == report.best_value
+
+
+def test_pne_table_respects_profile_cap(monkeypatch):
+    inst = random_instance("additive", 8, 5, 1)
+    a = Contract.zero(5)
+    monkeypatch.setenv("CONTRACTLAB_CAP", "24,16")
+    searches = [lambda: enumerate_pne(inst, a),
+                lambda: evaluate_cell(inst, a, "best_pne"),
+                lambda: grid_search(inst, 1, "best_pne"),
+                lambda: best_pne(inst),
+                lambda: best_pne_binary(inst)]
+    for search in searches:
+        with pytest.raises(CapacityError, match="PNE table: 32 profiles"):
+            search()
 
 
 @pytest.mark.parametrize("count", [2, 4])

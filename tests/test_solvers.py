@@ -4,13 +4,14 @@ from fractions import Fraction as F
 import pytest
 
 from contractlab import solvers
-from contractlab.core import Contract, ZERO, make_instance
+from contractlab.core import CapacityError, Contract, ZERO, make_instance
 from contractlab.equilibria import is_cce, is_ce, is_pne
 from contractlab.solvers import (
     LinearProgram,
     _certify,
     best_cce,
     best_ce,
+    best_pne,
     best_pne_binary,
     enumerate_pne,
     grid_search,
@@ -147,6 +148,7 @@ def test_best_pne_binary():
 
     with pytest.raises(ValueError):
         best_pne_binary(supermodular_cce_gap_instance())
+    assert best_pne(supermodular_cce_gap_instance()) == (0, Contract.zero(2), 0)
 
 
 def test_grid_search_separation():
@@ -156,6 +158,16 @@ def test_grid_search_separation():
     assert report.best_contract.alpha == (F(1, 20), F(1, 20))
     tiny = grid_search(inst, 1, "best_pne")
     assert tiny.best_value == 0
+
+
+def test_grid_search_respects_enumeration_cap(monkeypatch):
+    # one agent: resolution r has r + 1 cells, and 16 cells fit in 4 bits
+    inst = make_instance([[1]], TableReward([0, 10]))
+    monkeypatch.setenv("CONTRACTLAB_CAP", "4")
+    assert len(grid_search(inst, 15, "best_pne").cells) == 16
+    for objective in ("best_pne", "best_cce"):
+        with pytest.raises(CapacityError, match="contract grid: 2\\^5"):
+            grid_search(inst, 16, objective)
 
 
 def test_grid_search_explicit_cells():
@@ -279,13 +291,14 @@ def test_lp_benchmarks_ordered_on_random_instances():
 
 
 def test_best_pne_binary_non_monotone():
-    # agent 0 joining agent 1 lowers f: {0, 1} cannot be induced
-    inst = make_instance([[1], [1]], TableReward([0, 10, 10, 9]))
-    S, a, utility = best_pne_binary(inst)
-    assert (S, a.alpha, utility) == (1, (F(1, 10), ZERO), 9)
-    assert is_pne(inst, S, a)
-    # a free action needs no share, whatever its marginal
-    free = make_instance([[0], [1]], TableReward([0, 10, 10, 9]))
-    S, a, utility = best_pne_binary(free)
-    assert (S, a.alpha, utility) == (1, (ZERO, ZERO), 10)
-    assert is_pne(free, S, a)
+    for search in (best_pne_binary, best_pne):
+        # agent 0 joining agent 1 lowers f: {0, 1} cannot be induced
+        inst = make_instance([[1], [1]], TableReward([0, 10, 10, 9]))
+        S, a, utility = search(inst)
+        assert (S, a.alpha, utility) == (1, (F(1, 10), ZERO), 9)
+        assert is_pne(inst, S, a)
+        # a free action needs no share, whatever its marginal
+        free = make_instance([[0], [1]], TableReward([0, 10, 10, 9]))
+        S, a, utility = search(free)
+        assert (S, a.alpha, utility) == (1, (ZERO, ZERO), 10)
+        assert is_pne(free, S, a)
