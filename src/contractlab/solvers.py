@@ -17,8 +17,13 @@ The equilibrium benchmarks and the ``fixtures`` samplers are one LP,
 
 The PNE searches (``enumerate_pne``, the best_pne cells of ``grid_search``
 and ``best_pne``, the best PNE over all contracts) read one table,
-``_pne_bounds``, built once per call, that gives each profile the exact
-interval of shares under which each agent keeps its slice.
+``_pne_table``, built once per call: f over every profile and the slice
+costs, in integers. Its one helper, ``interval``, writes the PNE condition:
+it gives the exact interval of shares under which an agent keeps its slice
+of a profile, as integer pairs. ``_pne_bounds`` lists every profile's
+intervals, and a contract's shares are compared with them as integers.
+``best_pne`` (which needs f >= 0) skips a profile whose f(S) cannot beat the
+best value so far and leaves a profile as soon as its lower ends lose.
 """
 from __future__ import annotations
 
@@ -320,14 +325,14 @@ def best_ce(inst: Instance, a: Contract):
     return equilibrium_lp(inst, a, "ce", "max")
 
 
-def _pne_bounds(inst: Instance):
-    """Yield each profile that is a PNE of some contract as (S, f(S), bounds).
+def _pne_table(inst: Instance):
+    """What the PNE searches read: f over every profile, f as (numerator,
+    denominator) pairs, each agent's slice as (mask, submasks), and
+    ``interval(S, mask, subs)``, the integer share interval of that agent at S.
 
-    S is a PNE of a exactly when lo <= a_i <= hi for every (i, lo, hi) in
-    bounds, None marking an open side. Agent i keeps its slice against T when
-    a_i * (f(S) - f(S_-i | T)) >= c(S_i) - c(T), a bound on a_i whose side is
-    the sign of the gain. Bounds every share in [0, 1] meets are left out, and
-    so is a profile whose interval for some agent is empty.
+    Slice costs are integers over one denominator c_den. f keeps its own
+    denominators: one lcm over 2^m arbitrary values can run to thousands of
+    digits.
     """
     profiles = _profiles(inst, "PNE table")
     f = [inst.reward.value(S) for S in profiles]
@@ -335,55 +340,79 @@ def _pne_bounds(inst: Instance):
     for i in range(inst.n):
         mask = inst.agent_mask(i)
         check_enum_bits(mask.bit_count(), f"PNE table agent {i}")
-        slices.append((i, mask, list(submasks(mask))))
-    # the slice costs as integers over one denominator c_den; with f(S) =
-    # n_S / d_S, the bound of a deviation to T is diff / gain, where
-    # gain = (n_S d_T - n_T d_S) c_den and diff = (c(S_i) - c(T)) d_S d_T.
-    # f keeps its own denominators: one lcm over 2^m arbitrary values can
-    # run to thousands of digits
+        slices.append((mask, list(submasks(mask))))
     fracs = [(v.numerator, v.denominator) for v in f]
-    every = [T for _, _, subs in slices for T in subs]
+    every = [T for _, subs in slices for T in subs]
     cnum, c_den = _integer_row([inst.cost(T) for T in every])
     cost = dict(zip(every, cnum))
-    for S in profiles:
+
+    def interval(S, mask, subs):
+        """(lo_n, lo_d, hi_n, hi_d), denominators positive: the agent keeps
+        its slice of S exactly when lo_n / lo_d <= a_i <= hi_n / hi_d, within
+        [0, 1]; None when no share does.
+
+        Against T it keeps S_i when a_i * (f(S) - f(S_-i | T)) >= c(S_i) - c(T),
+        a bound diff / gain on a_i whose side is the sign of the gain. With
+        f(S) = n_S / d_S, gain = (n_S d_T - n_T d_S) c_den and
+        diff = (c(S_i) - c(T)) d_S d_T.
+        """
         n_S, d_S = fracs[S]
+        rest, own = S & ~mask, S & mask
+        own_cost = cost[own]
+        lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 1
+        for T in subs:
+            if T == own:
+                continue
+            n_T, d_T = fracs[rest | T]
+            gain = (n_S * d_T - n_T * d_S) * c_den
+            diff = (own_cost - cost[T]) * d_S * d_T
+            if gain > 0:
+                if diff * lo_d > lo_n * gain:
+                    lo_n, lo_d = diff, gain
+            elif gain < 0:
+                if diff * hi_d > hi_n * gain:  # diff/gain < hi, gain < 0
+                    hi_n, hi_d = -diff, -gain
+            elif diff > 0:
+                return None
+        if lo_n * hi_d > hi_n * lo_d:
+            return None
+        return lo_n, lo_d, hi_n, hi_d
+
+    return f, fracs, slices, interval
+
+
+def _pne_bounds(inst: Instance):
+    """Yield each profile that is a PNE of some contract as (S, f(S), bounds).
+
+    S is a PNE of a exactly when lo_n / lo_d <= a_i <= hi_n / hi_d for every
+    (i, (lo_n, lo_d), (hi_n, hi_d)) in bounds, None marking an open side.
+    Bounds every share in [0, 1] meets are left out.
+    """
+    f, _, slices, interval = _pne_table(inst)
+    for S, fS in enumerate(f):
         bounds = []
-        for i, mask, subs in slices:
-            rest, own = S & ~mask, S & mask
-            own_cost = cost[own]
-            # lo = lo_n / lo_d and hi = hi_n / hi_d, denominators positive
-            lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 1
-            for T in subs:
-                if T == own:
-                    continue
-                n_T, d_T = fracs[rest | T]
-                gain = (n_S * d_T - n_T * d_S) * c_den
-                diff = (own_cost - cost[T]) * d_S * d_T
-                if gain > 0:
-                    if diff * lo_d > lo_n * gain:
-                        lo_n, lo_d = diff, gain
-                elif gain < 0:
-                    if diff * hi_d > hi_n * gain:  # diff/gain < hi, gain < 0
-                        hi_n, hi_d = -diff, -gain
-                elif diff > 0:
-                    lo_n, lo_d, hi_n, hi_d = 1, 1, 0, 1  # empty
-                    break
-            if lo_n * hi_d > hi_n * lo_d:
+        for i, (mask, subs) in enumerate(slices):
+            bound = interval(S, mask, subs)
+            if bound is None:
                 break  # no contract makes S a PNE
-            lo = Fraction(lo_n, lo_d) if lo_n > 0 else None
-            hi = Fraction(hi_n, hi_d) if hi_n < hi_d else None
-            if lo is not None or hi is not None:
+            lo_n, lo_d, hi_n, hi_d = bound
+            lo = (lo_n, lo_d) if lo_n else None
+            hi = (hi_n, hi_d) if hi_n < hi_d else None
+            if lo or hi:
                 bounds.append((i, lo, hi))
         else:
-            yield S, f[S], tuple(bounds)
+            yield S, fS, tuple(bounds)
 
 
 def _pnes(table, a: Contract):
     """(S, f(S)) for the profiles of ``table`` that are PNEs of ``a``."""
-    alpha = a.alpha
+    shares = [(v.numerator, v.denominator) for v in a.alpha]
     for S, fS, bounds in table:
-        if all((lo is None or alpha[i] >= lo) and (hi is None or alpha[i] <= hi)
-               for i, lo, hi in bounds):
+        for i, lo, hi in bounds:
+            p, q = shares[i]
+            if (lo and p * lo[1] < lo[0] * q) or (hi and p * hi[1] > hi[0] * q):
+                break
+        else:
             yield S, fS
 
 
@@ -414,22 +443,41 @@ def best_pne(inst: Instance):
 
     The cheapest contract that makes S a PNE pays each agent the lower end of
     its interval, so the best PNE is the largest (1 - sum lo(S)) * f(S) over
-    the profiles whose lower ends sum to at most 1. This assumes f >= 0: a
-    profile of negative reward would rather pay more.
+    the profiles whose lower ends sum to at most 1. Raises ValueError if some
+    f(S) < 0: such a profile would rather pay more.
+
+    With f >= 0 a row is worth at most f(S), so the sweep skips a profile
+    whose f(S) is not above the best value so far (a tie goes to the earlier
+    profile). It folds the other rows agent by agent, keeping sum lo as a
+    reduced integer pair, and leaves a row as soon as an interval is empty,
+    sum lo > 1 or (1 - sum lo) * f(S) is not above the best.
     """
-    best = None
-    for S, fS, bounds in _pne_bounds(inst):
-        shares = [ZERO] * inst.n
-        for i, lo, _ in bounds:
-            shares[i] = lo or ZERO
-        total = sum(shares, ZERO)
-        if total > 1:
+    f, fracs, slices, interval = _pne_table(inst)
+    for S, (n_S, _) in enumerate(fracs):
+        if n_S < 0:
+            raise ValueError(f"best_pne needs f >= 0, but f({S}) = {f[S]}")
+    best_S, best_n, best_d = None, -1, 1  # every PNE is worth at least 0
+    for S, (n_S, d_S) in enumerate(fracs):
+        if n_S * best_d <= best_n * d_S:
             continue
-        value = (ONE - total) * fS
-        if best is None or value > best[2]:
-            best = (S, shares, value)
-    S, shares, value = best
-    return S, Contract(tuple(shares)), value
+        sum_n, sum_d = 0, 1
+        for mask, subs in slices:
+            bound = interval(S, mask, subs)
+            if bound is None:
+                break
+            lo_n, lo_d, _, _ = bound
+            if lo_n:
+                sum_n, sum_d = sum_n * lo_d + lo_n * sum_d, sum_d * lo_d
+                g = gcd(sum_n, sum_d)
+                sum_n, sum_d = sum_n // g, sum_d // g
+                if sum_n > sum_d or ((sum_d - sum_n) * n_S * best_d
+                                     <= best_n * sum_d * d_S):
+                    break
+        else:
+            best_S, best_n, best_d = S, (sum_d - sum_n) * n_S, sum_d * d_S
+    shares = [Fraction(*interval(best_S, mask, subs)[:2])
+              for mask, subs in slices]
+    return best_S, Contract(tuple(shares)), Fraction(best_n, best_d)
 
 
 def best_pne_binary(inst: Instance):
@@ -459,17 +507,15 @@ _OBJECTIVES = ("best_pne", "best_cce", "worst_cce", "best_ce")
 
 def _grid_contracts(n: int, resolution: int):
     """Row-major sweep of {0, 1/r, ..., 1}^n keeping cells with sum <= 1."""
-    def rec(prefix, remaining):
+    steps = [Fraction(k, resolution) for k in range(resolution + 1)]
+
+    def rec(prefix, remaining, budget):
         if not remaining:
             yield Contract(tuple(prefix))
             return
-        budget = ONE - sum(prefix, ZERO)
-        for k in range(resolution + 1):
-            v = Fraction(k, resolution)
-            if v > budget:
-                break
-            yield from rec(prefix + [v], remaining - 1)
-    yield from rec([], n)
+        for k in range(budget + 1):
+            yield from rec(prefix + [steps[k]], remaining - 1, budget - k)
+    yield from rec([], n, resolution)
 
 
 def evaluate_cell(inst: Instance, a: Contract, objective: str):

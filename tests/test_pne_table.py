@@ -1,18 +1,29 @@
 """The tabulated PNE search (enumerate_pne, grid_search best_pne cells,
 evaluate_cell) against profiles filtered one by one with is_pne, the exact
-best PNE (best_pne) against the best_pne grid, the profile cap of the table,
-and the contract-length check shared by the PNE and regret-row entry
+best PNE (best_pne) against the best_pne grid and against a brute-force
+sweep, the closed ends of the share intervals, the profile cap of the
+table, and the contract-length check shared by the PNE and regret-row entry
 points."""
+import random
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contractlab.core import CapacityError, Contract, ONE, principal_utility
+from contractlab.core import (
+    CapacityError,
+    Contract,
+    ONE,
+    make_instance,
+    principal_utility,
+    submasks,
+)
 from contractlab.equilibria import is_pne, regret_rows
 from contractlab.fixtures import random_instance
+from contractlab.rewards import TableReward
 from contractlab.solvers import (
+    _pne_bounds,
     best_pne,
     best_pne_binary,
     enumerate_pne,
@@ -45,6 +56,22 @@ def reference_pnes(inst, a):
     return sorted(found, key=lambda e: (-e[1], e[0]))
 
 
+def interval_ends(inst):
+    """(S, contract) on the ends of S's share intervals: best_pne's own
+    contract, on every lower end, and for each row the lower ends with one
+    agent moved to its finite upper end."""
+    S, a, _ = best_pne(inst)
+    yield S, a
+    for T, _, bounds in _pne_bounds(inst):
+        lows = [F(0)] * inst.n
+        for i, lo, _ in bounds:
+            if lo:
+                lows[i] = F(*lo)
+        for i, _, hi in bounds:
+            if hi:
+                yield T, Contract(tuple(lows[:i] + [F(*hi)] + lows[i + 1:]))
+
+
 @every_instance
 @PROPERTY
 @given(data=st.data(), seed=seeds)
@@ -52,6 +79,10 @@ def test_enumerate_pne_matches_is_pne(kind, sizes, data, seed):
     inst = random_instance(kind, seed, len(sizes), sizes)
     a = data.draw(contracts(inst.n))
     assert enumerate_pne(inst, a) == reference_pnes(inst, a)
+    # the intervals are closed: a contract on their ends keeps S a PNE
+    for S, c in interval_ends(inst):
+        assert is_pne(inst, S, c)
+        assert S in [T for T, _ in enumerate_pne(inst, c)]
 
 
 def grid_cells(n, r):
@@ -82,12 +113,39 @@ def test_grid_best_pne_matches_is_pne(kind, sizes, data, seed, r):
     assert (report.best_contract, report.best_value, report.witness) == best
 
 
+def reference_best_pne(inst):
+    """The best PNE over all contracts by brute force: at each S, every agent
+    gets the largest (c(S_i) - c(T)) / (f(S) - f(S_-i | T)) over positive
+    gains (0 if none), and S counts when those shares sum to at most 1 and
+    is_pne accepts S under them; the smallest S wins a tie."""
+    f = inst.reward.value
+    best = None
+    for S in range(1 << inst.m):
+        shares = []
+        for i in range(inst.n):
+            mask = inst.agent_mask(i)
+            own, rest = S & mask, S & ~mask
+            shares.append(max([F(0)] + [
+                (inst.cost(own) - inst.cost(T)) / (f(S) - f(rest | T))
+                for T in submasks(mask) if f(S) > f(rest | T)]))
+        if sum(shares) > 1:
+            continue
+        a = Contract(tuple(shares))
+        if not is_pne(inst, S, a):
+            continue
+        value = principal_utility(inst, S, a)
+        if best is None or value > best[2]:
+            best = (S, a, value)
+    return best
+
+
 @every_instance
 @PROPERTY
 @given(seed=seeds)
 def test_best_pne_bounds_every_grid(kind, sizes, seed):
     inst = random_instance(kind, seed, len(sizes), sizes)
     S, a, value = best_pne(inst)
+    assert (S, a, value) == reference_best_pne(inst)
     assert is_pne(inst, S, a)
     assert a.total() <= 1
     assert value == principal_utility(inst, S, a)
@@ -97,6 +155,37 @@ def test_best_pne_bounds_every_grid(kind, sizes, seed):
         # a contract on the grid is one of its cells
         if all((share * r).denominator == 1 for share in a.alpha):
             assert value == report.best_value
+
+
+TABLE_SHAPES = ([1], [2], [1, 1], [2, 1], [1, 2], [2, 2], [1, 1, 1],
+                [2, 1, 1], [1, 1, 1, 1], [1] * 5)
+
+
+@pytest.mark.parametrize("values,empty_zero", [
+    (range(4), True),     # ties everywhere
+    (range(21), False),   # not monotone
+])
+@settings(PROPERTY, max_examples=500)
+@given(seed=seeds)
+def test_best_pne_matches_brute_force_on_tables(values, empty_zero, seed):
+    """1-5 agents with 1-2 actions each, a table reward drawn from ``values``
+    and costs that are often zero."""
+    rng = random.Random(seed)
+    sizes = rng.choice(TABLE_SHAPES)
+    table = [rng.choice(values) for _ in range(1 << sum(sizes))]
+    if empty_zero:
+        table[0] = 0
+    costs = [[rng.choice([F(0), F(0), F(1, 2), F(1), F(2)]) for _ in range(k)]
+             for k in sizes]
+    inst = make_instance(costs, TableReward(table))
+    assert best_pne(inst) == reference_best_pne(inst)
+
+
+def test_best_pne_rejects_negative_rewards():
+    inst = make_instance([[1], [1]], TableReward([0, 3, -1, 4]))
+    for search in (best_pne, best_pne_binary):
+        with pytest.raises(ValueError, match=r"f >= 0, but f\(2\) = -1"):
+            search(inst)
 
 
 def test_pne_table_respects_profile_cap(monkeypatch):
