@@ -160,6 +160,14 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+def _write_json(path: str, doc) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(canonical_json(doc))
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 def parse_contract(raw: str, n: int) -> Contract:
     parts = [p for p in raw.split(",") if p.strip()]
     if len(parts) != n:
@@ -277,8 +285,7 @@ def cmd_lift(args) -> int:
                "pne": list(bits_of(lift.pne)),
                "utility": fraction_str(achieved),
                "claimed_ratio": fraction_str(lift.claimed_ratio)}
-        with open(args.out, "w") as fh:
-            fh.write(canonical_json(doc))
+        _write_json(args.out, doc)
     ok = achieved >= lift.claimed_ratio * reference
     return PASS if ok else FAIL
 
@@ -337,8 +344,7 @@ def cmd_gap_report(args) -> int:
                            "value": fraction_str(value)}
                           for a, value in report.cells],
             }
-        with open(args.json, "w") as fh:
-            fh.write(canonical_json(doc))
+        _write_json(args.json, doc)
     return PASS
 
 

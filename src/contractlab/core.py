@@ -1,9 +1,10 @@
 """Model primitives: instances, action profiles, contracts, utilities, potential.
 
 Action profiles are plain int bitsets over global action ids 0..m-1.
-All numeric quantities are exact rationals (fractions.Fraction); the only
-non-rational values are the +/-infinity sentinels used by the potential
-convention and by price vectors.
+All numeric quantities are exact rationals (fractions.Fraction); costs are
+also held as integers over one common denominator (``Instance.cost_den``).
+Every decision is exact: ``potential`` returns None for its -infinity
+case.
 """
 from __future__ import annotations
 
@@ -11,13 +12,9 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 Scalar = Fraction
-ExtendedScalar = Union[Fraction, float]  # Fraction, or float +/-inf sentinel
-
-NEG_INF = float("-inf")
-POS_INF = float("inf")
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -147,7 +144,7 @@ class Instance:
         # costs as integers over one common denominator, so that a slice's
         # cost is one exact integer sum
         den = lcm(*[c.denominator for c in self.costs])
-        object.__setattr__(self, "_cost_den", den)
+        object.__setattr__(self, "cost_den", den)
         object.__setattr__(self, "_cost_nums",
                            tuple(c.numerator * (den // c.denominator)
                                  for c in self.costs))
@@ -170,12 +167,13 @@ class Instance:
     def slice(self, S: int, i: int) -> int:
         return S & self._agent_masks[i]
 
-    def others(self, S: int, i: int) -> int:
-        return S & ~self._agent_masks[i]
+    def cost_numerator(self, mask: int) -> int:
+        """c(mask) * cost_den, an exact integer."""
+        nums = self._cost_nums
+        return sum(nums[j] for j in bits_of(mask))
 
     def cost(self, mask: int) -> Fraction:
-        nums = self._cost_nums
-        return Fraction(sum(nums[j] for j in bits_of(mask)), self._cost_den)
+        return Fraction(self.cost_numerator(mask), self.cost_den)
 
     def check_profile(self, S: int) -> None:
         if not 0 <= S <= self.full_mask:
@@ -257,11 +255,11 @@ def welfare(inst: Instance, S: int) -> Fraction:
     return inst.reward.value(S) - inst.cost(S)
 
 
-def potential(inst: Instance, S: int, a: Contract) -> ExtendedScalar:
+def potential(inst: Instance, S: int, a: Contract) -> Optional[Fraction]:
     """Weighted potential f(S) - sum_i c(S_i)/alpha_i.
 
     A zero-cost slice contributes 0 even at alpha_i = 0; a costly slice at
-    alpha_i = 0 makes the whole potential -infinity.
+    alpha_i = 0 makes the whole potential -infinity, returned as None.
     """
     inst.check_profile(S)
     total = inst.reward.value(S)
@@ -270,6 +268,6 @@ def potential(inst: Instance, S: int, a: Contract) -> ExtendedScalar:
         if ci == 0:
             continue
         if a[i] == 0:
-            return NEG_INF
+            return None
         total -= ci / a[i]
     return total

@@ -2,7 +2,8 @@
 
 Each of CE, CCE and dropout stability is one family of linear regret rows,
 written once in ``regret_rows``: the verifiers evaluate those rows on a
-support, and the LP benchmarks and samplers take them as constraints.
+support, and the LP benchmarks and samplers take them as constraints. A PNE
+is the point-mass case: ``is_pne`` reads the CE rows of the point mass.
 
 All verifiers use weak inequalities decided in exact rational arithmetic. The
 optional ``tol`` argument exists only for fixtures built from rational
@@ -19,17 +20,15 @@ from .core import (
     Contract,
     Instance,
     ONE,
-    POS_INF,
     ZERO,
     agent_utility,
+    bits_of,
     check_enum_bits,
     check_profile_count,
     principal_utility,
     submasks,
 )
 from .rewards import demand
-
-DEFAULT_TOLERANCE = Fraction(1, 10 ** 30)
 
 
 @dataclass(frozen=True)
@@ -133,21 +132,18 @@ def _tol(tol) -> Fraction:
 
 
 def is_pne(inst: Instance, S: int, a: Contract, tol=None) -> Verdict:
-    """No agent gains by a unilateral switch of its own slice."""
+    """No agent gains by a unilateral switch of its own slice.
+
+    These are the CE rows of the point mass on S: one group per agent,
+    recommending S_i, against every other slice T.
+    """
     inst.check_profile(S)
-    inst.check_contract(a)
     eps = _tol(tol)
-    for i in range(inst.n):
-        mask = inst.agent_mask(i)
-        check_enum_bits(mask.bit_count(), f"is_pne agent {i}")
-        base = agent_utility(inst, S, a, i)
-        rest = S & ~mask
-        for T in submasks(mask):
-            if T == S & mask:
-                continue
-            dev = a[i] * inst.reward.value(rest | T) - inst.cost(T)
-            if dev > base + eps:
-                return Verdict(False, agent=i, deviation=T, lhs=base, rhs=dev)
+    for i, _, T, follow, deviate in regret_rows(inst, a, "ce", (S,),
+                                                inst.reward.value):
+        if deviate[0] > follow[0] + eps:
+            return Verdict(False, agent=i, deviation=T, lhs=follow[0],
+                           rhs=deviate[0])
     return OK
 
 
@@ -230,13 +226,11 @@ def is_dropout_stable(inst: Instance, D: JointDistribution, a: Contract,
 
 
 def best_response_dynamics(inst: Instance, start: int, a: Contract,
-                           forced_floor: Optional[Sequence[int]] = None,
-                           on_step: Optional[Callable[[int, int], None]] = None) -> int:
+                           forced_floor: Optional[Sequence[int]] = None) -> int:
     """Round-robin strict best responses until no agent can improve.
 
     With ``forced_floor``, agent i only considers responses containing
-    floor_i; the start profile must contain the floor. ``on_step(i, S)`` is
-    invoked after every strict improvement.
+    floor_i; the start profile must contain the floor.
     """
     inst.check_profile(start)
     floors = [0] * inst.n if forced_floor is None else list(forced_floor)
@@ -262,36 +256,30 @@ def best_response_dynamics(inst: Instance, start: int, a: Contract,
             if best_T != S & mask:
                 S = rest | best_T
                 improved = True
-                if on_step is not None:
-                    on_step(i, S)
         if not improved:
             return S
-
-
-def potential_prices(inst: Instance, a: Contract, restrict: int) -> list:
-    """Price vector c_j / alpha_owner(j) on restrict, +infinity elsewhere."""
-    prices = [POS_INF] * inst.m
-    for j in range(inst.m):
-        if not restrict >> j & 1:
-            continue
-        alpha = a[inst.owners[j]]
-        if inst.costs[j] == 0:
-            prices[j] = ZERO
-        elif alpha == 0:
-            prices[j] = POS_INF
-        else:
-            prices[j] = inst.costs[j] / alpha
-    return prices
 
 
 def potential_maximizer_pne(inst: Instance, a: Contract, restrict: int) -> int:
     """Global potential maximizer over restrict, found by one demand query.
 
-    The result is a PNE of the contract equal to ``a`` on agents owning
-    actions in restrict and zero elsewhere; this is verified before returning.
+    Action j is priced c_j / alpha_owner(j), or 0 when free; a costly action
+    whose owner's share is 0 would make the potential -infinity, so it is
+    left out of the query. When restrict is a union of agents' action sets,
+    the result is a PNE of the contract equal to ``a`` on those agents and
+    zero elsewhere; this is verified before returning (RuntimeError if not).
     """
     inst.check_profile(restrict)
-    S = demand(inst.reward, potential_prices(inst, a, restrict), restrict)
+    prices = [ZERO] * inst.m
+    query = 0
+    for j in bits_of(restrict):
+        cost, alpha = inst.costs[j], a[inst.owners[j]]
+        if cost == 0:
+            query |= 1 << j
+        elif alpha:
+            prices[j] = cost / alpha
+            query |= 1 << j
+    S = demand(inst.reward, prices, query)
     zeroed = Contract(tuple(
         a[i] if inst.agent_mask(i) & restrict else ZERO for i in range(inst.n)))
     verdict = is_pne(inst, S, zeroed)

@@ -178,7 +178,7 @@ def _random_costs(rng: random.Random, count: int) -> list:
     return [Fraction(rng.randint(0, 8), 4) for _ in range(count)]
 
 
-def _split_actions(rng: random.Random, n: int, sizes) -> list:
+def _split_actions(n: int, sizes) -> list:
     if isinstance(sizes, int):
         return [sizes] * n
     if len(sizes) != n:
@@ -194,7 +194,7 @@ def random_instance(kind: str, seed: int, n: int, sizes) -> Instance:
     list of action counts.
     """
     rng = random.Random(seed)
-    counts = _split_actions(rng, n, sizes)
+    counts = _split_actions(n, sizes)
     m = sum(counts)
     if kind in ("supermodular", "table"):
         check_enum_bits(m, f"random {kind} instance")
@@ -222,11 +222,7 @@ def random_instance(kind: str, seed: int, n: int, sizes) -> Instance:
         reward = TableReward(table)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    agents = []
-    at = 0
-    for count in counts:
-        agents.append(_random_costs(rng, count))
-        at += count
+    agents = [_random_costs(rng, count) for count in counts]
     return make_instance(agents, reward)
 
 

@@ -8,11 +8,10 @@ from typing import Callable, Sequence
 
 from .core import (
     CapacityError,
-    POS_INF,
     ZERO,
     as_fraction,
     bits_of,
-    enum_cap_bits,
+    check_enum_bits,
     submasks,
 )
 
@@ -112,13 +111,14 @@ class FormulaReward(RewardFunction):
 # ---------------------------------------------------------------------------
 # demand oracle
 
-def demand(f: RewardFunction, prices: Sequence, restrict: int | None = None,
-           cap_bits: int | None = None) -> int:
-    """A set maximizing f(S) - sum of prices over S, restricted to ``restrict``.
+def demand(f: RewardFunction, prices: Sequence, restrict: int | None = None) -> int:
+    """A set maximizing f(S) - sum of prices over S, among subsets of ``restrict``.
 
-    Prices may be the +infinity sentinel (never demanded). Ties break toward
-    the numerically smallest bitset. Brute force, except a closed form for
-    additive rewards (take j iff f_j strictly exceeds p_j).
+    Prices on restrict must be nonnegative rationals (Fraction or int); prices
+    outside it are not read, so an action that must never be demanded is left
+    out of restrict. Ties break toward the numerically smallest bitset. Brute
+    force, except a closed form for additive rewards (take j iff f_j strictly
+    exceeds p_j).
     """
     if restrict is None:
         restrict = (1 << f.m) - 1
@@ -126,22 +126,17 @@ def demand(f: RewardFunction, prices: Sequence, restrict: int | None = None,
         raise ValueError("price vector width mismatch")
     for j in bits_of(restrict):
         p = prices[j]
-        if p != POS_INF and p < 0:
+        if not isinstance(p, (Fraction, int)):
+            raise ValueError(f"price {p!r} of action {j} is not an exact rational")
+        if p < 0:
             raise ValueError("prices must be nonnegative")
-    finite = 0
-    for j in bits_of(restrict):
-        if prices[j] != POS_INF:
-            finite |= 1 << j
 
     if isinstance(f, AdditiveReward):
-        return sum(1 << j for j in bits_of(finite) if f.per_action[j] > prices[j])
+        return sum(1 << j for j in bits_of(restrict) if f.per_action[j] > prices[j])
 
-    bits = finite.bit_count()
-    cap = enum_cap_bits() if cap_bits is None else cap_bits
-    if bits > cap:
-        raise CapacityError(f"demand: 2^{bits} subsets exceeds enumeration cap")
+    check_enum_bits(restrict.bit_count(), "demand")
     best_set, best_value = 0, ZERO
-    for S in submasks(finite):
+    for S in submasks(restrict):
         v = f.value(S) - sum((prices[j] for j in bits_of(S)), ZERO)
         if v > best_value:
             best_set, best_value = S, v

@@ -18,10 +18,11 @@ The equilibrium benchmarks and the ``fixtures`` samplers are one LP,
 The PNE searches (``enumerate_pne``, the best_pne cells of ``grid_search``
 and ``best_pne``, the best PNE over all contracts) read one table,
 ``_pne_table``, built once per call: f over every profile and the slice
-costs, in integers. Its one helper, ``interval``, writes the PNE condition:
-it gives the exact interval of shares under which an agent keeps its slice
-of a profile, as integer pairs. ``_pne_bounds`` lists every profile's
-intervals, and a contract's shares are compared with them as integers.
+costs, in integers (the costs are ``Instance``'s, over ``cost_den``). Its
+one helper, ``interval``, writes the PNE condition: it gives the exact
+interval of shares under which an agent keeps its slice of a profile, as
+integer pairs. ``_pne_bounds`` lists every profile's intervals, and a
+contract's shares are compared with them as integers.
 ``best_pne`` (which needs f >= 0) skips a profile whose f(S) cannot beat the
 best value so far and leaves a profile as soon as its lower ends lose.
 """
@@ -330,9 +331,9 @@ def _pne_table(inst: Instance):
     denominator) pairs, each agent's slice as (mask, submasks), and
     ``interval(S, mask, subs)``, the integer share interval of that agent at S.
 
-    Slice costs are integers over one denominator c_den. f keeps its own
-    denominators: one lcm over 2^m arbitrary values can run to thousands of
-    digits.
+    Slice costs are ``Instance``'s integers over ``c_den = inst.cost_den``.
+    f keeps its own denominators: one lcm over 2^m arbitrary values can run
+    to thousands of digits.
     """
     profiles = _profiles(inst, "PNE table")
     f = [inst.reward.value(S) for S in profiles]
@@ -342,9 +343,8 @@ def _pne_table(inst: Instance):
         check_enum_bits(mask.bit_count(), f"PNE table agent {i}")
         slices.append((mask, list(submasks(mask))))
     fracs = [(v.numerator, v.denominator) for v in f]
-    every = [T for _, subs in slices for T in subs]
-    cnum, c_den = _integer_row([inst.cost(T) for T in every])
-    cost = dict(zip(every, cnum))
+    c_den = inst.cost_den
+    cost = {T: inst.cost_numerator(T) for _, subs in slices for T in subs}
 
     def interval(S, mask, subs):
         """(lo_n, lo_d, hi_n, hi_d), denominators positive: the agent keeps

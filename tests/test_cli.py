@@ -137,6 +137,21 @@ def test_gap_report_command(separation_path, tmp_path, capsys):
     assert doc["concepts"]["best_cce"]["best_value"] == "2040/11"
 
 
+@pytest.mark.parametrize("command", [
+    ["lift", "--contract", "1/36,1/36", "--mode", "xos", "--out"],
+    ["gap-report", "--resolution", "2", "--concepts", "best_pne", "--json"],
+])
+def test_unwritable_output_is_a_usage_error(command, separation_path, mne_path,
+                                            tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "x.json")
+    argv = [command[0], separation_path, *command[1:], missing]
+    if command[0] == "lift":
+        argv += ["--distribution", mne_path]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [err[0]] and err[0].startswith(f"error: cannot write {missing}")
+
+
 def test_classify_command(separation_path, capsys):
     assert cli.main(["classify", separation_path]) == 0
     out = capsys.readouterr().out

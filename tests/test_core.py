@@ -1,11 +1,14 @@
+import importlib
+import pkgutil
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import contractlab
+
 from contractlab.core import (
     Contract,
-    NEG_INF,
     agent_utility,
     as_fraction,
     bits_of,
@@ -107,7 +110,7 @@ def test_potential():
     assert potential(inst, 0b11, a) == 164
     assert potential(inst, 0, a) == 0
     # costly slice at a zero share sinks the whole potential
-    assert potential(inst, 0b01, Contract.of([0, "1/18"])) == NEG_INF
+    assert potential(inst, 0b01, Contract.of([0, "1/18"])) is None
     # zero-cost slice at zero share contributes nothing
     sup = supermodular_cce_gap_instance()
     free = make_instance([[0], [0]], separation_example().reward)
@@ -151,3 +154,11 @@ def test_malformed_cap_is_a_clear_error(monkeypatch, raw):
             read()
     monkeypatch.setenv("CONTRACTLAB_CAP", " 20 , 100 ")
     assert (enum_cap_bits(), profile_cap()) == (20, 100)
+
+
+def test_no_module_holds_a_float():
+    """No float constant (such as an infinity sentinel) lives in the library."""
+    for info in pkgutil.iter_modules(contractlab.__path__):
+        module = importlib.import_module(f"contractlab.{info.name}")
+        floats = [k for k, v in vars(module).items() if isinstance(v, float)]
+        assert not floats, (info.name, floats)

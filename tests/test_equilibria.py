@@ -3,7 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from contractlab.core import CapacityError, Contract
+from contractlab.core import (
+    CapacityError,
+    Contract,
+    bits_of,
+    potential,
+    submasks,
+)
 from contractlab.equilibria import (
     JointDistribution,
     ProductDistribution,
@@ -122,6 +128,35 @@ def test_potential_maximizer_pne():
     assert potential_maximizer_pne(inst, Contract.of(["1/18", "1/18"]), 0b11) == 0b11
     assert potential_maximizer_pne(inst, Contract.zero(2), 0b11) == 0
     assert potential_maximizer_pne(inst, Contract.of(["7/216", F(0)]), 0b01) == 0b01
+
+
+@pytest.mark.parametrize("kind", ["additive", "coverage", "xos", "table"])
+def test_potential_maximizer_at_a_zero_share(kind):
+    """A costly action of a zero-share agent is never demanded: the result is
+    the brute-force maximizer of the potential over restrict (None is
+    -infinity, the smallest set wins a tie) and a PNE of the zeroed contract."""
+    rng = random.Random(f"zero-share/{kind}")
+    left_out = 0
+    for trial in range(12):
+        inst = random_instance(kind, rng.randrange(1 << 30), 3, [2, 2, 1])
+        zero = rng.randrange(inst.n)
+        a = random_contract(inst.n, rng).replace(zero, F(0))
+        # restrict is whole agents, the zero-share one among them, so the
+        # result is an equilibrium of the zeroed contract
+        restrict = inst.agent_mask(zero) | inst.agent_mask(rng.randrange(inst.n))
+        if any(inst.costs[j] for j in bits_of(inst.agent_mask(zero))):
+            left_out += 1
+        best, best_phi = None, None
+        for S in submasks(restrict):
+            phi = potential(inst, S, a)
+            if phi is not None and (best is None or phi > best_phi):
+                best, best_phi = S, phi
+        S = potential_maximizer_pne(inst, a, restrict)
+        assert S == best
+        zeroed = Contract(tuple(a[i] if inst.agent_mask(i) & restrict else F(0)
+                                for i in range(inst.n)))
+        assert is_pne(inst, S, zeroed)
+    assert left_out
 
 
 def test_containment_chain_random():

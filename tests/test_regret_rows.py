@@ -8,9 +8,11 @@ import pytest
 from contractlab.core import CapacityError
 from contractlab.equilibria import (
     JointDistribution,
+    Verdict,
     is_ce,
     is_cce,
     is_dropout_stable,
+    is_pne,
     regret_rows,
 )
 from contractlab.fixtures import (
@@ -77,6 +79,7 @@ def supports_for(inst, a, rng):
 def test_verdicts_match_brute_force_regret(kind):
     rng = random.Random(f"rows/{kind}")
     failed = held = 0
+    pne_failed, pne_held = {None: 0, F(1): 0}, {None: 0, F(1): 0}
     for sizes in ([2, 1], [1, 1, 1], [2, 2]):
         inst = random_instance(kind, rng.randrange(1 << 30), len(sizes), sizes)
         a = random_contract(inst.n, rng)
@@ -99,7 +102,29 @@ def test_verdicts_match_brute_force_regret(kind):
                 assert (verdict.lhs, verdict.rhs) == (follow, deviate)
                 if concept == "ce":
                     assert verdict.recommendation is not None
+        # a PNE is the point mass on S meeting its CE rows; with tol = 1 a
+        # row fails only when deviating gains more than 1
+        for tol in (None, F(1)):
+            for S in range(1 << inst.m):
+                point = ((S, F(1)),)
+                eps = tol or 0
+                violated = []
+                for i, rec, T in rows_in_order(inst, point, "ce"):
+                    follow, deviate = regret(inst, point, a, i, T, rec)
+                    if deviate > follow + eps:
+                        violated.append((i, T, follow, deviate))
+                verdict = is_pne(inst, S, a, tol=tol)
+                assert verdict.recommendation is None
+                if not violated:
+                    assert verdict == Verdict(True)
+                    pne_held[tol] += 1
+                    continue
+                pne_failed[tol] += 1
+                assert verdict == Verdict(False, *violated[0][:2],
+                                          lhs=violated[0][2], rhs=violated[0][3])
     assert failed and held
+    assert all(pne_failed.values()) and all(pne_held.values())
+    assert pne_held[F(1)] > pne_held[None]
 
 
 @pytest.mark.parametrize("sizes", [[1, 1], [2, 1], [3, 1, 2], [2, 2, 2]])

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from contractlab.core import POS_INF, CapacityError
+from contractlab.core import CapacityError
 from contractlab.rewards import (
     AdditiveReward,
     TableReward,
@@ -47,7 +47,7 @@ def test_xos_rejects_negative_clause():
 def test_demand_separation():
     inst = separation_example()
     assert demand(inst.reward, [F(18), F(18)]) == 0b11
-    assert demand(inst.reward, [POS_INF, POS_INF]) == 0
+    assert demand(inst.reward, [F(18), F(18)], restrict=0) == 0
     # smallest-set tie-break: price exactly the marginal and the action drops
     assert demand(AdditiveReward([F(5), F(3)]), [F(4), F(4)]) == 0b01
     assert demand(AdditiveReward([F(5), F(3)]), [F(5), F(3)]) == 0
@@ -59,6 +59,17 @@ def test_demand_restrict_and_cap():
     big = XosReward([[F(1)] * 30])
     with pytest.raises(CapacityError):
         demand(big, [F(0)] * 30)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.5])
+def test_demand_rejects_inexact_prices(bad):
+    inst = separation_example()
+    with pytest.raises(ValueError):
+        demand(inst.reward, [F(18), bad])
+    with pytest.raises(ValueError):
+        demand(AdditiveReward([F(5), F(3)]), [bad, F(4)])
+    # prices outside restrict are not read
+    assert demand(inst.reward, [F(18), bad], restrict=0b01) == 0b01
 
 
 def test_classify_fixtures():
