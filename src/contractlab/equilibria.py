@@ -1,19 +1,23 @@
 """Distribution types, exact equilibrium verifiers, and best-response dynamics.
 
 Each of CE, CCE and dropout stability is one family of linear regret rows,
-written once in ``regret_rows``: the verifiers evaluate those rows on a
-support, and the LP benchmarks and samplers take them as constraints. A PNE
-is the point-mass case: ``is_pne`` reads the CE rows of the point mass.
+written once in ``regret_rows`` in integers, one positive scale per group of
+rows: the verifiers evaluate those rows on a support, and the LP benchmarks
+and samplers take them as constraints. A PNE is the point-mass case:
+``is_pne`` reads the CE rows of the point mass.
 
-All verifiers use weak inequalities decided in exact rational arithmetic. The
-optional ``tol`` argument exists only for fixtures built from rational
-approximations of irrational constants; by default comparisons are exact.
+All verifiers use weak inequalities decided exactly, in integers over the
+rows' scale and the probabilities' common denominator. The optional ``tol``
+argument (a ``Fraction`` or ``int`` >= 0) exists only for fixtures built from
+rational approximations of irrational constants; by default comparisons are
+exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -127,8 +131,13 @@ class Verdict:
 OK = Verdict(True)
 
 
-def _tol(tol) -> Fraction:
-    return ZERO if tol is None else tol
+def _tol(tol):
+    """The verifiers' tolerance: 0 by default, else an exact rational >= 0."""
+    if tol is None:
+        return 0
+    if not isinstance(tol, (Fraction, int)) or tol < 0:
+        raise ValueError(f"tolerance must be a Fraction or int >= 0, not {tol!r}")
+    return tol
 
 
 def is_pne(inst: Instance, S: int, a: Contract, tol=None) -> Verdict:
@@ -138,80 +147,116 @@ def is_pne(inst: Instance, S: int, a: Contract, tol=None) -> Verdict:
     recommending S_i, against every other slice T.
     """
     inst.check_profile(S)
-    eps = _tol(tol)
-    for i, _, T, follow, deviate in regret_rows(inst, a, "ce", (S,),
-                                                inst.reward.value):
-        if deviate[0] > follow[0] + eps:
-            return Verdict(False, agent=i, deviation=T, lhs=follow[0],
-                           rhs=deviate[0])
-    return OK
+    verdict = _violation(inst, ((S, ONE),), a, "ce", tol)
+    return verdict if verdict else replace(verdict, recommendation=None)
 
 
 def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[int],
                 f: Callable[[int], Fraction]):
-    """The regret rows of ``concept`` ("ce", "cce" or "dropout") over ``profiles``.
+    """The regret rows of ``concept`` ("ce", "cce" or "dropout") over ``profiles``,
+    in integers.
 
-    Yields (agent, recommendation, deviation T, follow, deviate): follow[k] is
-    the agent's utility a_i f(S) - c(S_i) at S = profiles[k], deviate[k] its
-    utility a_i f(S_-i | T) - c(T) after switching its slice to T, both 0
-    outside the recommendation's group. A distribution p satisfies the row
-    when sum p * follow >= sum p * deviate. CE groups profiles by the agent's
+    Yields (agent, recommendation, deviation T, follow, deviate, scale):
+    follow[k] / scale is the agent's utility a_i f(S) - c(S_i) at
+    S = profiles[k], deviate[k] / scale its utility a_i f(S_-i | T) - c(T)
+    after switching its slice to T, both 0 outside the recommendation's
+    group. A distribution p satisfies the row when
+    sum p * follow >= sum p * deviate. CE groups profiles by the agent's
     slice R, in order of first appearance, and skips T == R; CCE has one group
     per agent (None); dropout is CCE with T = 0 only. Agents come in order,
-    deviations in ``submasks`` order, and a group's rows share one follow list.
+    deviations in ``submasks`` order, and a group's rows share one follow list
+    and one scale.
+
+    The scale is q_i * cost_den * the lcm of the denominators of the f values
+    the group reads, for a_i = p_i / q_i, so every entry is an exact integer.
+    f is read once per distinct profile and slice costs come from
+    ``Instance.cost_numerator``.
     """
     if concept not in ("ce", "cce", "dropout"):
         raise ValueError(f"unknown concept {concept!r}")
     inst.check_contract(a)
-    fvals = [f(S) for S in profiles]
+    width = len(profiles)
+    fracs: dict = {}  # profile -> (numerator, denominator) of f(profile)
     for i in range(inst.n):
         mask = inst.agent_mask(i)
-        if concept != "dropout":
+        if concept == "dropout":
+            targets = (0,)
+        else:
             check_enum_bits(mask.bit_count(), f"{concept} rows agent {i}")
+            targets = list(submasks(mask))
+        costs = {T: inst.cost_numerator(T) for T in targets}
         groups: dict = {}
         for k, S in enumerate(profiles):
             groups.setdefault(S & mask if concept == "ce" else None, []).append(k)
+        top, q = a[i].numerator * inst.cost_den, a[i].denominator
+        value, value_den = {}, None  # a_i f(S) * scale, for the last lcm
         for rec, members in groups.items():
-            follow = [ZERO] * len(profiles)
-            for k in members:
-                follow[k] = a[i] * fvals[k] - inst.cost(profiles[k] & mask)
-            for T in (0,) if concept == "dropout" else submasks(mask):
-                if T == rec:
-                    continue
-                cT = inst.cost(T)
-                deviate = [ZERO] * len(profiles)
-                for k in members:
-                    deviate[k] = a[i] * f((profiles[k] & ~mask) | T) - cT
-                yield i, rec, T, follow, deviate
+            parts = [(k, profiles[k] & ~mask, profiles[k] & mask) for k in members]
+            deviations = [T for T in targets if T != rec]
+            touched = {rest | own for _, rest, own in parts}
+            for T in deviations:
+                touched.update([rest | T for _, rest, _ in parts])
+            for S in touched:
+                if S not in fracs:
+                    v = f(S)
+                    fracs[S] = v.numerator, v.denominator
+            den = lcm(*{fracs[S][1] for S in touched})
+            if den != value_den:
+                value, value_den = {}, den
+            for S in touched:
+                if S not in value:
+                    num, d = fracs[S]
+                    value[S] = top * num * (den // d)
+            base = q * den
+            follow = [0] * width
+            for k, rest, own in parts:
+                if own not in costs:
+                    costs[own] = inst.cost_numerator(own)
+                follow[k] = value[rest | own] - costs[own] * base
+            scale = base * inst.cost_den
+            for T in deviations:
+                cost_T = costs[T] * base
+                deviate = [0] * width
+                for k, rest, own in parts:
+                    deviate[k] = follow[k] if own == T else value[rest | T] - cost_T
+                yield i, rec, T, follow, deviate, scale
 
 
-def _violation(inst: Instance, D: JointDistribution, a: Contract, concept: str,
+def _violation(inst: Instance, support, a: Contract, concept: str,
                tol) -> Verdict:
-    """The first regret row of ``concept`` that D violates, as a witness."""
+    """The first regret row of ``concept`` that ``support`` violates, as a
+    witness.
+
+    The probabilities are put over their lcm ``den``, so a row of the group
+    with scale s holds when rhs - lhs <= eps * s * den, all in integers.
+    """
     eps = _tol(tol)
-    profiles, probs = zip(*D.support)
+    profiles, probs = zip(*support)
+    den = lcm(*[p.denominator for p in probs])
+    weights = [p.numerator * (den // p.denominator) for p in probs]
     group = None
-    # zero terms are skipped: a CE row is zero outside its group
-    for i, rec, T, follow, deviate in regret_rows(inst, a, concept, profiles,
-                                                  inst.reward.value):
+    for i, rec, T, follow, deviate, scale in regret_rows(inst, a, concept, profiles,
+                                                         inst.reward.value):
         if follow is not group:
             group = follow
-            lhs = sum((p * v for p, v in zip(probs, follow) if v), ZERO)
-        rhs = sum((p * v for p, v in zip(probs, deviate) if v), ZERO)
-        if rhs > lhs + eps:
+            lhs = sum(map(mul, weights, follow))
+            slack = eps.numerator * scale * den
+        rhs = sum(map(mul, weights, deviate))
+        if (rhs - lhs) * eps.denominator > slack:
+            total = scale * den
             return Verdict(False, agent=i, deviation=T, recommendation=rec,
-                           lhs=lhs, rhs=rhs)
+                           lhs=Fraction(lhs, total), rhs=Fraction(rhs, total))
     return OK
 
 
 def is_cce(inst: Instance, D: JointDistribution, a: Contract, tol=None) -> Verdict:
     """No agent gains in expectation by committing to a fixed slice."""
-    return _violation(inst, D, a, "cce", tol)
+    return _violation(inst, D.support, a, "cce", tol)
 
 
 def is_ce(inst: Instance, D: JointDistribution, a: Contract, tol=None) -> Verdict:
     """No agent gains by re-mapping any recommended slice to another slice."""
-    return _violation(inst, D, a, "ce", tol)
+    return _violation(inst, D.support, a, "ce", tol)
 
 
 def is_mne(inst: Instance, P: ProductDistribution, a: Contract, tol=None) -> Verdict:
@@ -222,7 +267,7 @@ def is_mne(inst: Instance, P: ProductDistribution, a: Contract, tol=None) -> Ver
 def is_dropout_stable(inst: Instance, D: JointDistribution, a: Contract,
                       tol=None) -> Verdict:
     """No agent gains in expectation by switching to taking no action."""
-    return _violation(inst, D, a, "dropout", tol)
+    return _violation(inst, D.support, a, "dropout", tol)
 
 
 def best_response_dynamics(inst: Instance, start: int, a: Contract,
@@ -265,11 +310,15 @@ def potential_maximizer_pne(inst: Instance, a: Contract, restrict: int) -> int:
 
     Action j is priced c_j / alpha_owner(j), or 0 when free; a costly action
     whose owner's share is 0 would make the potential -infinity, so it is
-    left out of the query. When restrict is a union of agents' action sets,
-    the result is a PNE of the contract equal to ``a`` on those agents and
-    zero elsewhere; this is verified before returning (RuntimeError if not).
+    left out of the query. restrict must be a union of agents' action sets
+    (ValueError otherwise); the result is a PNE of the contract equal to
+    ``a`` on those agents and zero elsewhere, verified before returning
+    (RuntimeError if not).
     """
     inst.check_profile(restrict)
+    for i in range(inst.n):
+        if restrict & inst.agent_mask(i) not in (0, inst.agent_mask(i)):
+            raise ValueError(f"restrict {restrict:#x} splits agent {i}'s actions")
     prices = [ZERO] * inst.m
     query = 0
     for j in bits_of(restrict):

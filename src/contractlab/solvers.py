@@ -13,7 +13,10 @@ comparison must be decided without rounding.
 
 The equilibrium benchmarks and the ``fixtures`` samplers are one LP,
 ``equilibrium_lp``, over the regret rows the distribution verifiers check
-(``equilibria.regret_rows``).
+(``equilibria.regret_rows``). Those rows are integers; each enters the LP as
+follow - deviate divided by the gcd of its entries. A positive row scale
+changes neither the reduced-cost signs nor the ratio test, so the simplex
+takes the pivots it would take on the rational rows.
 
 The PNE searches (``enumerate_pne``, the best_pne cells of ``grid_search``
 and ``best_pne``, the best PNE over all contracts) read one table,
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb, gcd, lcm
+from operator import sub
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -298,11 +302,15 @@ def equilibrium_lp(inst: Instance, a: Contract, concept: str, sense: str = "max"
     """
     profiles = _profiles(inst, "equilibrium LP")
     table = [inst.reward.value(S) for S in profiles]
-    rows = [(tuple(x - y if x or y else ZERO for x, y in zip(follow, deviate)),
-             ">=", ZERO)
-            for *_, follow, deviate in regret_rows(inst, a, concept, profiles,
-                                                   table.__getitem__)]
-    rows.append(((ONE,) * len(profiles), "=", ONE))
+    rows = []
+    for *_, follow, deviate, _ in regret_rows(inst, a, concept, profiles,
+                                              table.__getitem__):
+        row = list(map(sub, follow, deviate))
+        g = gcd(*row)
+        if g > 1:
+            row = [v // g for v in row]
+        rows.append((tuple(row), ">=", 0))
+    rows.append(((1,) * len(profiles), "=", 1))
     weights = table if objective is None else [objective(S) for S in profiles]
     result = solve_lp(LinearProgram(objective=tuple(weights), sense=sense,
                                     rows=tuple(rows)))

@@ -268,3 +268,16 @@ def test_failed_post_check_is_an_internal_error(separation_path, monkeypatch,
     assert exit_code(["robustify", separation_path, "--contract", "1/20,1/20",
                       "--profile", "0,1"]) == 4
     assert "internal error: equilibrium LP" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerance", [["--tolerance", "-1"],
+                                       ["--tolerance=-1/1000000"]])
+def test_negative_tolerance_is_a_usage_error(separation_path, mne_path, tolerance,
+                                             capsys):
+    assert exit_code(["verify", separation_path, "--contract", "1/36,1/36",
+                      "--distribution", mne_path, "--concept", "mne",
+                      *tolerance]) == 2
+    assert "error: tolerance must be" in capsys.readouterr().err
+    assert exit_code(["verify", separation_path, "--contract", "1/36,1/36",
+                      "--distribution", mne_path, "--concept", "mne",
+                      "--tolerance", "1/1000000"]) == 0

@@ -191,3 +191,26 @@ def test_product_expansion_respects_profile_cap(monkeypatch):
     monkeypatch.setenv("CONTRACTLAB_CAP", "24,16")
     with pytest.raises(CapacityError):
         P.to_joint(inst)
+
+
+def test_potential_maximizer_rejects_split_restrict():
+    """restrict must be whole agents: a split mask is a ValueError up front,
+    while the full mask, the empty mask and each agent's mask still give a
+    PNE of the zeroed contract."""
+    rng = random.Random("split-restrict")
+    for kind in ("additive", "coverage", "xos", "table"):
+        inst = random_instance(kind, rng.randrange(1 << 30), 3, [2, 2, 1])
+        a = random_contract(inst.n, rng)
+        wholes = [0, inst.full_mask] + [inst.agent_mask(i) for i in range(inst.n)]
+        for restrict in range(inst.full_mask + 1):
+            whole = all(restrict & inst.agent_mask(i) in (0, inst.agent_mask(i))
+                        for i in range(inst.n))
+            if not whole:
+                with pytest.raises(ValueError, match="splits agent"):
+                    potential_maximizer_pne(inst, a, restrict)
+                continue
+            S = potential_maximizer_pne(inst, a, restrict)
+            zeroed = Contract(tuple(a[i] if inst.agent_mask(i) & restrict else F(0)
+                                    for i in range(inst.n)))
+            assert is_pne(inst, S, zeroed)
+        assert all(potential_maximizer_pne(inst, a, r) is not None for r in wholes)
