@@ -1,9 +1,11 @@
-"""Reward set functions: value oracles, a brute-force demand oracle, and
-exhaustive class-membership testers."""
+"""Reward set functions: value oracles, a demand oracle (closed forms for
+additive and XOS rewards, exhaustive search otherwise), and exhaustive
+class-membership testers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 from .core import (
@@ -114,14 +116,25 @@ class FormulaReward(RewardFunction):
 def demand(f: RewardFunction, prices: Sequence, restrict: int | None = None) -> int:
     """A set maximizing f(S) - sum of prices over S, among subsets of ``restrict``.
 
-    Prices on restrict must be nonnegative rationals (Fraction or int); prices
-    outside it are not read, so an action that must never be demanded is left
-    out of restrict. Ties break toward the numerically smallest bitset. Brute
-    force, except a closed form for additive rewards (take j iff f_j strictly
-    exceeds p_j).
+    ``restrict`` is a bitmask of the actions that may be demanded, all m of
+    them by default (ValueError if it is negative or has a bit at or above
+    m). Prices on restrict must be nonnegative rationals (Fraction or int);
+    prices outside it are not read, so an action that must never be demanded
+    is left out of restrict. Ties break toward the numerically smallest
+    bitset.
+
+    Additive and XOS rewards take a closed form. Additive: take j iff f_j
+    strictly exceeds p_j. XOS, with clauses w_k: the maximum is
+    max_k sum_j max(0, w_kj - p_j), reached by S_k = {j : w_kj > p_j}. Every
+    maximizer is an attaining S_k plus actions of zero surplus, so the
+    smallest attaining S_k is the smallest maximizer. Any other reward is
+    searched over every subset of restrict (within the enumeration cap),
+    starting from the empty set at its own value f(empty set).
     """
     if restrict is None:
         restrict = (1 << f.m) - 1
+    elif not 0 <= restrict < 1 << f.m:
+        raise ValueError(f"restrict {restrict:#x} has bits outside the {f.m} actions")
     if len(prices) != f.m:
         raise ValueError("price vector width mismatch")
     for j in bits_of(restrict):
@@ -134,9 +147,24 @@ def demand(f: RewardFunction, prices: Sequence, restrict: int | None = None) -> 
     if isinstance(f, AdditiveReward):
         return sum(1 << j for j in bits_of(restrict) if f.per_action[j] > prices[j])
 
+    if isinstance(f, XosReward):
+        positions = list(bits_of(restrict))
+        best_set, best_surplus = 0, ZERO
+        for clause in f.clauses:
+            S, surplus = 0, ZERO
+            for j in positions:
+                if clause[j] > prices[j]:
+                    S |= 1 << j
+                    surplus += clause[j] - prices[j]
+            if surplus > best_surplus or surplus == best_surplus and S < best_set:
+                best_set, best_surplus = S, surplus
+        return best_set
+
     check_enum_bits(restrict.bit_count(), "demand")
-    best_set, best_value = 0, ZERO
-    for S in submasks(restrict):
+    candidates = submasks(restrict)
+    best_set = next(candidates)  # the empty set
+    best_value = f.value(best_set)
+    for S in candidates:
         v = f.value(S) - sum((prices[j] for j in bits_of(S)), ZERO)
         if v > best_value:
             best_set, best_value = S, v
@@ -160,17 +188,23 @@ class ClassReport:
 def classify(f: RewardFunction) -> ClassReport:
     """Decide membership in the standard classes by exhaustive checking.
 
-    XOS membership is decided per set by an exact LP (is there a nonnegative
-    additive function matching f on the set and dominated by f everywhere).
-    A max of nonnegative additive clauses is monotone, so XOS also requires
-    monotone, which the per-set LP alone does not check.
+    XOS membership asks, for each set S, for a supporting clause: a
+    nonnegative additive function matching f on S and dominated by f
+    everywhere. The chain of marginals of S is tried first as a certified
+    witness (it always works for submodular f); only where it fails does an
+    exact LP decide. A max of nonnegative additive clauses is monotone, so
+    XOS also requires monotone, which the per-set test alone does not check.
     Gross substitutes is deliberately not tested.
     """
     m = f.m
     if m > CLASSIFY_CAP:
         raise CapacityError(f"classify: m={m} exceeds cap {CLASSIFY_CAP}")
     full = (1 << m) - 1
-    table = [f.value(S) for S in range(1 << m)]
+    # every test below compares sums of values, so f times the lcm of its
+    # denominators gives the same verdicts in int arithmetic
+    values = [f.value(S) for S in range(1 << m)]
+    scale = lcm(*(v.denominator for v in values))
+    table = [v.numerator * (scale // v.denominator) for v in values]
 
     normalized = table[0] == 0
     nonnegative = all(v >= 0 for v in table)
@@ -185,7 +219,7 @@ def classify(f: RewardFunction) -> ClassReport:
             break
 
     additive = normalized and all(
-        table[S] == sum((table[1 << j] for j in bits_of(S)), ZERO)
+        table[S] == sum(table[1 << j] for j in bits_of(S))
         for S in range(1 << m))
 
     submodular = True
@@ -225,11 +259,34 @@ def classify(f: RewardFunction) -> ClassReport:
                 break
 
     xos = normalized and nonnegative and monotone and all(
-        _xos_supporting_clause_exists(table, m, S) for S in range(1, 1 << m))
+        _marginal_chain_supports(table, S) or _xos_supporting_clause_exists(table, m, S)
+        for S in range(1, 1 << m))
 
     return ClassReport(monotone=monotone, normalized=normalized, additive=additive,
                        submodular=submodular, xos=xos, subadditive=subadditive,
                        supermodular=supermodular)
+
+
+def _marginal_chain_supports(table, S: int) -> bool:
+    """Is the chain of marginals of S, in index order, a supporting clause of S?
+
+    a_j = f(P + j) - f(P) over the prefix P of S below j. For a monotone,
+    normalized f, a >= 0 and a(S) = f(S), so a supports S exactly when
+    a(T) <= f(T) for every T within S. It always does for submodular f.
+    """
+    masks, sums = [0], [0]
+    prefix = 0
+    for j in bits_of(S):
+        bit = 1 << j
+        marginal = table[prefix | bit] - table[prefix]
+        prefix |= bit
+        grown = [T | bit for T in masks]
+        grown_sums = [total + marginal for total in sums]
+        if any(total > table[T] for T, total in zip(grown, grown_sums)):
+            return False
+        masks += grown
+        sums += grown_sums
+    return True
 
 
 def _xos_supporting_clause_exists(table, m: int, S: int) -> bool:

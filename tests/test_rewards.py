@@ -6,6 +6,7 @@ import pytest
 from contractlab.core import CapacityError
 from contractlab.rewards import (
     AdditiveReward,
+    CoverageReward,
     TableReward,
     XosReward,
     classify,
@@ -56,9 +57,15 @@ def test_demand_separation():
 def test_demand_restrict_and_cap():
     inst = separation_example()
     assert demand(inst.reward, [F(18), F(18)], restrict=0b01) == 0b01
-    big = XosReward([[F(1)] * 30])
+    # rewards without a closed form still enumerate, within the cap
+    big = CoverageReward([F(1)] * 30, [1 << j for j in range(30)])
     with pytest.raises(CapacityError):
         demand(big, [F(0)] * 30)
+    # XOS demand is a closed form: no enumeration, so no cap
+    xos = XosReward([[F(1)] * 30, [F(3, 2)] * 10 + [F(0)] * 20])
+    prices = [F(1, 2)] * 15 + [F(3, 4)] * 15
+    assert demand(xos, prices) == (1 << 30) - 1
+    assert demand(xos, prices, restrict=(1 << 15) - 1) == (1 << 10) - 1
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.5])
