@@ -71,6 +71,13 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
+def over_common_denominator(values) -> tuple:
+    """``values`` (Fractions or ints) times the lcm of their denominators, as
+    ints, and that lcm."""
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
@@ -112,8 +119,9 @@ class Instance:
     """A multi-agent contract instance.
 
     ``owners[j]`` is the agent owning global action j; owners must be
-    non-decreasing so action ids are numbered in agent order. ``reward`` is any
-    object exposing ``m`` and ``value(mask) -> Fraction``.
+    non-decreasing so action ids are numbered in agent order. ``reward`` is a
+    ``rewards.RewardFunction``: it exposes ``m``, ``value(mask) -> Fraction``
+    and ``table()``.
     """
 
     n: int
@@ -143,11 +151,9 @@ class Instance:
         object.__setattr__(self, "_agent_masks", tuple(masks))
         # costs as integers over one common denominator, so that a slice's
         # cost is one exact integer sum
-        den = lcm(*[c.denominator for c in self.costs])
+        nums, den = over_common_denominator(self.costs)
         object.__setattr__(self, "cost_den", den)
-        object.__setattr__(self, "_cost_nums",
-                           tuple(c.numerator * (den // c.denominator)
-                                 for c in self.costs))
+        object.__setattr__(self, "_cost_nums", tuple(nums))
 
     @property
     def m(self) -> int:
@@ -206,7 +212,8 @@ class Contract:
 
     def __post_init__(self):
         for a in self.alpha:
-            if not isinstance(a, Fraction) or not ZERO <= a <= ONE:
+            # a Fraction's denominator is positive: 0 <= a <= 1 in integers
+            if not isinstance(a, Fraction) or not 0 <= a.numerator <= a.denominator:
                 raise ValueError(f"share {a!r} outside [0, 1]")
 
     @classmethod

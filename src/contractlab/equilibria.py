@@ -29,6 +29,7 @@ from .core import (
     bits_of,
     check_enum_bits,
     check_profile_count,
+    over_common_denominator,
     principal_utility,
     submasks,
 )
@@ -232,8 +233,7 @@ def _violation(inst: Instance, support, a: Contract, concept: str,
     """
     eps = _tol(tol)
     profiles, probs = zip(*support)
-    den = lcm(*[p.denominator for p in probs])
-    weights = [p.numerator * (den // p.denominator) for p in probs]
+    weights, den = over_common_denominator(probs)
     group = None
     for i, rec, T, follow, deviate, scale in regret_rows(inst, a, concept, profiles,
                                                          inst.reward.value):

@@ -56,11 +56,11 @@ def separation_mne() -> tuple:
 # ---------------------------------------------------------------------------
 # subadditive gap family
 
-def _square_root(n: int) -> Fraction:
+def _square_root(n: int) -> int:
     root = math.isqrt(n)
     if root * root != n:
         raise ValueError(f"n must be a perfect square, got {n}")
-    return Fraction(root)
+    return root
 
 
 def subadditive_gap_instance(n: int) -> Instance:
@@ -80,15 +80,16 @@ def subadditive_gap_instance(n: int) -> Instance:
         i = (S & group).bit_count()
         if i == 0:
             return Fraction((0, 4, 5)[k])
-        tail = Fraction(i, 1) / root
+        # base + min(i, 2n - 1) / root, as one fraction
         if i < 2 * n - 1:
-            return (2, 4, 5)[k] + tail
-        tail = Fraction(2 * n - 1, 1) / root
+            return Fraction((2, 4, 5)[k] * root + i, root)
         if i == 2 * n:
-            return (4, 6, 7)[k] + tail
-        if S & first_half == first_half:
-            return (2, 5, 5)[k] + tail
-        return (3, 4, 6)[k] + tail
+            base = (4, 6, 7)[k]
+        elif S & first_half == first_half:
+            base = (2, 5, 5)[k]
+        else:
+            base = (3, 4, 6)[k]
+        return Fraction(base * root + 2 * n - 1, root)
 
     reward = FormulaReward(m, value)
     cost = Fraction(2, 3 * n)
@@ -108,7 +109,7 @@ def claim_c3_mne(inst: Instance, n: int) -> tuple:
 def claim_c3_expected_utility(n: int) -> Fraction:
     """(1/9) * (23/4 + (2n-1)/sqrt(n)); n must be a perfect square."""
     root = _square_root(n)
-    return (Fraction(23, 4) + Fraction(2 * n - 1) / root) / 9
+    return (Fraction(23, 4) + Fraction(2 * n - 1, root)) / 9
 
 
 # ---------------------------------------------------------------------------

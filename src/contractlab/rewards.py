@@ -14,6 +14,7 @@ from .core import (
     as_fraction,
     bits_of,
     check_enum_bits,
+    over_common_denominator,
     submasks,
 )
 
@@ -28,9 +29,34 @@ class RewardFunction:
     def value(self, S: int) -> Fraction:
         raise NotImplementedError
 
+    def table(self) -> list:
+        """f over all 2^m profiles, indexed by bitmask, as (numerator,
+        denominator) pairs with positive denominators, not always in lowest
+        terms.
+
+        The caller bounds 2^m: the PNE searches and the LPs check the profile
+        cap first, ``classify`` its own cap. This fallback calls ``value``
+        once per profile. Additive, coverage and XOS rewards put their
+        weights over one common denominator and fill the table in integers,
+        one add per profile, each from the profile without its highest
+        action; a table reward returns its stored values, each over its own
+        denominator (one lcm over 2^m arbitrary values can run to thousands
+        of digits).
+        """
+        return [(v.numerator, v.denominator)
+                for v in map(self.value, range(1 << self.m))]
+
     def _check(self, S: int) -> None:
-        if not 0 <= S < (1 << self.m):
+        if S < 0 or S >> self.m:
             raise ValueError(f"profile {S:#x} has bits outside the {self.m} actions")
+
+
+def _subset_sums(weights) -> list:
+    """sum(weights[j] for j in S) for every bitmask S, by doubling."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
 
 
 class TableReward(RewardFunction):
@@ -47,6 +73,9 @@ class TableReward(RewardFunction):
         self._check(S)
         return self.values[S]
 
+    def table(self) -> list:
+        return [(v.numerator, v.denominator) for v in self.values]
+
 
 class AdditiveReward(RewardFunction):
     def __init__(self, per_action: Sequence):
@@ -56,6 +85,10 @@ class AdditiveReward(RewardFunction):
     def value(self, S: int) -> Fraction:
         self._check(S)
         return sum((self.per_action[j] for j in bits_of(S)), ZERO)
+
+    def table(self) -> list:
+        weights, den = over_common_denominator(self.per_action)
+        return [(s, den) for s in _subset_sums(weights)]
 
 
 class XosReward(RewardFunction):
@@ -75,6 +108,15 @@ class XosReward(RewardFunction):
     def value(self, S: int) -> Fraction:
         self._check(S)
         return max(sum((cl[j] for j in bits_of(S)), ZERO) for cl in self.clauses)
+
+    def table(self) -> list:
+        """One running sum per clause, and their max at each profile."""
+        flat, den = over_common_denominator([v for cl in self.clauses for v in cl])
+        m, best = self.m, None
+        for k in range(len(self.clauses)):
+            sums = _subset_sums(flat[k * m:(k + 1) * m])
+            best = sums if best is None else list(map(max, best, sums))
+        return [(s, den) for s in best]
 
 
 class CoverageReward(RewardFunction):
@@ -96,6 +138,24 @@ class CoverageReward(RewardFunction):
         for j in bits_of(S):
             covered |= self.covers[j]
         return sum((self.weights[e] for e in bits_of(covered)), ZERO)
+
+    def table(self) -> list:
+        """Adding an action ORs its cover into the profile's and adds the
+        weight of only the newly covered elements."""
+        weights, den = over_common_denominator(self.weights)
+        gain = {}  # newly covered elements -> their weight
+        covered, sums = [0], [0]
+        for cover in self.covers:
+            grown = []
+            for c, s in zip(covered, sums):
+                new = cover & ~c
+                w = gain.get(new)
+                if w is None:
+                    w = gain[new] = sum(weights[e] for e in bits_of(new))
+                grown.append(s + w)
+            covered += [c | cover for c in covered]
+            sums += grown
+        return [(s, den) for s in sums]
 
 
 class FormulaReward(RewardFunction):
@@ -190,21 +250,27 @@ def classify(f: RewardFunction) -> ClassReport:
 
     XOS membership asks, for each set S, for a supporting clause: a
     nonnegative additive function matching f on S and dominated by f
-    everywhere. The chain of marginals of S is tried first as a certified
-    witness (it always works for submodular f); only where it fails does an
-    exact LP decide. A max of nonnegative additive clauses is monotone, so
-    XOS also requires monotone, which the per-set test alone does not check.
-    Gross substitutes is deliberately not tested.
+    everywhere. Certified witnesses are tried first: on an ``XosReward``,
+    its own clause attaining f(S) (which always works), then the chain of
+    marginals of S (which always works for submodular f); only where both
+    fail does an exact LP decide. A max of nonnegative additive clauses is
+    monotone, so XOS also requires monotone, which the per-set test alone
+    does not check. Gross substitutes is deliberately not tested.
     """
     m = f.m
     if m > CLASSIFY_CAP:
         raise CapacityError(f"classify: m={m} exceeds cap {CLASSIFY_CAP}")
     full = (1 << m) - 1
-    # every test below compares sums of values, so f times the lcm of its
-    # denominators gives the same verdicts in int arithmetic
-    values = [f.value(S) for S in range(1 << m)]
-    scale = lcm(*(v.denominator for v in values))
-    table = [v.numerator * (scale // v.denominator) for v in values]
+    # every test below compares sums of values, so f (and an XOS reward's
+    # clauses) times the lcm of their denominators gives the same verdicts
+    # in int arithmetic
+    pairs = f.table()
+    clauses = f.clauses if isinstance(f, XosReward) else ()
+    scale = lcm(*[d for _, d in pairs],
+                *[v.denominator for cl in clauses for v in cl])
+    table = [n * (scale // d) for n, d in pairs]
+    clauses = [[v.numerator * (scale // v.denominator) for v in cl]
+               for cl in clauses]
 
     normalized = table[0] == 0
     nonnegative = all(v >= 0 for v in table)
@@ -259,7 +325,9 @@ def classify(f: RewardFunction) -> ClassReport:
                 break
 
     xos = normalized and nonnegative and monotone and all(
-        _marginal_chain_supports(table, S) or _xos_supporting_clause_exists(table, m, S)
+        _attaining_clause_supports(table, clauses, S)
+        or _marginal_chain_supports(table, S)
+        or _xos_supporting_clause_exists(table, m, S)
         for S in range(1, 1 << m))
 
     return ClassReport(monotone=monotone, normalized=normalized, additive=additive,
@@ -267,21 +335,43 @@ def classify(f: RewardFunction) -> ClassReport:
                        supermodular=supermodular)
 
 
+def _attaining_clause_supports(table, clauses, S: int) -> bool:
+    """Is the first of ``clauses`` with the largest sum over S a supporting
+    clause of S?
+
+    ``clauses`` are an XOS reward's own clauses on the table's scale (none
+    for any other reward). Such a clause is nonnegative and, f being their
+    max, matches f on S and is dominated by f; both are checked here.
+    """
+    if not clauses:
+        return False
+    clause = max(clauses, key=lambda cl: sum(cl[j] for j in bits_of(S)))
+    return (sum(clause[j] for j in bits_of(S)) == table[S]
+            and _dominated(table, S, clause))
+
+
 def _marginal_chain_supports(table, S: int) -> bool:
     """Is the chain of marginals of S, in index order, a supporting clause of S?
 
     a_j = f(P + j) - f(P) over the prefix P of S below j. For a monotone,
-    normalized f, a >= 0 and a(S) = f(S), so a supports S exactly when
-    a(T) <= f(T) for every T within S. It always does for submodular f.
+    normalized f, a >= 0 and a(S) = f(S), so a supports S exactly when it
+    is dominated by f on S. It always is for submodular f.
     """
-    masks, sums = [0], [0]
+    chain = {}
     prefix = 0
     for j in bits_of(S):
-        bit = 1 << j
-        marginal = table[prefix | bit] - table[prefix]
-        prefix |= bit
+        chain[j] = table[prefix | 1 << j] - table[prefix]
+        prefix |= 1 << j
+    return _dominated(table, S, chain)
+
+
+def _dominated(table, S: int, clause) -> bool:
+    """Is clause(T) = sum of clause[j] over T at most f(T) for every T within S?"""
+    masks, sums = [0], [0]
+    for j in bits_of(S):
+        bit, weight = 1 << j, clause[j]
         grown = [T | bit for T in masks]
-        grown_sums = [total + marginal for total in sums]
+        grown_sums = [total + weight for total in sums]
         if any(total > table[T] for T, total in zip(grown, grown_sums)):
             return False
         masks += grown

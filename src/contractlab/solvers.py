@@ -20,20 +20,24 @@ takes the pivots it would take on the rational rows.
 
 The PNE searches (``enumerate_pne``, the best_pne cells of ``grid_search``
 and ``best_pne``, the best PNE over all contracts) read one table,
-``_pne_table``, built once per call: f over every profile and the slice
-costs, in integers (the costs are ``Instance``'s, over ``cost_den``). Its
-one helper, ``interval``, writes the PNE condition: it gives the exact
+``_pne_table``, built once per call: f over every profile, from the
+reward's integer table (``RewardFunction.table``, no oracle call), and the
+slice costs, in integers (the costs are ``Instance``'s, over ``cost_den``).
+Its one helper, ``interval``, writes the PNE condition: it gives the exact
 interval of shares under which an agent keeps its slice of a profile, as
 integer pairs. ``_pne_bounds`` lists every profile's intervals, and a
-contract's shares are compared with them as integers.
-``best_pne`` (which needs f >= 0) skips a profile whose f(S) cannot beat the
-best value so far and leaves a profile as soon as its lower ends lose.
+contract's shares are compared with them as integers; so is f, by the sign
+of the principal's share, to pick a contract's best PNE. A grid cell
+carries its shares as integer pairs (k, r). Only returned values become
+``Fraction``s. ``best_pne`` (which needs f >= 0) skips a profile whose f(S)
+cannot beat the best value so far and leaves a profile as soon as its lower
+ends lose.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from itertools import chain
 from math import comb, gcd, lcm
 from operator import sub
 from typing import Callable, Optional, Sequence
@@ -45,6 +49,7 @@ from .core import (
     ZERO,
     check_enum_bits,
     check_profile_count,
+    over_common_denominator,
     submasks,
 )
 from .equilibria import JointDistribution, regret_rows
@@ -74,12 +79,6 @@ class LpResult:
     status: str  # optimal | infeasible | unbounded
     x: Optional[tuple] = None
     value: Optional[Fraction] = None
-
-
-def _integer_row(values):
-    """``values`` times the lcm of their denominators, as ints, and that lcm."""
-    scale = lcm(*[v.denominator for v in values])
-    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def _eliminate(row, prow, p, d, c):
@@ -152,7 +151,7 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     # homogeneous ">=" row a "<=" row, so that it starts basic on its slack
     tab, rels, scales = [], [], []
     for coeffs, rel, rhs in lp.rows:
-        row, scale = _integer_row([*coeffs, rhs])
+        row, scale = over_common_denominator([*coeffs, rhs])
         if row[-1] < 0 or (row[-1] == 0 and rel == ">="):
             row = [-v for v in row]
             rel = _FLIP[rel]
@@ -210,7 +209,7 @@ def solve_lp(lp: LinearProgram) -> LpResult:
                 d = _pivot(tab, basis, d, r, col)
             r += 1
 
-    objective, obj_scale = _integer_row(lp.objective)
+    objective, obj_scale = over_common_denominator(lp.objective)
     if lp.sense == "min":
         objective = [-c for c in objective]
     obj = [d * c for c in objective] + [0] * (total - n + 1)
@@ -256,7 +255,7 @@ def _certify(lp: LinearProgram, x, y) -> Fraction:
     ay, ay_den = [0] * len(x), 1
     dual_value = ZERO
     for (coeffs, rel, rhs), yi in zip(lp.rows, y):
-        ints, scale = _integer_row([*coeffs, rhs])
+        ints, scale = over_common_denominator([*coeffs, rhs])
         b = ints.pop() * x_den
         lhs = sum(ints[j] * v for j, v in x_num)
         if (lhs > b and rel != ">=") or (lhs < b and rel != "<="):
@@ -273,7 +272,7 @@ def _certify(lp: LinearProgram, x, y) -> Fraction:
             ay_den *= grow
         zn = z.numerator * (ay_den // z.denominator)
         ay = [v + zn * w for v, w in zip(ay, ints)]
-    objective, obj_scale = _integer_row(lp.objective)
+    objective, obj_scale = over_common_denominator(lp.objective)
     if any(v * obj_scale < sign * c * ay_den for v, c in zip(ay, objective)):
         raise RuntimeError("LP certificate: the dual violates A^T y >= c")
     value = sum((lp.objective[j] * v for j, v in support), ZERO)
@@ -285,10 +284,10 @@ def _certify(lp: LinearProgram, x, y) -> Fraction:
 # ---------------------------------------------------------------------------
 # equilibrium benchmarks
 
-def _profiles(inst: Instance, what: str) -> list:
+def _profiles(inst: Instance, what: str) -> range:
     count = 1 << inst.m
     check_profile_count(count, what)
-    return list(range(count))
+    return range(count)
 
 
 def equilibrium_lp(inst: Instance, a: Contract, concept: str, sense: str = "max",
@@ -297,11 +296,11 @@ def equilibrium_lp(inst: Instance, a: Contract, concept: str, sense: str = "max"
     ``concept``, with the principal's utility under it.
 
     ``objective(S)`` weighs profile S, f(S) (expected reward) by default. f is
-    tabulated once for the rows and the objective. Raises RuntimeError unless
-    the LP is solved to optimality.
+    tabulated once, by ``inst.reward.table()``, for the rows and the
+    objective. Raises RuntimeError unless the LP is solved to optimality.
     """
     profiles = _profiles(inst, "equilibrium LP")
-    table = [inst.reward.value(S) for S in profiles]
+    table = [Fraction(n, d) for n, d in inst.reward.table()]
     rows = []
     for *_, follow, deviate, _ in regret_rows(inst, a, concept, profiles,
                                               table.__getitem__):
@@ -335,22 +334,24 @@ def best_ce(inst: Instance, a: Contract):
 
 
 def _pne_table(inst: Instance):
-    """What the PNE searches read: f over every profile, f as (numerator,
-    denominator) pairs, each agent's slice as (mask, submasks), and
-    ``interval(S, mask, subs)``, the integer share interval of that agent at S.
+    """What the PNE searches read: f over every profile as (numerator,
+    denominator) pairs, from ``inst.reward.table()`` without a ``value``
+    call, each agent's slice as (mask, submasks), and
+    ``interval(S, mask, subs)``, the integer share interval of that agent
+    at S.
 
     Slice costs are ``Instance``'s integers over ``c_den = inst.cost_den``.
-    f keeps its own denominators: one lcm over 2^m arbitrary values can run
-    to thousands of digits.
+    f keeps the reward's denominators: one lcm over 2^m arbitrary values can
+    run to thousands of digits. No ``Fraction`` is built here; the searches
+    build one for each value they return.
     """
-    profiles = _profiles(inst, "PNE table")
-    f = [inst.reward.value(S) for S in profiles]
+    _profiles(inst, "PNE table")
+    fracs = inst.reward.table()
     slices = []
     for i in range(inst.n):
         mask = inst.agent_mask(i)
         check_enum_bits(mask.bit_count(), f"PNE table agent {i}")
         slices.append((mask, list(submasks(mask))))
-    fracs = [(v.numerator, v.denominator) for v in f]
     c_den = inst.cost_den
     cost = {T: inst.cost_numerator(T) for _, subs in slices for T in subs}
 
@@ -386,18 +387,19 @@ def _pne_table(inst: Instance):
             return None
         return lo_n, lo_d, hi_n, hi_d
 
-    return f, fracs, slices, interval
+    return fracs, slices, interval
 
 
 def _pne_bounds(inst: Instance):
-    """Yield each profile that is a PNE of some contract as (S, f(S), bounds).
+    """Yield each profile that is a PNE of some contract as (S, f(S), bounds),
+    f(S) as a (numerator, denominator) pair.
 
     S is a PNE of a exactly when lo_n / lo_d <= a_i <= hi_n / hi_d for every
     (i, (lo_n, lo_d), (hi_n, hi_d)) in bounds, None marking an open side.
     Bounds every share in [0, 1] meets are left out.
     """
-    f, _, slices, interval = _pne_table(inst)
-    for S, fS in enumerate(f):
+    fracs, slices, interval = _pne_table(inst)
+    for S, fS in enumerate(fracs):
         bounds = []
         for i, (mask, subs) in enumerate(slices):
             bound = interval(S, mask, subs)
@@ -412,9 +414,17 @@ def _pne_bounds(inst: Instance):
             yield S, fS, tuple(bounds)
 
 
-def _pnes(table, a: Contract):
-    """(S, f(S)) for the profiles of ``table`` that are PNEs of ``a``."""
-    shares = [(v.numerator, v.denominator) for v in a.alpha]
+def _shares(a: Contract):
+    """The shares of ``a`` as integer pairs (p, q), q > 0, and the
+    principal's share 1 - sum a_i as one such pair."""
+    rest = ONE - a.total()
+    return ([(v.numerator, v.denominator) for v in a.alpha],
+            (rest.numerator, rest.denominator))
+
+
+def _pnes(table, shares):
+    """(S, f(S)) for the profiles of ``table`` that are PNEs of the contract
+    whose shares are the integer pairs ``shares``."""
     for S, fS, bounds in table:
         for i, lo, hi in bounds:
             p, q = shares[i]
@@ -424,23 +434,31 @@ def _pnes(table, a: Contract):
             yield S, fS
 
 
-def _best_pne(table, a: Contract):
-    """The principal's utility at the best PNE of ``a`` in ``table``, and the
-    profile; the smallest profile wins a tie."""
-    share = ONE - a.total()
+def _best_pne(table, shares, share):
+    """The principal's utility at the best PNE in ``table`` of the contract
+    with ``shares``, and the profile; the smallest profile wins a tie.
+
+    The principal's share ``share`` = (s_n, s_d), s_d > 0, multiplies every
+    f(S), so the largest f wins when s_n > 0, the smallest when s_n < 0 (a
+    sum of shares above 1), and the first PNE when s_n = 0; f values are
+    compared by cross-multiplying. The one ``Fraction`` built is the value.
+    """
+    s_n, s_d = share
     best = None
-    for S, fS in _pnes(table, a):
-        value = share * fS
-        if best is None or value > best[0]:
-            best = (value, S)
-    return best
+    for S, (n_S, d_S) in _pnes(table, shares):
+        if best is None or s_n * (n_S * best_d - best_n * d_S) > 0:
+            best, best_n, best_d = S, n_S, d_S
+    if best is None:
+        return None
+    return Fraction(s_n * best_n, s_d * best_d), best
 
 
 def enumerate_pne(inst: Instance, a: Contract) -> list:
     """All pure equilibria with principal utilities, best first."""
     inst.check_contract(a)
-    share = ONE - a.total()
-    found = [(S, share * fS) for S, fS in _pnes(_pne_bounds(inst), a)]
+    shares, (s_n, s_d) = _shares(a)
+    found = [(S, Fraction(s_n * n_S, s_d * d_S))
+             for S, (n_S, d_S) in _pnes(_pne_bounds(inst), shares)]
     found.sort(key=lambda e: (-e[1], e[0]))
     return found
 
@@ -460,10 +478,11 @@ def best_pne(inst: Instance):
     reduced integer pair, and leaves a row as soon as an interval is empty,
     sum lo > 1 or (1 - sum lo) * f(S) is not above the best.
     """
-    f, fracs, slices, interval = _pne_table(inst)
-    for S, (n_S, _) in enumerate(fracs):
+    fracs, slices, interval = _pne_table(inst)
+    for S, (n_S, d_S) in enumerate(fracs):
         if n_S < 0:
-            raise ValueError(f"best_pne needs f >= 0, but f({S}) = {f[S]}")
+            raise ValueError(
+                f"best_pne needs f >= 0, but f({S}) = {Fraction(n_S, d_S)}")
     best_S, best_n, best_d = None, -1, 1  # every PNE is worth at least 0
     for S, (n_S, d_S) in enumerate(fracs):
         if n_S * best_d <= best_n * d_S:
@@ -514,23 +533,29 @@ _OBJECTIVES = ("best_pne", "best_cce", "worst_cce", "best_ce")
 
 
 def _grid_contracts(n: int, resolution: int):
-    """Row-major sweep of {0, 1/r, ..., 1}^n keeping cells with sum <= 1."""
-    steps = [Fraction(k, resolution) for k in range(resolution + 1)]
+    """Row-major sweep of {0, 1/r, ..., 1}^n keeping cells with sum <= 1.
 
-    def rec(prefix, remaining, budget):
-        if not remaining:
-            yield Contract(tuple(prefix))
-            return
-        for k in range(budget + 1):
-            yield from rec(prefix + [steps[k]], remaining - 1, budget - k)
-    yield from rec([], n, resolution)
+    Yields each cell as (contract, shares, share): the contract's share k_i / r
+    also as the integer pair (k_i, r) in ``shares``, and the principal's
+    share as (r - sum k_i, r), so a best_pne cell is decided without
+    ``Fraction`` arithmetic.
+    """
+    r = resolution
+    steps = [Fraction(k, r) for k in range(r + 1)]
+    pairs = [(k, r) for k in range(r + 1)]
+    cells = [((), r)]  # (k_1, ..., k_i), r - sum k
+    for _ in range(n):
+        cells = [(ks + (k,), left - k) for ks, left in cells for k in range(left + 1)]
+    for ks, left in cells:
+        yield (Contract(tuple(map(steps.__getitem__, ks))),
+               list(map(pairs.__getitem__, ks)), (left, r))
 
 
 def evaluate_cell(inst: Instance, a: Contract, objective: str):
     """Principal utility of the objective at one contract, with a witness."""
     if objective == "best_pne":
         inst.check_contract(a)
-        return _best_pne(_pne_bounds(inst), a)
+        return _best_pne(_pne_bounds(inst), *_shares(a))
     solver = {"best_cce": best_cce, "worst_cce": worst_cce, "best_ce": best_ce}
     dist, utility = solver[objective](inst, a)
     return utility, dist
@@ -552,13 +577,18 @@ def grid_search(inst: Instance, resolution: int, objective: str,
     for a in explicit_cells:
         inst.check_contract(a)
     if objective == "best_pne":
-        evaluate = partial(_best_pne, list(_pne_bounds(inst)))
+        table = list(_pne_bounds(inst))
+
+        def evaluate(a, shares, share):
+            return _best_pne(table, shares, share)
     else:
-        evaluate = partial(evaluate_cell, inst, objective=objective)
+        def evaluate(a, shares, share):
+            return evaluate_cell(inst, a, objective)
     cells = []
     best = None
-    for a in list(_grid_contracts(inst.n, resolution)) + explicit_cells:
-        value, witness = evaluate(a)
+    for a, shares, share in chain(_grid_contracts(inst.n, resolution),
+                                  ((a, *_shares(a)) for a in explicit_cells)):
+        value, witness = evaluate(a, shares, share)
         cells.append((a, value))
         if best is None or value > best[1]:
             best = (a, value, witness)

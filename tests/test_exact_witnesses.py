@@ -129,6 +129,8 @@ def test_closed_forms_match_brute_force_on_generated():
 
 def _without_witness(monkeypatch, f):
     with monkeypatch.context() as patch:
+        patch.setattr(rewards, "_attaining_clause_supports",
+                      lambda table, clauses, S: False)
         patch.setattr(rewards, "_marginal_chain_supports", lambda table, S: False)
         return classify(f)
 
@@ -187,10 +189,26 @@ def test_classify_solves_no_lp_on_additive_or_coverage(monkeypatch):
     assert classify(separation_example().reward).xos
 
 
+def test_classify_solves_no_lp_on_xos_rewards(monkeypatch):
+    monkeypatch.setattr(solvers, "solve_lp", _no_lp)
+    rng = random.Random(94)
+    for m in range(1, 8):
+        sizes = [s for s in (m - m // 2, m // 2) if s]
+        inst = random_instance("xos", rng.randrange(1 << 30), len(sizes), sizes)
+        assert classify(inst.reward).xos
+    # the chain of {0, 1, 2} fails here (see below); the attaining clause
+    # (0, 1, 1) is the reward's own
+    assert classify(XosReward([[0, 1, 1], [1, 0, 0]])).xos
+    # ties across clauses, fractional weights off the table's denominators
+    assert classify(XosReward([[F(1, 2), F(1, 2)], [1, 0], [0, 1]])).xos
+    assert classify(XosReward([[F(1, 3), F(2, 3), 0], [0, 0, 1]])).xos
+
+
 def test_classify_falls_back_to_the_lp(monkeypatch):
-    # f = max(x1 + x2, x0): the chain of {0, 1, 2} is (1, 0, 1), which
-    # overshoots f({0, 2}) = 1; the clause (0, 1, 1) supports it instead
-    f = XosReward([[0, 1, 1], [1, 0, 0]])
+    # f = max(x1 + x2, x0) as a table: the chain of {0, 1, 2} is (1, 0, 1),
+    # which overshoots f({0, 2}) = 1; the clause (0, 1, 1) supports it instead
+    f = TableReward([XosReward([[0, 1, 1], [1, 0, 0]]).value(S) for S in range(8)])
+    assert f.values == (0, 1, 1, 1, 1, 1, 2, 2)
     calls = []
     real = solvers.solve_lp
 
