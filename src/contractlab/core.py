@@ -101,14 +101,15 @@ def mask_of(indices) -> int:
 
 
 def submasks(mask: int) -> Iterator[int]:
-    """All submasks of ``mask`` in increasing numeric order (empty set first)."""
-    positions = list(bits_of(mask))
-    for k in range(1 << len(positions)):
-        sub = 0
-        for t, j in enumerate(positions):
-            if k >> t & 1:
-                sub |= 1 << j
+    """All submasks of ``mask`` in increasing numeric order (empty set first),
+    lazily: the next one after ``sub`` is ``(sub - mask) & mask``, which adds
+    one to ``sub`` as if the bits outside ``mask`` were not there."""
+    sub = 0
+    while True:
         yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .core import (
     bits_of,
     check_enum_bits,
     check_profile_count,
+    enum_cap_bits,
     over_common_denominator,
     principal_utility,
     submasks,
@@ -170,56 +171,84 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
 
     The scale is q_i * cost_den * the lcm of the denominators of the f values
     the group reads, for a_i = p_i / q_i, so every entry is an exact integer.
-    f is read once per distinct profile and slice costs come from
-    ``Instance.cost_numerator``.
+    f is read once per distinct profile: the profiles' own values first, into
+    a list aligned with ``profiles``, then each deviation S_-i | T when a
+    group first needs it, through one dict keyed by profile. A member that
+    deviates to its own slice reads the list. The scaled values a_i f(S) *
+    scale are kept per agent while the lcm stays the same, so the full-width
+    CE groups of an agent, which all read every profile, scale each value
+    once. Slice costs come from ``Instance.cost_numerator``.
     """
     if concept not in ("ce", "cce", "dropout"):
         raise ValueError(f"unknown concept {concept!r}")
     inst.check_contract(a)
     width = len(profiles)
-    fracs: dict = {}  # profile -> (numerator, denominator) of f(profile)
+    where: dict = {}  # profile -> its position in nums and dens
+    nums, dens = [], []  # f of every profile read, as numerator, denominator
+    claim = where.setdefault  # a new profile gets the next position
+    own_f = [claim(S, len(where)) for S in profiles]
+    for S, at in zip(profiles, own_f):
+        if at == len(nums):
+            v = f(S)
+            nums.append(v.numerator)
+            dens.append(v.denominator)
+    everyone = ((None, range(width)),)
+    # read once, as it is parsed from the environment; dropout rows skip it
+    cap = None if concept == "dropout" else enum_cap_bits()
     for i in range(inst.n):
         mask = inst.agent_mask(i)
         if concept == "dropout":
             targets = (0,)
         else:
-            check_enum_bits(mask.bit_count(), f"{concept} rows agent {i}")
+            if mask.bit_count() > cap:
+                check_enum_bits(mask.bit_count(), f"{concept} rows agent {i}")
             targets = list(submasks(mask))
         costs = {T: inst.cost_numerator(T) for T in targets}
-        groups: dict = {}
-        for k, S in enumerate(profiles):
-            groups.setdefault(S & mask if concept == "ce" else None, []).append(k)
+        owns = [S & mask for S in profiles]
+        rests = [S ^ own for S, own in zip(profiles, owns)]
+        if concept == "ce":
+            groups: dict = {}
+            for k, own in enumerate(owns):
+                groups.setdefault(own, []).append(k)
+            groups = groups.items()
+        else:
+            groups = everyone
         top, q = a[i].numerator * inst.cost_den, a[i].denominator
-        value, value_den = {}, None  # a_i f(S) * scale, for the last lcm
-        for rec, members in groups.items():
-            parts = [(k, profiles[k] & ~mask, profiles[k] & mask) for k in members]
+        value, value_den = {}, None  # position -> a_i f(S) * scale, for the last lcm
+        for rec, members in groups:
             deviations = [T for T in targets if T != rec]
-            touched = {rest | own for _, rest, own in parts}
+            reads = []  # per deviation, the position of each member's f
             for T in deviations:
-                touched.update([rest | T for _, rest, _ in parts])
-            for S in touched:
-                if S not in fracs:
-                    v = f(S)
-                    fracs[S] = v.numerator, v.denominator
-            den = lcm(*{fracs[S][1] for S in touched})
+                row = [own_f[k] if owns[k] == T else claim(rests[k] | T, len(where))
+                       for k in members]
+                if len(where) > len(nums):  # new profiles, in order of position
+                    for k, at in zip(members, row):
+                        if at == len(nums):
+                            v = f(rests[k] | T)
+                            nums.append(v.numerator)
+                            dens.append(v.denominator)
+                reads.append(row)
+            needed = {own_f[k] for k in members}
+            needed.update(*reads)
+            den = lcm(*{dens[at] for at in needed})
             if den != value_den:
                 value, value_den = {}, den
-            for S in touched:
-                if S not in value:
-                    num, d = fracs[S]
-                    value[S] = top * num * (den // d)
+            for at in needed:
+                if at not in value:
+                    value[at] = top * nums[at] * (den // dens[at])
             base = q * den
             follow = [0] * width
-            for k, rest, own in parts:
+            for k in members:
+                own = owns[k]
                 if own not in costs:
                     costs[own] = inst.cost_numerator(own)
-                follow[k] = value[rest | own] - costs[own] * base
+                follow[k] = value[own_f[k]] - costs[own] * base
             scale = base * inst.cost_den
-            for T in deviations:
+            for T, row in zip(deviations, reads):
                 cost_T = costs[T] * base
                 deviate = [0] * width
-                for k, rest, own in parts:
-                    deviate[k] = follow[k] if own == T else value[rest | T] - cost_T
+                for k, at in zip(members, row):
+                    deviate[k] = value[at] - cost_T
                 yield i, rec, T, follow, deviate, scale
 
 

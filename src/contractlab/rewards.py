@@ -1,6 +1,7 @@
-"""Reward set functions: value oracles, a demand oracle (closed forms for
-additive and XOS rewards, exhaustive search otherwise), and exhaustive
-class-membership testers."""
+"""Reward set functions: value oracles and their integer tables, a demand
+oracle (closed forms for additive and XOS rewards, an exhaustive integer
+search over the reward's table otherwise), and exhaustive class-membership
+testers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -14,7 +15,9 @@ from .core import (
     as_fraction,
     bits_of,
     check_enum_bits,
+    mask_of,
     over_common_denominator,
+    profile_cap,
     submasks,
 )
 
@@ -29,31 +32,48 @@ class RewardFunction:
     def value(self, S: int) -> Fraction:
         raise NotImplementedError
 
-    def table(self) -> list:
-        """f over all 2^m profiles, indexed by bitmask, as (numerator,
-        denominator) pairs with positive denominators, not always in lowest
-        terms.
+    def table(self, mask: int | None = None, base: int = 0) -> list:
+        """f(base | T) for every T in ``submasks(mask)``, in that order, as
+        (numerator, denominator) pairs with positive denominators, not always
+        in lowest terms.
 
-        The caller bounds 2^m: the PNE searches and the LPs check the profile
-        cap first, ``classify`` its own cap. This fallback calls ``value``
-        once per profile. Additive, coverage and XOS rewards put their
-        weights over one common denominator and fill the table in integers,
-        one add per profile, each from the profile without its highest
-        action; a table reward returns its stored values, each over its own
+        With no arguments this is f over all 2^m profiles, indexed by
+        bitmask. ``mask`` and ``base`` must be disjoint profiles (ValueError
+        otherwise). The caller bounds 2^|mask|: the PNE searches and the LPs
+        check the profile cap first, ``classify`` its own cap, ``demand``
+        asks for blocks within the profile cap. This fallback calls
+        ``value`` once per profile. Additive, coverage and XOS rewards put
+        their weights over one common denominator and fill the table in
+        integers, one add per profile, each from the profile without its
+        highest action of ``mask``, starting from base's sum (or cover); a
+        table reward returns its stored values, each over its own
         denominator (one lcm over 2^m arbitrary values can run to thousands
         of digits).
         """
+        value = self.value
         return [(v.numerator, v.denominator)
-                for v in map(self.value, range(1 << self.m))]
+                for v in (value(base | T) for T in submasks(self._cube(mask, base)))]
+
+    def _cube(self, mask, base) -> int:
+        """``mask`` (all m actions if None) after checking that it and base
+        are disjoint profiles."""
+        if mask is None:
+            mask = (1 << self.m) - 1
+        self._check(mask)
+        self._check(base)
+        if mask & base:
+            raise ValueError(f"table mask {mask:#x} overlaps base {base:#x}")
+        return mask
 
     def _check(self, S: int) -> None:
         if S < 0 or S >> self.m:
             raise ValueError(f"profile {S:#x} has bits outside the {self.m} actions")
 
 
-def _subset_sums(weights) -> list:
-    """sum(weights[j] for j in S) for every bitmask S, by doubling."""
-    sums = [0]
+def _subset_sums(weights, start=0) -> list:
+    """start + sum(weights[t] for t in k) for every bitmask k over the
+    positions of ``weights``, by doubling."""
+    sums = [start]
     for w in weights:
         sums += [s + w for s in sums]
     return sums
@@ -73,8 +93,12 @@ class TableReward(RewardFunction):
         self._check(S)
         return self.values[S]
 
-    def table(self) -> list:
-        return [(v.numerator, v.denominator) for v in self.values]
+    def table(self, mask: int | None = None, base: int = 0) -> list:
+        if mask is None and not base:
+            return [(v.numerator, v.denominator) for v in self.values]
+        values = self.values
+        return [(v.numerator, v.denominator)
+                for v in (values[base | T] for T in submasks(self._cube(mask, base)))]
 
 
 class AdditiveReward(RewardFunction):
@@ -86,9 +110,11 @@ class AdditiveReward(RewardFunction):
         self._check(S)
         return sum((self.per_action[j] for j in bits_of(S)), ZERO)
 
-    def table(self) -> list:
+    def table(self, mask: int | None = None, base: int = 0) -> list:
         weights, den = over_common_denominator(self.per_action)
-        return [(s, den) for s in _subset_sums(weights)]
+        positions = list(bits_of(self._cube(mask, base)))
+        return [(s, den) for s in _subset_sums([weights[j] for j in positions],
+                                               sum(weights[j] for j in bits_of(base)))]
 
 
 class XosReward(RewardFunction):
@@ -109,12 +135,15 @@ class XosReward(RewardFunction):
         self._check(S)
         return max(sum((cl[j] for j in bits_of(S)), ZERO) for cl in self.clauses)
 
-    def table(self) -> list:
+    def table(self, mask: int | None = None, base: int = 0) -> list:
         """One running sum per clause, and their max at each profile."""
         flat, den = over_common_denominator([v for cl in self.clauses for v in cl])
         m, best = self.m, None
+        positions = list(bits_of(self._cube(mask, base)))
         for k in range(len(self.clauses)):
-            sums = _subset_sums(flat[k * m:(k + 1) * m])
+            clause = flat[k * m:(k + 1) * m]
+            sums = _subset_sums([clause[j] for j in positions],
+                                sum(clause[j] for j in bits_of(base)))
             best = sums if best is None else list(map(max, best, sums))
         return [(s, den) for s in best]
 
@@ -139,13 +168,18 @@ class CoverageReward(RewardFunction):
             covered |= self.covers[j]
         return sum((self.weights[e] for e in bits_of(covered)), ZERO)
 
-    def table(self) -> list:
+    def table(self, mask: int | None = None, base: int = 0) -> list:
         """Adding an action ORs its cover into the profile's and adds the
         weight of only the newly covered elements."""
         weights, den = over_common_denominator(self.weights)
+        positions = list(bits_of(self._cube(mask, base)))
+        start = 0
+        for j in bits_of(base):
+            start |= self.covers[j]
         gain = {}  # newly covered elements -> their weight
-        covered, sums = [0], [0]
-        for cover in self.covers:
+        covered = [start]
+        sums = [sum(weights[e] for e in bits_of(start))]
+        for cover in map(self.covers.__getitem__, positions):
             grown = []
             for c, s in zip(covered, sums):
                 new = cover & ~c
@@ -189,7 +223,15 @@ def demand(f: RewardFunction, prices: Sequence, restrict: int | None = None) -> 
     maximizer is an attaining S_k plus actions of zero surplus, so the
     smallest attaining S_k is the smallest maximizer. Any other reward is
     searched over every subset of restrict (within the enumeration cap),
-    starting from the empty set at its own value f(empty set).
+    starting from the empty set at its own value f(empty set), in integers:
+    f comes from the reward's table as (numerator, denominator) pairs, the
+    prices are put over their lcm and summed by doubling, and a set beats
+    the best so far by cross-multiplication. The table is read in blocks
+    that keep memory within the profile cap: the lowest actions of restrict,
+    as many as the cap allows (at least one profile), span one block
+    ``f.table(low, H)``, and each subset H of the other actions, in
+    increasing order, starts one. That visits the sets in increasing
+    numeric order, so the first maximizer found is the smallest.
     """
     if restrict is None:
         restrict = (1 << f.m) - 1
@@ -221,13 +263,21 @@ def demand(f: RewardFunction, prices: Sequence, restrict: int | None = None) -> 
         return best_set
 
     check_enum_bits(restrict.bit_count(), "demand")
-    candidates = submasks(restrict)
-    best_set = next(candidates)  # the empty set
-    best_value = f.value(best_set)
-    for S in candidates:
-        v = f.value(S) - sum((prices[j] for j in bits_of(S)), ZERO)
-        if v > best_value:
-            best_set, best_value = S, v
+    positions = list(bits_of(restrict))
+    price, price_den = over_common_denominator([prices[j] for j in positions])
+    low = min(len(positions), max(profile_cap().bit_length() - 1, 0))
+    low_mask = mask_of(positions[:low])
+    low_prices = _subset_sums(price[:low])  # in the order of submasks(low_mask)
+    high = dict(zip(positions[low:], price[low:]))
+    best_set, best_num, best_den = None, 0, 1
+    for H in submasks(restrict ^ low_mask):
+        spent = sum(high[j] for j in bits_of(H))
+        # f(S) - p(S) = (n * price_den - paid * d) / (d * price_den): every
+        # set shares price_den > 0, so sets compare by numerator over d
+        for T, (n, d), paid in zip(submasks(low_mask), f.table(low_mask, H), low_prices):
+            num = n * price_den - (spent + paid) * d
+            if best_set is None or num * best_den > best_num * d:
+                best_set, best_num, best_den = H | T, num, d
     return best_set
 
 

@@ -42,6 +42,29 @@ def test_submasks_ascending():
     assert list(submasks(0)) == [0]
 
 
+def brute_submasks(mask):
+    """Every bitmask within ``mask``, built from its bits and sorted."""
+    positions = list(bits_of(mask))
+    return sorted(sum(1 << j for t, j in enumerate(positions) if k >> t & 1)
+                  for k in range(1 << len(positions)))
+
+
+@pytest.mark.parametrize("mask", [
+    0,
+    1,
+    1 << 5,
+    1 << 1459,
+    (1 << 12) - 1,
+    ((1 << 12) - 1) << 700,
+    mask_of([1401, 1403, 1430, 1459]),
+    mask_of([0, 1402, 1417, 1450, 1459]),
+])
+def test_submasks_matches_brute_force(mask):
+    subs = submasks(mask)
+    assert iter(subs) is subs  # a generator, not a list
+    assert list(subs) == brute_submasks(mask)
+
+
 def test_mask_roundtrip():
     assert mask_of(bits_of(0b1011)) == 0b1011
 

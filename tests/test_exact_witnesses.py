@@ -10,6 +10,7 @@ from contractlab.core import Contract, make_instance
 from contractlab.equilibria import is_pne, potential_maximizer_pne
 from contractlab.fixtures import (
     golden_ratio_instance,
+    random_contract,
     random_instance,
     separation_example,
     subadditive_gap_instance,
@@ -17,6 +18,8 @@ from contractlab.fixtures import (
 )
 from contractlab.rewards import (
     AdditiveReward,
+    CoverageReward,
+    FormulaReward,
     TableReward,
     XosReward,
     classify,
@@ -122,6 +125,115 @@ def test_closed_forms_match_brute_force_on_generated():
             for restrict in ((1 << m) - 1, rng.randrange(1 << m)):
                 assert demand(inst.reward, prices, restrict) == \
                     brute_demand(inst.reward, prices, restrict)
+
+
+# ---------------------------------------------------------------------------
+# the integer search over the reward's table
+
+def nine_digits(rng):
+    return F(rng.randint(0, 10 ** 9), rng.randint(10 ** 8, 10 ** 9))
+
+
+def searched_rewards(rng, m):
+    """Coverage, table, supermodular and formula rewards on m actions, some
+    with 9-digit denominators."""
+    for kind in ("coverage", "table", "supermodular"):
+        yield random_instance(kind, rng.randrange(1 << 30), 1, [m]).reward
+    yield CoverageReward([nine_digits(rng) for _ in range(m + 1)],
+                         [rng.randrange(1 << (m + 1)) for _ in range(m)])
+    yield TableReward([nine_digits(rng) for _ in range(1 << m)])
+    yield FormulaReward(m, lambda S: F(S.bit_count() ** 2, 1 + S % 5) - F(S % 3, 7))
+
+
+def price_vectors(rng, m):
+    yield [0] * m
+    yield [rng.randint(0, 3) for _ in range(m)]
+    yield [F(rng.randint(0, 30), rng.randint(1, 4)) for _ in range(m)]
+    yield [nine_digits(rng) for _ in range(m)]
+
+
+@pytest.mark.parametrize("cap", [None, "24,16", "24,1", "24,0"])
+def test_searched_demand_matches_brute_force(monkeypatch, cap):
+    """Caps of 16, 1 and 0 profiles split restrict into several blocks."""
+    if cap:
+        monkeypatch.setenv("CONTRACTLAB_CAP", cap)
+    rng = random.Random(f"searched-demand/{cap}")
+    for m in range(0, 8):
+        for f in searched_rewards(rng, m):
+            for prices in price_vectors(rng, m):
+                for restrict in ((1 << m) - 1, rng.randrange(1 << m), 0):
+                    assert demand(f, prices, restrict) == \
+                        brute_demand(f, prices, restrict), (f, prices, restrict)
+
+
+@pytest.mark.parametrize("cap", [None, "24,2"])
+def test_searched_demand_ties_keep_the_smallest_set(monkeypatch, cap):
+    if cap:
+        monkeypatch.setenv("CONTRACTLAB_CAP", cap)
+    # f - p is 1 on every nonempty set and 0 on the empty set
+    f = TableReward([0, 2, 2, 3, 2, 3, 3, 4])
+    assert demand(f, [1, 1, 1]) == 0b001
+    assert demand(f, [1, 1, 1], restrict=0b110) == 0b010
+    assert demand(f, [1, 1, 1], restrict=0b100) == 0b100
+    # every set ties at f - p = 0: the empty set wins
+    g = CoverageReward([F(2, 3), F(1, 3)], [0b01, 0b10, 0b11])
+    assert demand(g, [F(2, 3), F(1, 3), 1]) == 0
+    # ties across 9-digit denominators, which the pairs leave unreduced
+    big = F(123456789, 987654321)
+    h = FormulaReward(2, lambda S: big * S.bit_count())
+    assert demand(h, [big, big]) == 0
+    assert demand(h, [big, big - F(1, 10 ** 9)]) == 0b10
+
+
+def test_searched_demand_with_empty_restrict():
+    for f in (TableReward([-5, 1]), CoverageReward([1], [1]),
+              FormulaReward(1, lambda S: F(-3))):
+        assert demand(f, [0], restrict=0) == 0
+
+
+def test_searched_demand_on_a_wide_formula_reads_only_restrict():
+    inst = subadditive_gap_instance(729)  # 1460 actions
+    calls = []
+    reward = FormulaReward(inst.m, lambda S: calls.append(S) or inst.reward.fn(S))
+    bits = [1 << 1, 1 << 2, 1 << 1459]
+    subsets = sorted(sum(b for t, b in enumerate(bits) if k >> t & 1) for k in range(8))
+    S = demand(reward, [F(1, 3)] * inst.m, sum(bits))
+    assert sorted(calls) == subsets
+    surplus = {T: inst.reward.value(T) - F(T.bit_count(), 3) for T in subsets}
+    assert S == min(T for T in subsets if surplus[T] == max(surplus.values()))
+
+
+def _refuse(self, S):
+    raise AssertionError("the value oracle was called")
+
+
+@pytest.mark.parametrize("kind", ["coverage", "table", "supermodular"])
+def test_searched_demand_makes_no_value_call(monkeypatch, kind):
+    inst = random_instance(kind, 12, 2, [5, 5])
+    for cls in (CoverageReward, TableReward):
+        monkeypatch.setattr(cls, "value", _refuse)
+    assert demand(inst.reward, [F(1, 3)] * inst.m) >= 0
+
+
+@pytest.mark.parametrize("kind", ["coverage", "table"])
+def test_potential_maximizer_reads_the_oracle_only_in_its_post_check(
+        monkeypatch, kind):
+    """The demand query reads the table; the oracle serves only the is_pne
+    check of the result, which stays independent of the search."""
+    rng = random.Random(f"post-check/{kind}")
+    for _ in range(4):
+        inst = random_instance(kind, rng.randrange(1 << 30), 3, [4, 3, 3])
+        a = random_contract(inst.n, rng)
+        calls = []
+        cls = type(inst.reward)
+        plain = cls.value
+        with monkeypatch.context() as patch:
+            patch.setattr(cls, "value", lambda self, S: calls.append(S) or plain(self, S))
+            S = potential_maximizer_pne(inst, a, inst.full_mask)
+            during_search = list(calls)
+            calls.clear()
+            assert is_pne(inst, S, a)
+        assert during_search == calls
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,14 @@ from contractlab.equilibria import (
     regret_rows,
 )
 from contractlab.fixtures import (
+    claim_c3_mne,
     golden_ratio_instance,
     golden_ratio_mne,
     random_contract,
     random_instance,
     separation_example,
     separation_mne,
+    subadditive_gap_instance,
 )
 from contractlab.rewards import TableReward
 from contractlab.solvers import LinearProgram, best_ce, best_cce, solve_lp, worst_cce
@@ -55,18 +57,25 @@ def zero_costs(inst):
 
 
 def cases():
-    """(label, instance, contract): the five kinds, with and without costs, and
-    nine-digit tables."""
+    """(label, instance, contract, mix): the five kinds, with and without
+    costs, and nine-digit tables, with mix None; and the subadditive gap
+    instance at n = 4 and 9 (a FormulaReward on 10 and 20 actions) with mix
+    its C3 product distribution, whose 4-profile support stands in for the
+    2^m profiles."""
     rng = random.Random("integer-rows")
     for kind in KINDS:
         for sizes in ([2, 1], [1, 1, 1], [2, 2]):
             inst = random_instance(kind, rng.randrange(1 << 30), len(sizes), sizes)
             a = random_contract(inst.n, rng)
-            yield f"{kind}/{sizes}", inst, a
-            yield f"{kind}/{sizes}/free", zero_costs(inst), a
+            yield f"{kind}/{sizes}", inst, a, None
+            yield f"{kind}/{sizes}/free", zero_costs(inst), a, None
     for sizes in ([2, 2], [1, 1, 1], [2, 1, 1]):
         inst = nine_digit_table(rng.randrange(1 << 30), sizes)
-        yield f"nine-digit/{sizes}", inst, nine_digit_contract(inst.n, rng)
+        yield f"nine-digit/{sizes}", inst, nine_digit_contract(inst.n, rng), None
+    for n in (4, 9):
+        inst = subadditive_gap_instance(n)
+        a, P = claim_c3_mne(inst, n)
+        yield f"gap/n{n}", inst, a, P
 
 
 def utility(inst, a, i, S):
@@ -95,9 +104,14 @@ def expected_rows(inst, profiles, concept):
 def test_row_values_are_exact_utilities(concept):
     rng = random.Random(f"row-values/{concept}")
     labels = set()
-    for label, inst, a in cases():
-        everything = list(range(1 << inst.m))
-        for profiles in (everything, rng.sample(everything, min(5, len(everything)))):
+    for label, inst, a, mix in cases():
+        if mix:
+            support = [S for S, _ in mix.to_joint(inst).support]
+            samples = (support, support[1:])
+        else:
+            everything = list(range(1 << inst.m))
+            samples = (everything, rng.sample(everything, min(5, len(everything))))
+        for profiles in samples:
             got = list(regret_rows(inst, a, concept, profiles, inst.reward.value))
             want = expected_rows(inst, profiles, concept)
             assert [row[:3] for row in got] == [row[:3] for row in want], label
@@ -114,6 +128,7 @@ def test_row_values_are_exact_utilities(concept):
             labels.add(label)
     assert any("free" in label for label in labels)
     assert any("nine-digit" in label for label in labels)
+    assert any("gap" in label for label in labels)
 
 
 def reference_lp(inst, a, concept, sense):
@@ -138,7 +153,9 @@ def reference_lp(inst, a, concept, sense):
 ])
 def test_lp_matches_fraction_reference(name, solver, concept, sense):
     checked = 0
-    for label, inst, a in cases():
+    for label, inst, a, mix in cases():
+        if mix:
+            continue  # 2^10 and 2^20 profiles: past a dense LP's reach
         f, ref = reference_lp(inst, a, concept, sense)
         assert ref.status == "optimal"
         dist, util = solver(inst, a)
@@ -186,12 +203,15 @@ def random_product(inst, rng):
 def test_is_mne_matches_product_form():
     rng = random.Random("product-form")
     held = failed = 0
-    for label, inst, a in cases():
+    for label, inst, a, mix in cases():
         for _ in range(4):
-            P = random_product(inst, rng)
+            if mix is None:
+                P, c = random_product(inst, rng), a
+            else:  # the C3 mix under half, the same or 3/2 times its shares
+                P, c = mix, Contract(tuple(v * rng.randint(1, 3) / 2 for v in a.alpha))
             for tol in (None, F(1, 2)):
-                verdict = is_mne(inst, P, a, tol=tol)
-                assert verdict == product_form_verdict(inst, P, a, tol or 0), label
+                verdict = is_mne(inst, P, c, tol=tol)
+                assert verdict == product_form_verdict(inst, P, c, tol or 0), label
                 held += bool(verdict)
                 failed += not verdict
     assert held and failed

@@ -1,27 +1,32 @@
 """The regret rows shared by the verifiers, the LP benchmarks and the samplers,
 checked against regret sums written out by brute force."""
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from contractlab.core import CapacityError
+from contractlab.core import CapacityError, Contract
 from contractlab.equilibria import (
     JointDistribution,
     Verdict,
     is_ce,
     is_cce,
     is_dropout_stable,
+    is_mne,
     is_pne,
     regret_rows,
 )
 from contractlab.fixtures import (
+    claim_c3_mne,
     random_contract,
     random_instance,
     sample_ce,
     sample_cce,
     sample_dropout_stable,
+    subadditive_gap_instance,
 )
+from contractlab.rewards import FormulaReward
 
 KINDS = ("additive", "coverage", "xos", "supermodular", "table")
 VERIFIERS = {"cce": is_cce, "ce": is_ce, "dropout": is_dropout_stable}
@@ -154,3 +159,25 @@ def test_samplers_respect_profile_cap(monkeypatch):
     for sampler in (sample_cce, sample_ce, sample_dropout_stable):
         with pytest.raises(CapacityError):
             sampler(inst, a, random.Random(0))
+
+
+@pytest.mark.parametrize("n", [4, 9, 25, 729])
+def test_gap_verifiers_read_each_profile_once(n):
+    """On the gap instance's C3 support (4 profiles), is_mne and
+    is_dropout_stable call f once per distinct profile they read: the 4
+    support profiles, and each of them without each of the 2n paid actions."""
+    inst = subadditive_gap_instance(n)
+    a, P = claim_c3_mne(inst, n)
+    calls = []
+    counted = replace(inst, reward=FormulaReward(
+        inst.m, lambda S: calls.append(S) or inst.reward.fn(S)))
+    joint = P.to_joint(inst)
+    half = Contract(tuple(v / 2 for v in a.alpha))
+    for verify in (lambda c: is_mne(counted, P, c),
+                   lambda c: is_dropout_stable(counted, joint, c)):
+        for contract in (a, half):
+            calls.clear()
+            verdict = verify(contract)
+            assert calls and len(calls) == len(set(calls))
+            if verdict:
+                assert len(calls) == 8 * n + 4

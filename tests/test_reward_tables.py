@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from contractlab import rewards
-from contractlab.core import Contract, ONE, make_instance, principal_utility
+from contractlab.core import Contract, ONE, make_instance, mask_of, principal_utility, submasks
 from contractlab.equilibria import is_pne
 from contractlab.fixtures import (
     golden_ratio_instance,
@@ -88,6 +88,41 @@ def test_table_on_fixture_and_generated_rewards():
             sizes = [s for s in (m - m // 2, m // 2) if s]
             inst = random_instance(kind, rng.randrange(1 << 30), len(sizes), sizes)
             assert_table_matches_value(inst.reward)
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_subcube_table_equals_value(m):
+    """table(mask, base) is f(base | T) for T in submasks(mask), in that order,
+    for every reward class, and table() is the subcube of all m actions."""
+    rng = random.Random(2000 + m)
+    for f in rewards_of_width(rng, m):
+        assert f.table((1 << m) - 1, 0) == f.table()
+        for _ in range(6):
+            mask = rng.randrange(1 << m)
+            base = rng.randrange(1 << m) & ~mask
+            pairs = f.table(mask, base)
+            profiles = [base | T for T in submasks(mask)]
+            assert len(pairs) == len(profiles)
+            for S, (n, d) in zip(profiles, pairs):
+                assert isinstance(n, int) and isinstance(d, int) and d > 0
+                assert F(n, d) == f.value(S), (type(f).__name__, mask, base, S)
+
+
+def test_subcube_table_of_a_wide_formula_reads_only_the_subcube():
+    inst = subadditive_gap_instance(729)  # 1460 actions
+    mask, base = mask_of([3, 700, 1459]), mask_of(range(4, 20))
+    assert inst.reward.table(mask, base) == [
+        (v.numerator, v.denominator)
+        for v in (inst.reward.value(base | T) for T in submasks(mask))]
+
+
+@pytest.mark.parametrize("mask, base", [(0b11, 0b10), (0b100, 0), (0, 0b100), (-1, 0)])
+def test_subcube_table_rejects_overlaps_and_outside_bits(mask, base):
+    for f in (AdditiveReward([1, 2]), TableReward([0, 1, 2, 3]),
+              XosReward([[1, 2]]), CoverageReward([1], [1, 1]),
+              FormulaReward(2, lambda S: F(S))):
+        with pytest.raises(ValueError):
+            f.table(mask, base)
 
 
 def test_xos_table_takes_the_max_over_tied_clauses():
