@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -74,9 +75,10 @@ def _reward_from_json(payload, m: int):
             reward = XosReward([[parse_scalar(v) for v in clause]
                                 for clause in payload["clauses"]])
         elif kind == "coverage":
+            weights = [parse_scalar(w) for w in payload["weights"]]
             reward = CoverageReward(
-                [parse_scalar(w) for w in payload["weights"]],
-                [mask_of(cover) for cover in payload["covers"]])
+                weights, [_id_mask(cover, len(weights), "cover")
+                          for cover in payload["covers"]])
         else:
             raise InputError(f"unknown reward type {kind!r}")
     except (KeyError, ValueError, TypeError) as exc:
@@ -178,6 +180,19 @@ def parse_contract(raw: str, n: int) -> Contract:
         raise InputError(str(exc)) from None
 
 
+def _id_mask(ids, width: int, what: str) -> int:
+    """The bitmask of an id list read from outside. Every id must be an int
+    in [0, width), checked before any shift: 1 << j for a huge j allocates
+    before anything else can fail."""
+    if not isinstance(ids, list):
+        raise InputError(f"bad {what}: expected a list of ids")
+    for j in ids:
+        if type(j) is not int or not 0 <= j < width:
+            raise InputError(
+                f"bad {what}: id {j!r} is not an integer in [0, {width})")
+    return mask_of(ids)
+
+
 def parse_profile(raw: str, inst: Instance) -> int:
     if not raw.strip():
         return 0
@@ -185,14 +200,7 @@ def parse_profile(raw: str, inst: Instance) -> int:
         ids = [int(p) for p in raw.split(",")]
     except ValueError as exc:
         raise InputError(f"bad profile {raw!r}: {exc}") from None
-    if min(ids) < 0:
-        raise InputError(f"bad profile {raw!r}: negative action id")
-    mask = mask_of(ids)
-    try:
-        inst.check_profile(mask)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    return mask
+    return _id_mask(ids, inst.m, f"profile {raw!r}")
 
 
 def distribution_from_json(doc, inst: Instance):
@@ -200,12 +208,14 @@ def distribution_from_json(doc, inst: Instance):
     try:
         if "support" in doc:
             support = tuple(
-                (mask_of(entry["profile"]), parse_scalar(entry["prob"]))
+                (_id_mask(entry["profile"], inst.m, "profile"),
+                 parse_scalar(entry["prob"]))
                 for entry in doc["support"])
             return JointDistribution(support), None
         if "product" in doc:
             per_agent = tuple(
-                tuple((mask_of(entry["slice"]), parse_scalar(entry["prob"]))
+                tuple((_id_mask(entry["slice"], inst.m, "slice"),
+                       parse_scalar(entry["prob"]))
                       for entry in agent)
                 for agent in doc["product"])
             P = ProductDistribution(per_agent)
@@ -381,106 +391,84 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 # reproduction registry
 
-def _check(label, computed, expected, ok=None) -> bool:
-    ok = (computed == expected) if ok is None else ok
-    def show(v):
-        return fraction_str(v) if isinstance(v, Fraction) else v
-    print(f"{label}: expected {show(expected)}, computed {show(computed)} "
-          f"[{'ok' if ok else 'MISMATCH'}]")
-    return ok
-
+# Each claim yields records (label, expected, computed[, ok]); ok defaults to
+# computed == expected, and cmd_reproduce prints every record.
 
 def _repro_a1_pne():
     inst = fixtures.separation_example()
     S, _, utility = solvers.best_pne(inst)
-    return _check("best pure-equilibrium utility", utility, Fraction(180)) \
-        and _check("inducing profile", profile_str(S), "{0,1}")
+    yield "best pure-equilibrium utility", Fraction(180), utility
+    yield "inducing profile", "{0,1}", profile_str(S)
 
 
 def _repro_a1_mne():
     inst = fixtures.separation_example()
     a, P = fixtures.separation_mne()
     joint = P.to_joint(inst)
-    ok = bool(is_mne(inst, P, a))
-    utility = joint.principal_utility(inst, a)
-    return _check("mixed equilibrium verifies", ok, True) \
-        and _check("principal utility", utility, Fraction(918, 5))
+    yield "mixed equilibrium verifies", True, bool(is_mne(inst, P, a))
+    yield "principal utility", Fraction(918, 5), joint.principal_utility(inst, a)
 
 
 def _repro_p54_cce():
     inst = fixtures.supermodular_cce_gap_instance()
     a, D = fixtures.supermodular_gap_cce()
-    ok = bool(is_cce(inst, D, a))
-    utility = D.principal_utility(inst, a)
-    return _check("distribution verifies as cce", ok, True) \
-        and _check("principal utility", utility, Fraction(7, 45))
+    yield "distribution verifies as cce", True, bool(is_cce(inst, D, a))
+    yield "principal utility", Fraction(7, 45), D.principal_utility(inst, a)
 
 
 def _repro_p54_pne():
     inst = fixtures.supermodular_cce_gap_instance()
     _, _, utility = solvers.best_pne(inst)
-    return _check("best pure-equilibrium utility over all contracts", utility,
-                  ZERO, ok=utility <= 0)
+    yield ("best pure-equilibrium utility over all contracts", ZERO, utility,
+           utility <= 0)
 
 
 def _repro_p61_pne():
     inst = fixtures.golden_ratio_instance(50)
     _, _, g = solvers.best_pne(inst)
     bound = Fraction(1, 10 ** 18)
-    return _check("max inducible utility", g, "within 1e-18 of 0",
-                  ok=-bound <= g <= bound)
+    yield "max inducible utility", "within 1e-18 of 0", g, -bound <= g <= bound
 
 
 def _repro_p61_mne():
     inst = fixtures.golden_ratio_instance(50)
     a, P = fixtures.golden_ratio_mne(50)
     tol = Fraction(1, 10 ** 40)
-    ok = bool(is_mne(inst, P, a, tol=tol))
+    yield ("mixed equilibrium verifies (tolerance 1e-40)", True,
+           bool(is_mne(inst, P, a, tol=tol)))
     utility = P.to_joint(inst).principal_utility(inst, a)
-    return _check("mixed equilibrium verifies (tolerance 1e-40)", ok, True) \
-        and _check("principal utility exceeds 1/50", utility, "> 1/50",
-                   ok=utility > Fraction(1, 50))
+    yield ("principal utility exceeds 1/50", "> 1/50", utility,
+           utility > Fraction(1, 50))
 
 
 def _repro_c2():
     inst = fixtures.subadditive_gap_instance(1)
     _, _, g = solvers.best_pne(inst)
-    return _check("best pure-equilibrium utility (n=1)", g, "<= 13/2",
-                  ok=g <= Fraction(13, 2))
+    yield "best pure-equilibrium utility (n=1)", "<= 13/2", g, g <= Fraction(13, 2)
 
 
 def _repro_c3():
-    ok = True
     for n in (4, 9, 25):
         inst = fixtures.subadditive_gap_instance(n)
         a, P = fixtures.claim_c3_mne(inst, n)
-        holds = bool(is_mne(inst, P, a))
-        utility = P.to_joint(inst).principal_utility(inst, a)
-        ok = _check(f"n={n} mixed equilibrium verifies", holds, True) and ok
-        ok = _check(f"n={n} principal utility", utility,
-                    fixtures.claim_c3_expected_utility(n)) and ok
-    return ok
+        yield f"n={n} mixed equilibrium verifies", True, bool(is_mne(inst, P, a))
+        yield (f"n={n} principal utility", fixtures.claim_c3_expected_utility(n),
+               P.to_joint(inst).principal_utility(inst, a))
 
 
 def _repro_t51():
-    import random
-    ok = True
     rng = random.Random(51)
     for trial in range(5):
         inst = fixtures.random_instance("supermodular", 510 + trial, 3, 1)
         a = fixtures.random_contract(inst.n, rng)
         D, _ = solvers.best_cce(inst, a)
         contract, S = transforms.cce_to_pne_supermodular_binary(inst, a, D)
-        gain = (principal := (ONE - contract.total()) * inst.reward.value(S)) \
-            >= D.principal_utility(inst, a)
-        ok = _check(f"trial {trial} construction utility",
-                    fraction_str(principal), ">= cce utility", ok=gain) and ok
-    return ok
+        principal = (ONE - contract.total()) * inst.reward.value(S)
+        yield (f"trial {trial} construction utility", ">= cce utility",
+               principal, principal >= D.principal_utility(inst, a))
 
 
 def _repro_t52():
-    import random
-    ok = True
     rng = random.Random(52)
     for trial in range(5):
         inst = fixtures.random_instance("supermodular", 520 + trial, 2, [2, 1])
@@ -488,14 +476,11 @@ def _repro_t52():
         D, ce_utility = solvers.best_ce(inst, a)
         _, S = transforms.ce_to_pne_supermodular(inst, a, D)
         utility = (ONE - a.total()) * inst.reward.value(S)
-        ok = _check(f"trial {trial} dynamics utility", fraction_str(utility),
-                    ">= ce utility", ok=utility >= ce_utility) and ok
-    return ok
+        yield (f"trial {trial} dynamics utility", ">= ce utility", utility,
+               utility >= ce_utility)
 
 
 def _repro_l32():
-    import random
-    ok = True
     rng = random.Random(32)
     for trial in range(10):
         inst = fixtures.random_instance("xos", 320 + trial, 2, [2, 1])
@@ -505,16 +490,12 @@ def _repro_l32():
                                           subset=frozenset(range(inst.n)))
         _, S = transforms.scale_for_existence(inst, a, D, params)
         target = Fraction(1, 2) * D.expected_reward(inst)
-        holds = inst.reward.value(S) >= target
-        ok = _check(f"trial {trial} scaled reward bound",
-                    fraction_str(inst.reward.value(S)),
-                    f">= {fraction_str(target)}", ok=holds) and ok
-    return ok
+        value = inst.reward.value(S)
+        yield (f"trial {trial} scaled reward bound", f">= {fraction_str(target)}",
+               value, value >= target)
 
 
 def _repro_l36():
-    import random
-    ok = True
     rng = random.Random(36)
     for trial in range(10):
         inst = fixtures.random_instance("coverage", 360 + trial, 2, [2, 1])
@@ -527,11 +508,9 @@ def _repro_l36():
                 epsilon=eps))
         worst, _ = solvers.worst_cce(inst, scaled)
         target = Fraction(1, 4) * D.expected_reward(inst)
-        holds = worst.expected_reward(inst) >= target
-        ok = _check(f"trial {trial} worst-cce reward",
-                    fraction_str(worst.expected_reward(inst)),
-                    f">= {fraction_str(target)}", ok=holds) and ok
-    return ok
+        reward = worst.expected_reward(inst)
+        yield (f"trial {trial} worst-cce reward", f">= {fraction_str(target)}",
+               reward, reward >= target)
 
 
 REPRODUCE = {
@@ -554,7 +533,15 @@ def cmd_reproduce(args) -> int:
     if args.claim not in REPRODUCE:
         raise InputError(
             f"unknown claim {args.claim!r}; known: {', '.join(sorted(REPRODUCE))}")
-    return PASS if REPRODUCE[args.claim]() else FAIL
+    def show(v):
+        return fraction_str(v) if isinstance(v, Fraction) else v
+    passed = True
+    for label, expected, computed, *ok in REPRODUCE[args.claim]():
+        ok = ok[0] if ok else computed == expected
+        print(f"{label}: expected {show(expected)}, computed {show(computed)} "
+              f"[{'ok' if ok else 'MISMATCH'}]")
+        passed = passed and ok
+    return PASS if passed else FAIL
 
 
 # ---------------------------------------------------------------------------

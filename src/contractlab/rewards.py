@@ -356,23 +356,11 @@ def classify(f: RewardFunction) -> ClassReport:
         if not submodular and not supermodular:
             break
 
-    subadditive = True
-    if monotone:
-        for S in range(1 << m):
-            for T in submasks(full & ~S):
-                if table[S] + table[T] < table[S | T]:
-                    subadditive = False
-                    break
-            if not subadditive:
-                break
-    else:
-        for S in range(1 << m):
-            for T in range(1 << m):
-                if table[S] + table[T] < table[S | T]:
-                    subadditive = False
-                    break
-            if not subadditive:
-                break
+    # for monotone f, disjoint T suffice: f(S | T) <= f(S) + f(T \ S) <= f(S) + f(T)
+    subadditive = all(
+        table[S] + table[T] >= table[S | T]
+        for S in range(1 << m)
+        for T in (submasks(full & ~S) if monotone else range(1 << m)))
 
     xos = normalized and nonnegative and monotone and all(
         _attaining_clause_supports(table, clauses, S)

@@ -1,9 +1,13 @@
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from contractlab import cli
 from contractlab.fixtures import (
+    random_instance,
     separation_example,
     subadditive_gap_instance,
     supermodular_cce_gap_instance,
@@ -182,12 +186,122 @@ def test_gen_capacity(capsys):
     capsys.readouterr()
 
 
+# stdout of each claim, pinned byte for byte; P61-golden-mne-positive prints
+# a 400-digit utility, so its stdout is pinned by sha256
+REPRODUCE_STDOUT = {
+    "A1-pne-180": (
+        "best pure-equilibrium utility: expected 180, computed 180 [ok]\n"
+        "inducing profile: expected {0,1}, computed {0,1} [ok]\n"
+    ),
+    "A1-mne-183.6": (
+        "mixed equilibrium verifies: expected True, computed True [ok]\n"
+        "principal utility: expected 918/5, computed 918/5 [ok]\n"
+    ),
+    "P54-cce-7/45": (
+        "distribution verifies as cce: expected True, computed True [ok]\n"
+        "principal utility: expected 7/45, computed 7/45 [ok]\n"
+    ),
+    "P54-pne-nonpositive": (
+        "best pure-equilibrium utility over all contracts: expected 0,"
+        " computed 0 [ok]\n"
+    ),
+    "P61-golden-pne-zero": (
+        "max inducible utility: expected within 1e-18 of 0, computed 0 [ok]\n"
+    ),
+    "C2-small-n-pne": (
+        "best pure-equilibrium utility (n=1): expected <= 13/2,"
+        " computed 5 [ok]\n"
+    ),
+    "C3-mne-valid": (
+        "n=4 mixed equilibrium verifies: expected True, computed True [ok]\n"
+        "n=4 principal utility: expected 37/36, computed 37/36 [ok]\n"
+        "n=9 mixed equilibrium verifies: expected True, computed True [ok]\n"
+        "n=9 principal utility: expected 137/108, computed 137/108 [ok]\n"
+        "n=25 mixed equilibrium verifies: expected True, computed True [ok]\n"
+        "n=25 principal utility: expected 311/180, computed 311/180 [ok]\n"
+    ),
+    "T51-binary-construction": (
+        "trial 0 construction utility: expected >= cce utility,"
+        " computed 3 [ok]\n"
+        "trial 1 construction utility: expected >= cce utility,"
+        " computed 27/4 [ok]\n"
+        "trial 2 construction utility: expected >= cce utility,"
+        " computed 15/2 [ok]\n"
+        "trial 3 construction utility: expected >= cce utility,"
+        " computed 0 [ok]\n"
+        "trial 4 construction utility: expected >= cce utility,"
+        " computed 1 [ok]\n"
+    ),
+    "T52-ce-construction": (
+        "trial 0 dynamics utility: expected >= ce utility, computed 0 [ok]\n"
+        "trial 1 dynamics utility: expected >= ce utility, computed 0 [ok]\n"
+        "trial 2 dynamics utility: expected >= ce utility, computed 4/3 [ok]\n"
+        "trial 3 dynamics utility: expected >= ce utility,"
+        " computed 15/2 [ok]\n"
+        "trial 4 dynamics utility: expected >= ce utility,"
+        " computed 25/3 [ok]\n"
+    ),
+    "L32-property": (
+        "trial 0 scaled reward bound: expected >= 0, computed 0 [ok]\n"
+        "trial 1 scaled reward bound: expected >= 4, computed 15 [ok]\n"
+        "trial 2 scaled reward bound: expected >= 9/2, computed 10 [ok]\n"
+        "trial 3 scaled reward bound: expected >= 0, computed 17 [ok]\n"
+        "trial 4 scaled reward bound: expected >= 4, computed 19 [ok]\n"
+        "trial 5 scaled reward bound: expected >= 9/2, computed 19 [ok]\n"
+        "trial 6 scaled reward bound: expected >= 11/2, computed 7 [ok]\n"
+        "trial 7 scaled reward bound: expected >= 5/2, computed 5 [ok]\n"
+        "trial 8 scaled reward bound: expected >= 4, computed 17 [ok]\n"
+        "trial 9 scaled reward bound: expected >= 6, computed 12 [ok]\n"
+    ),
+    "L36-property": (
+        "trial 0 worst-cce reward: expected >= 9/4, computed 9 [ok]\n"
+        "trial 1 worst-cce reward: expected >= 15/4, computed 15 [ok]\n"
+        "trial 2 worst-cce reward: expected >= 0, computed 9 [ok]\n"
+        "trial 3 worst-cce reward: expected >= 1/4, computed 1 [ok]\n"
+        "trial 4 worst-cce reward: expected >= 0, computed 3 [ok]\n"
+        "trial 5 worst-cce reward: expected >= 0, computed 12 [ok]\n"
+        "trial 6 worst-cce reward: expected >= 0, computed 9 [ok]\n"
+        "trial 7 worst-cce reward: expected >= 7/4, computed 258/25 [ok]\n"
+        "trial 8 worst-cce reward: expected >= 0, computed 8 [ok]\n"
+        "trial 9 worst-cce reward: expected >= 0, computed 8 [ok]\n"
+    ),
+}
+P61_MNE_STDOUT_SHA256 = \
+    "df8137c47414e2176bc602dae2d6aaafac763c486f3943870929d0ad8a39b746"
+
+
 def test_reproduce_every_claim(capsys):
     for claim in sorted(cli.REPRODUCE):
         assert cli.main(["reproduce", claim]) == 0, claim
-        assert "MISMATCH" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "MISMATCH" not in out
+        if claim == "P61-golden-mne-positive":
+            assert hashlib.sha256(out.encode()).hexdigest() == \
+                P61_MNE_STDOUT_SHA256
+        else:
+            assert out == REPRODUCE_STDOUT[claim], claim
     assert cli.main(["reproduce", "no-such-claim"]) == 2
     capsys.readouterr()
+
+
+def test_reproduce_prints_every_record_on_mismatch(monkeypatch, capsys):
+    # the point mass on every action is no CCE at the fixture's contract:
+    # agent 0 gains by dropping one of its two actions
+    a, _ = cli.fixtures.supermodular_gap_cce()
+    D = cli.JointDistribution(((7, cli.ONE),))
+    monkeypatch.setattr(cli.fixtures, "supermodular_gap_cce", lambda: (a, D))
+    assert cli.main(["reproduce", "P54-cce-7/45"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("distribution verifies as cce: expected True, "
+                        "computed False [MISMATCH]")
+    assert len(lines) == 2 and lines[1].startswith("principal utility: ")
+
+
+def test_readme_lists_every_claim():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    listed = re.search(r"Claims: (.*?)\.\s", section, re.S).group(1)
+    assert set(re.findall(r"`([^`]+)`", listed)) == set(cli.REPRODUCE)
 
 
 def test_reproduce_registry_complete():
@@ -281,3 +395,35 @@ def test_negative_tolerance_is_a_usage_error(separation_path, mne_path, toleranc
     assert exit_code(["verify", separation_path, "--contract", "1/36,1/36",
                       "--distribution", mne_path, "--concept", "mne",
                       "--tolerance", "1/1000000"]) == 0
+
+
+HUGE_ID = 2 ** 70
+
+
+def huge_id_argv(place, tmp_path, separation_path):
+    """A command whose outside id list in ``place`` holds HUGE_ID."""
+    if place == "profile":
+        return ["robustify", separation_path, "--contract", "1/20,1/20",
+                "--profile", str(HUGE_ID)]
+    if place == "cover":
+        doc = cli.instance_to_json(random_instance("coverage", 7, 3, 2))
+        doc["reward"]["covers"][0] = [HUGE_ID]
+        return ["classify", write(tmp_path, "cov.json", doc)]
+    dist = ({"support": [{"profile": [HUGE_ID], "prob": "1"}]}
+            if place == "support" else
+            {"product": [[{"slice": [HUGE_ID], "prob": "1"}],
+                         [{"slice": [], "prob": "1"}]]})
+    return ["verify", separation_path, "--contract", "1/20,1/20",
+            "--distribution", write(tmp_path, "dist.json", dist),
+            "--concept", "cce" if place == "support" else "mne"]
+
+
+@pytest.mark.parametrize("place", ["profile", "support", "slice", "cover"])
+def test_huge_action_id_is_a_usage_error(place, tmp_path, separation_path,
+                                         capsys):
+    assert exit_code(huge_id_argv(place, tmp_path, separation_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad ")
+    assert f"id {HUGE_ID} is not an integer in [0, " in err[0]
