@@ -73,8 +73,14 @@ def as_fraction(x) -> Fraction:
 
 def over_common_denominator(values) -> tuple:
     """``values`` (Fractions or ints) times the lcm of their denominators, as
-    ints, and that lcm."""
-    den = lcm(*[v.denominator for v in values])
+    ints, and that lcm. Raises TypeError on any other value, an inexact
+    float included."""
+    try:
+        den = lcm(*[v.denominator for v in values])
+    except AttributeError:
+        bad = next(v for v in values if not isinstance(v, (int, Fraction)))
+        kind = "inexact float" if isinstance(bad, float) else "non-rational"
+        raise TypeError(f"refusing {kind} {bad!r}; pass an int or Fraction") from None
     return [v.numerator * (den // v.denominator) for v in values], den
 
 

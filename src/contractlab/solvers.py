@@ -5,7 +5,11 @@ pivots fraction-free over integers: each row is scaled to integers, and the
 tableau holds Python ints over one common denominator, updated by Bareiss
 pivots whose divisions are exact. Homogeneous ">=" rows are negated into
 "<=" rows that start basic on their slacks, so only rows with a positive
-right-hand side that are not "<=" get an artificial. Before an optimum is
+right-hand side that are not "<=" get an artificial. A crash step then moves
+each artificial row onto the first structural column where the row has a
+positive entry and wins the column's ratio test; that pivot keeps the basis
+feasible. Phase 1 runs only if an artificial is still basic after it, with
+its objective row over the denominator the crash left. Before an optimum is
 returned it is certified on the original program: x is primal feasible, the
 duals read off the final tableau are dual feasible, and the two objective
 values agree. Exactness matters: equilibria hold with ties, so every
@@ -16,7 +20,14 @@ The equilibrium benchmarks and the ``fixtures`` samplers are one LP,
 (``equilibria.regret_rows``). Those rows are integers; each enters the LP as
 follow - deviate divided by the gcd of its entries. A positive row scale
 changes neither the reduced-cost signs nor the ratio test, so the simplex
-takes the pivots it would take on the rational rows.
+takes the pivots it would take on the rational rows. Phase 1 never runs on
+these LPs: sum p = 1 is their only row with an artificial, and the crash
+pivots it onto the first profile whose point mass meets every regret row,
+which for CE and CCE rows is a PNE. One always exists, because the contract
+game is a weighted potential game with potential
+f(S) - sum_i c(S_i) / a_i (Monderer & Shapley, GEB 1996; an agent with
+a_i = 0 has a dominant cheapest slice). Every dropout row reads 0 at
+profile 0, so on dropout rows the crash takes profile 0.
 
 The PNE searches (``enumerate_pne``, the best_pne cells of ``grid_search``
 and ``best_pne``, the best PNE over all contracts) read one table,
@@ -146,6 +157,7 @@ _FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 
 def solve_lp(lp: LinearProgram) -> LpResult:
     n = len(lp.objective)
+    objective, obj_scale = over_common_denominator(lp.objective)
 
     # scale rows to integers; make every rhs nonnegative and every
     # homogeneous ">=" row a "<=" row, so that it starts basic on its slack
@@ -186,9 +198,29 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     unit = list(basis)
     dropped = set()
 
+    # crash: a row's artificial leaves the basis for the first structural
+    # column j where the row has a_rj > 0 and wins the ratio test,
+    # rhs_k a_rj >= rhs_r a_kj for every row k. Every rhs is nonnegative, so
+    # only a row with a_kj > 0 can fail that, and the pivot keeps the basis
+    # feasible. On an equilibrium LP the only artificial row is sum p = 1 and
+    # every other row is a homogeneous regret row, so a column qualifies
+    # exactly when the point mass on its profile meets every regret row: a
+    # PNE does, and one always exists (see the module docstring).
     d = 1
-    if n_art:
-        obj1 = [0] * first_art + [-1] * n_art + [0]
+    for r, b in enumerate(basis):
+        if b < first_art:
+            continue
+        row = tab[r]
+        rhs = row[-1]
+        for j in range(n):
+            a_rj = row[j]
+            if a_rj > 0 and all(other[-1] * a_rj >= rhs * other[j] for other in tab):
+                d = _pivot(tab, basis, d, r, j)
+                break
+
+    if any(b >= first_art for b in basis):
+        # phase 1 over the current denominator d: maximize -(sum artificials)
+        obj1 = [0] * first_art + [-d] * n_art + [0]
         for row, b in zip(tab, basis):
             if b >= first_art:
                 obj1 = [v + w for v, w in zip(obj1, row)]
@@ -209,7 +241,6 @@ def solve_lp(lp: LinearProgram) -> LpResult:
                 d = _pivot(tab, basis, d, r, col)
             r += 1
 
-    objective, obj_scale = over_common_denominator(lp.objective)
     if lp.sense == "min":
         objective = [-c for c in objective]
     obj = [d * c for c in objective] + [0] * (total - n + 1)
