@@ -360,9 +360,16 @@ def potential_maximizer_pne(inst: Instance, a: Contract, restrict: int) -> int:
     S = demand(inst.reward, prices, query)
     zeroed = Contract(tuple(
         a[i] if inst.agent_mask(i) & restrict else ZERO for i in range(inst.n)))
-    verdict = is_pne(inst, S, zeroed)
+    require_pne(inst, S, zeroed, "potential maximizer")
+    return S
+
+
+def require_pne(inst: Instance, S: int, a: Contract, what: str) -> None:
+    """Raise RuntimeError unless S is a PNE of ``a``: the one post-check of
+    the constructions that return a PNE. The message names S, described by
+    ``what``, the agent that gains and its deviation."""
+    verdict = is_pne(inst, S, a)
     if not verdict:
         raise RuntimeError(
-            f"potential maximizer {S:#x} failed the equilibrium post-check "
+            f"{what} {S:#x} failed the equilibrium post-check "
             f"(agent {verdict.agent}, deviation {verdict.deviation:#x})")
-    return S

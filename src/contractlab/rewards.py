@@ -432,8 +432,8 @@ def _xos_supporting_clause_exists(table, m: int, S: int) -> bool:
     for T in submasks(S):
         if T == 0:
             continue
-        coeffs = tuple(Fraction(1) if T >> j & 1 else ZERO for j in positions)
+        coeffs = tuple(T >> j & 1 for j in positions)
         rows.append((coeffs, "<=", table[T]))
-    objective = tuple(Fraction(1) for _ in range(k))
+    objective = (1,) * k
     result = solve_lp(LinearProgram(objective=objective, sense="max", rows=tuple(rows)))
     return result.status == "optimal" and result.value == table[S]

@@ -1,19 +1,22 @@
 """Exact rational LP solver and equilibrium benchmarks built on it.
 
 The simplex is a two-phase tableau method with Bland's anti-cycling rule. It
-pivots fraction-free over integers: each row is scaled to integers, and the
-tableau holds Python ints over one common denominator, updated by Bareiss
-pivots whose divisions are exact. Homogeneous ">=" rows are negated into
-"<=" rows that start basic on their slacks, so only rows with a positive
-right-hand side that are not "<=" get an artificial. A crash step then moves
-each artificial row onto the first structural column where the row has a
-positive entry and wins the column's ratio test; that pivot keeps the basis
-feasible. Phase 1 runs only if an artificial is still basic after it, with
-its objective row over the denominator the crash left. Before an optimum is
-returned it is certified on the original program: x is primal feasible, the
-duals read off the final tableau are dual feasible, and the two objective
-values agree. Exactness matters: equilibria hold with ties, so every
-comparison must be decided without rounding.
+pivots fraction-free over integers: each row is scaled to integers once, and
+the tableau holds Python ints over one common denominator d, updated by
+Bareiss pivots whose divisions are exact. Homogeneous ">=" rows are negated
+into "<=" rows that start basic on their slacks, so only rows with a
+positive right-hand side that are not "<=" get an artificial. A crash step
+then moves each artificial row onto the first structural column where the
+row has a positive entry and wins the column's ratio test; that pivot keeps
+the basis feasible. Phase 1 runs only if an artificial is still basic after
+it, with its objective row over the denominator the crash left. Before an
+optimum is returned it is certified in integers on the program's own scaled
+rows, kept before the tableau copies them: x, the tableau's right-hand
+sides over d, is primal feasible, the duals read off the final tableau over
+d are dual feasible, and the two objective values agree. The certificate
+takes only those integers from the tableau, so a corrupted pivot is still
+caught. Exactness matters: equilibria hold with ties, so every comparison
+must be decided without rounding.
 
 The equilibrium benchmarks and the ``fixtures`` samplers are one LP,
 ``equilibrium_lp``, over the regret rows the distribution verifiers check
@@ -49,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import sub
 from typing import Callable, Optional, Sequence
 
@@ -159,18 +162,17 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     n = len(lp.objective)
     objective, obj_scale = over_common_denominator(lp.objective)
 
-    # scale rows to integers; make every rhs nonnegative and every
-    # homogeneous ">=" row a "<=" row, so that it starts basic on its slack
-    tab, rels, scales = [], [], []
+    # scale each row to integers once; the certificate reads these rows. The
+    # tableau copies them with every rhs nonnegative and every homogeneous
+    # ">=" row made a "<=" row, so that it starts basic on its slack
+    rows, tab, rels, signs = [], [], [], []
     for coeffs, rel, rhs in lp.rows:
-        row, scale = over_common_denominator([*coeffs, rhs])
-        if row[-1] < 0 or (row[-1] == 0 and rel == ">="):
-            row = [-v for v in row]
-            rel = _FLIP[rel]
-            scale = -scale
-        tab.append(row)
-        rels.append(rel)
-        scales.append(scale)
+        row, _ = over_common_denominator([*coeffs, rhs])
+        rows.append(row)
+        flip = row[-1] < 0 or (row[-1] == 0 and rel == ">=")
+        tab.append([-v for v in row] if flip else row[:])
+        rels.append(_FLIP[rel] if flip else rel)
+        signs.append(-1 if flip else 1)
 
     n_slack = sum(1 for rel in rels if rel != "=")
     n_art = sum(1 for rel in rels if rel != "<=")
@@ -241,72 +243,67 @@ def solve_lp(lp: LinearProgram) -> LpResult:
                 d = _pivot(tab, basis, d, r, col)
             r += 1
 
-    if lp.sense == "min":
-        objective = [-c for c in objective]
-    obj = [d * c for c in objective] + [0] * (total - n + 1)
+    cost = objective if lp.sense == "max" else [-c for c in objective]
+    obj = [d * c for c in cost] + [0] * (total - n + 1)
     for row, b in zip(tab, basis):
-        if b < n and objective[b] != 0:
-            coef = objective[b]
+        if b < n and cost[b] != 0:
+            coef = cost[b]
             obj = [v - coef * w for v, w in zip(obj, row)]
     tab.append(obj)
     status, d = _iterate(tab, basis, d, first_art)
     if status == "unbounded":
         return LpResult(status="unbounded")
     obj = tab.pop()
-    x = [ZERO] * n
+    x = [0] * n
     for row, b in zip(tab, basis):
         if b < n:
-            x[b] = Fraction(row[-1], d)
+            x[b] = row[-1]
     del tab
-    # the reduced cost of a row's unit column is minus its dual; undo the
-    # row's and the objective's scaling
-    y = [ZERO if u in dropped else Fraction(-scale * obj[u], d * obj_scale)
-         for scale, u in zip(scales, unit)]
-    return LpResult(status="optimal", x=tuple(x), value=_certify(lp, x, y))
+    # the reduced cost of a row's unit column is minus its dual over
+    # d * obj_scale; a flipped row's dual changes sign
+    w = [0 if u in dropped else -sign * obj[u] for sign, u in zip(signs, unit)]
+    value = _certify(lp, rows, objective, x, d, w)
+    return LpResult(status="optimal",
+                    x=tuple(Fraction(v, d) if v else ZERO for v in x),
+                    value=Fraction(value, d * obj_scale))
 
 
-def _certify(lp: LinearProgram, x, y) -> Fraction:
-    """Prove x optimal for ``lp`` with the dual y; returns the value c.x.
+def _certify(lp: LinearProgram, rows, objective, x, d, w) -> int:
+    """Prove x / d optimal for ``lp`` with the dual y = w / (d * s); returns
+    c . x, the value's numerator over d * s.
 
-    Runs exactly on the original rows and objective, apart from the tableau.
-    With c negated for "min", x must satisfy every row and x >= 0; y needs
-    y_i >= 0 on "<=" rows and y_i <= 0 on ">=" rows, A^T y >= c and
-    b.y == c.x, and weak duality then makes x optimal. Raises RuntimeError
-    on any mismatch.
+    ``rows`` (rhs last) and ``objective`` are ``lp``'s rows and objective
+    scaled to integers, s being the objective's scale, and y is the dual of
+    those integer rows. They are scaled once, before the tableau copies
+    them, so a corrupted tableau cannot bend them to fit. x, d and w are the
+    tableau's integers, d > 0. With c negated for "min", x must satisfy
+    every row, a_r . x against b_r * d under the row's relation, and
+    x >= 0; w needs w_r >= 0 on "<=" rows and w_r <= 0 on ">=" rows,
+    sum_r w_r a_rj >= c_j * d for every column j and
+    sum_r w_r b_r == c . x, and weak duality then makes x optimal. Raises
+    RuntimeError on any mismatch.
     """
     sign = 1 if lp.sense == "max" else -1
-    if len(x) != len(lp.objective) or len(y) != len(lp.rows):
+    if len(x) != len(objective) or len(w) != len(rows):
         raise RuntimeError("LP certificate: wrong length")
-    support = [(j, v) for j, v in enumerate(x) if v != 0]
+    if d < 1:
+        raise RuntimeError("LP certificate: the denominator is not positive")
+    support = [(j, v) for j, v in enumerate(x) if v]
     if any(v < 0 for _, v in support):
         raise RuntimeError("LP certificate: x has a negative entry")
-    x_den = lcm(*[v.denominator for _, v in support])
-    x_num = [(j, v.numerator * (x_den // v.denominator)) for j, v in support]
-    # A^T y over the common denominator ay_den, grown as duals come in
-    ay, ay_den = [0] * len(x), 1
-    dual_value = ZERO
-    for (coeffs, rel, rhs), yi in zip(lp.rows, y):
-        ints, scale = over_common_denominator([*coeffs, rhs])
-        b = ints.pop() * x_den
-        lhs = sum(ints[j] * v for j, v in x_num)
+    dual = [0] * (len(x) + 1)  # sum_r w_r (a_r, b_r)
+    for row, (_, rel, _), w_r in zip(rows, lp.rows, w):
+        lhs, b = sum(row[j] * v for j, v in support), row[-1] * d
         if (lhs > b and rel != ">=") or (lhs < b and rel != "<="):
             raise RuntimeError("LP certificate: x violates a row")
-        if (yi < 0 and rel == "<=") or (yi > 0 and rel == ">="):
+        if (w_r < 0 and rel == "<=") or (w_r > 0 and rel == ">="):
             raise RuntimeError("LP certificate: a dual has the wrong sign")
-        if yi == 0:
-            continue
-        dual_value += yi * rhs
-        z = yi / scale
-        if ay_den % z.denominator:
-            grow = z.denominator // gcd(ay_den, z.denominator)
-            ay = [v * grow for v in ay]
-            ay_den *= grow
-        zn = z.numerator * (ay_den // z.denominator)
-        ay = [v + zn * w for v, w in zip(ay, ints)]
-    objective, obj_scale = over_common_denominator(lp.objective)
-    if any(v * obj_scale < sign * c * ay_den for v, c in zip(ay, objective)):
+        if w_r:
+            dual = [v + w_r * a for v, a in zip(dual, row)]
+    dual_value = dual.pop()
+    if any(v < sign * c * d for v, c in zip(dual, objective)):
         raise RuntimeError("LP certificate: the dual violates A^T y >= c")
-    value = sum((lp.objective[j] * v for j, v in support), ZERO)
+    value = sum(objective[j] * v for j, v in support)
     if sign * value != dual_value:
         raise RuntimeError("LP certificate: primal and dual values differ")
     return value

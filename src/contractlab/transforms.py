@@ -17,6 +17,7 @@ from .equilibria import (
     is_dropout_stable,
     is_pne,
     potential_maximizer_pne,
+    require_pne,
 )
 
 THREE_QUARTERS = Fraction(3, 4)
@@ -269,11 +270,7 @@ def cce_to_pne_supermodular_binary(inst: Instance, a: Contract,
         union |= S
     contract = Contract(tuple(
         a[i] if union >> i & 1 else ZERO for i in range(inst.n)))
-    check = is_pne(inst, union, contract)
-    if not check:
-        raise RuntimeError(
-            f"support union {union:#x} failed the equilibrium post-check "
-            f"(agent {check.agent}, deviation {check.deviation:#x})")
+    require_pne(inst, union, contract, "support union")
     return contract, union
 
 
@@ -290,9 +287,5 @@ def ce_to_pne_supermodular(inst: Instance, a: Contract, D: JointDistribution):
         union |= S
     floors = [union & inst.agent_mask(i) for i in range(inst.n)]
     S = best_response_dynamics(inst, union, a, forced_floor=floors)
-    check = is_pne(inst, S, a)
-    if not check:
-        raise RuntimeError(
-            f"floor-restricted dynamics ended at {S:#x} which is not an "
-            f"equilibrium (agent {check.agent}, deviation {check.deviation:#x})")
+    require_pne(inst, S, a, "floor-restricted dynamics end")
     return a, S

@@ -1,9 +1,11 @@
 """The crash start of ``solve_lp``: a differential check against vertex
-enumeration, the equilibrium LPs starting at a PNE's point mass without
-phase 1, pinned sampler outputs, and the refusal of floats."""
+enumeration, the integer certificate against a ``Fraction`` check, the
+equilibrium LPs starting at a PNE's point mass without phase 1, pinned
+sampler outputs, and the refusal of floats."""
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -93,6 +95,76 @@ def test_solve_lp_matches_vertex_enumeration():
         assert (r.status, r.value) == brute_force(prog), prog
         statuses.add(r.status)
     assert statuses == {"optimal", "infeasible"}
+
+
+def _rescaled(prog, rng):
+    """``prog`` with each row and the objective divided by its own 1-4, so
+    the integer rows and objective have scales above 1."""
+    rows = []
+    for coeffs, rel, rhs in prog.rows:
+        k = rng.randint(1, 4)
+        rows.append((tuple(v / k for v in coeffs), rel, rhs / k))
+    k = rng.randint(1, 4)
+    return LinearProgram(objective=tuple(c / k for c in prog.objective),
+                         sense=prog.sense, rows=tuple(rows))
+
+
+def _fraction_certificate(prog, x, d, w):
+    """Does x / d with the dual y_r = w_r s_r / (d s_c) pass the primal, dual
+    and value checks, in Fractions on ``prog`` as given? s_r and s_c are the
+    lcms of the denominators of row r (rhs included) and of the objective,
+    the scales of the integer forms ``_certify`` reads."""
+    s_c = lcm(*(c.denominator for c in prog.objective))
+    xs = [F(v, d) for v in x]
+    ys = [F(w_r * lcm(*(v.denominator for v in (*coeffs, rhs))), d * s_c)
+          for w_r, (coeffs, _, rhs) in zip(w, prog.rows)]
+    c = [v if prog.sense == "max" else -v for v in prog.objective]
+    return (all(v >= 0 for v in xs)
+            and all(_meets(sum(map(F.__mul__, coeffs, xs)), rel, rhs)
+                    for coeffs, rel, rhs in prog.rows)
+            and all(y >= 0 if rel == "<=" else y <= 0 if rel == ">=" else True
+                    for y, (_, rel, _) in zip(ys, prog.rows))
+            and all(sum(y * coeffs[j] for y, (coeffs, _, _) in zip(ys, prog.rows))
+                    >= c[j] for j in range(len(c)))
+            and sum(y * rhs for y, (_, _, rhs) in zip(ys, prog.rows))
+            == sum(map(F.__mul__, c, xs)))
+
+
+def test_certificate_matches_a_fraction_check(monkeypatch):
+    """For every optimum, the integers ``solve_lp`` certifies and each
+    single-entry tampering (x_j +- 1, w_r +- 1, -w_r) are rejected by
+    ``_certify`` exactly when the Fraction check rejects them."""
+    real_certify, calls = solvers._certify, []
+
+    def spy(*args):
+        calls.append(args)
+        return real_certify(*args)
+
+    monkeypatch.setattr(solvers, "_certify", spy)
+    rng = random.Random(14)
+    optima = verdicts = 0
+    for _ in range(250):
+        prog = _rescaled(random_bounded_lp(rng), rng)
+        calls.clear()
+        if solve_lp(prog).status != "optimal":
+            continue
+        optima += 1
+        (_, rows, objective, x, d, w), = calls
+        assert _fraction_certificate(prog, x, d, w)
+        tampered = [([*x[:j], x[j] + e, *x[j + 1:]], w)
+                    for j in range(len(x)) for e in (1, -1)]
+        tampered += [(x, [*w[:r], v, *w[r + 1:]])
+                     for r in range(len(w)) for v in (w[r] + 1, w[r] - 1, -w[r])]
+        for bad_x, bad_w in tampered:
+            try:
+                real_certify(prog, rows, objective, bad_x, d, bad_w)
+                accepted = True
+            except RuntimeError:
+                accepted = False
+            assert accepted == _fraction_certificate(prog, bad_x, d, bad_w), \
+                (prog, bad_x, d, bad_w)
+            verdicts += not accepted
+    assert optima > 100 and verdicts > 1000
 
 
 @pytest.fixture

@@ -243,22 +243,29 @@ def test_solve_lp_infeasible_and_unbounded():
 
 
 def test_certificate_rejects_tampered_results(monkeypatch):
+    # x = (8/5, 6/5) is x = (8, 6) over d = 5, the dual y = (2/5, 1/5) is
+    # w = (2, 1) over d; the value 14/5 comes back as its numerator 14
     prog = lp([1, 1], "max", [([1, 2], "<=", 4), ([3, 1], "<=", 6)])
-    x, y = (F(8, 5), F(6, 5)), (F(2, 5), F(1, 5))
-    assert _certify(prog, x, y) == F(14, 5)
-    for bad_x, bad_y in [((F(2), F(1)), y),            # violates row 2
-                         ((F(-1), F(2)), y),           # negative entry
-                         (x, (F(2, 5), F(-1, 5))),     # dual sign
-                         (x, (F(1, 5), F(1, 5))),      # A^T y < c
-                         ((ZERO, ZERO), y),            # values differ
-                         (x, (F(1), ZERO))]:
+    rows, objective = [[1, 2, 4], [3, 1, 6]], [1, 1]
+    x, w = (8, 6), (2, 1)
+    assert _certify(prog, rows, objective, x, 5, w) == 14
+    for bad_x, bad_w in [((10, 5), w),     # violates row 2
+                         ((-5, 10), w),    # negative entry
+                         (x, (2, -1)),     # dual sign
+                         (x, (1, 1)),      # A^T y < c
+                         ((0, 0), w),      # values differ
+                         (x, (5, 0))]:
         with pytest.raises(RuntimeError):
-            _certify(prog, bad_x, bad_y)
+            _certify(prog, rows, objective, bad_x, 5, bad_w)
+    # x = 0 and w = 0 would pass every check over d = -5
+    with pytest.raises(RuntimeError):
+        _certify(prog, rows, objective, (0, 0), -5, (0, 0))
     # the ">=" form of the same program needs nonpositive duals
     flipped = lp([1, 1], "max", [([-1, -2], ">=", -4), ([-3, -1], ">=", -6)])
-    assert _certify(flipped, x, (F(-2, 5), F(-1, 5))) == F(14, 5)
+    flipped_rows = [[-1, -2, -4], [-3, -1, -6]]
+    assert _certify(flipped, flipped_rows, objective, x, 5, (-2, -1)) == 14
     with pytest.raises(RuntimeError):
-        _certify(flipped, x, y)
+        _certify(flipped, flipped_rows, objective, x, 5, w)
 
     real_pivot = solvers._pivot
 

@@ -4,7 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 from contractlab.core import Contract, make_instance, principal_utility
-from contractlab.equilibria import JointDistribution, is_pne
+from contractlab import equilibria
+from contractlab.equilibria import (
+    JointDistribution,
+    Verdict,
+    is_pne,
+    potential_maximizer_pne,
+)
 from contractlab.rewards import AdditiveReward
 from contractlab.solvers import worst_cce
 from contractlab.transforms import (
@@ -285,3 +291,28 @@ def test_ce_to_pne_rejects_non_ce():
     with pytest.raises(ValueError):
         ce_to_pne_supermodular(inst, Contract.zero(2),
                                JointDistribution.point(0b11))
+
+
+def test_pne_post_checks_name_the_witness(monkeypatch):
+    """potential_maximizer_pne and both supermodular constructions share one
+    post-check; when is_pne fails it, each raises RuntimeError naming the
+    profile, the agent and the deviation."""
+    failing = Verdict(False, agent=1, deviation=0b10)
+    monkeypatch.setattr(equilibria, "is_pne", lambda inst, S, a, tol=None: failing)
+    rng = random.Random(14)
+    binary = random_instance("supermodular", 1401, 3, 1)
+    a = random_contract(binary.n, rng)
+    grouped = random_instance("supermodular", 1402, 2, [2, 1])
+    b = random_contract(grouped.n, rng)
+    runs = {
+        "potential maximizer": lambda: potential_maximizer_pne(
+            separation_example(), Contract.of(["1/18", "1/18"]), 0b11),
+        "support union": lambda: cce_to_pne_supermodular_binary(
+            binary, a, sample_cce(binary, a, rng)),
+        "floor-restricted dynamics end": lambda: ce_to_pne_supermodular(
+            grouped, b, sample_ce(grouped, b, rng)),
+    }
+    for what, run in runs.items():
+        with pytest.raises(RuntimeError, match=rf"^{what} 0x[0-9a-f]+ failed the "
+                           r"equilibrium post-check \(agent 1, deviation 0x2\)$"):
+            run()
