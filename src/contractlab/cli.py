@@ -8,6 +8,7 @@ exceeded, 4 internal error (a failed post-check, RuntimeError).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -55,8 +56,6 @@ class InputError(Exception):
 
 def parse_scalar(raw) -> Fraction:
     try:
-        if isinstance(raw, str):
-            return Fraction(raw.strip())
         return as_fraction(raw)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InputError(f"bad rational {raw!r}: {exc}") from None
@@ -554,7 +553,10 @@ def _positive_int(raw: str) -> int:
     return int(raw)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every command, built on first use: no handler
+    changes a parsed default."""
     parser = argparse.ArgumentParser(
         prog="contractlab",
         description="multi-agent combinatorial contracts toolkit")

@@ -9,6 +9,8 @@ case.
 from __future__ import annotations
 
 import os
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -58,13 +60,29 @@ def check_profile_count(count: int, what: str) -> None:
         raise CapacityError(f"{what}: {count} profiles exceeds profile cap")
 
 
+# the decimal exponent of a rational string, as Fraction reads it
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
 def as_fraction(x) -> Fraction:
-    """Coerce ints, Fractions, and 'p/q' / decimal strings to an exact rational."""
+    """Coerce ints, Fractions, and 'p/q' / decimal strings to an exact rational.
+
+    ``Fraction`` multiplies by 10**exp for a decimal exponent, in time and
+    memory that grow faster than |exp|, so a string whose exponent is above
+    Python's integer-digit limit (``sys.get_int_max_str_digits()``; 0 means
+    none) raises ValueError before it gets there.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        exp = _EXPONENT.search(x)
+        limit = sys.get_int_max_str_digits()
+        if exp and limit:
+            digits = exp.group(1).replace("_", "").lstrip("0")
+            if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+                raise ValueError(f"exponent above the integer-digit limit {limit}")
         return Fraction(x.strip())
     if isinstance(x, float):
         raise TypeError(f"refusing inexact float {x!r}; pass a string or Fraction")
@@ -73,8 +91,11 @@ def as_fraction(x) -> Fraction:
 
 def over_common_denominator(values) -> tuple:
     """``values`` (Fractions or ints) times the lcm of their denominators, as
-    ints, and that lcm. Raises TypeError on any other value, an inexact
-    float included."""
+    ints, and that lcm. Values that are all ints come back as they are, not
+    copied, with denominator 1. Raises TypeError on any other value, an
+    inexact float included."""
+    if all(type(v) is int for v in values):
+        return values, 1
     try:
         den = lcm(*[v.denominator for v in values])
     except AttributeError:

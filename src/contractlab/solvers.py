@@ -1,35 +1,39 @@
 """Exact rational LP solver and equilibrium benchmarks built on it.
 
 The simplex is a two-phase tableau method with Bland's anti-cycling rule. It
-pivots fraction-free over integers: each row is scaled to integers once, and
-the tableau holds Python ints over one common denominator d, updated by
-Bareiss pivots whose divisions are exact. Homogeneous ">=" rows are negated
-into "<=" rows that start basic on their slacks, so only rows with a
-positive right-hand side that are not "<=" get an artificial. A crash step
-then moves each artificial row onto the first structural column where the
-row has a positive entry and wins the column's ratio test; that pivot keeps
-the basis feasible. Phase 1 runs only if an artificial is still basic after
-it, with its objective row over the denominator the crash left. Before an
-optimum is returned it is certified in integers on the program's own scaled
-rows, kept before the tableau copies them: x, the tableau's right-hand
-sides over d, is primal feasible, the duals read off the final tableau over
-d are dual feasible, and the two objective values agree. The certificate
-takes only those integers from the tableau, so a corrupted pivot is still
-caught. Exactness matters: equilibria hold with ties, so every comparison
-must be decided without rounding.
+pivots fraction-free over integers: each row is scaled to integers once (a
+row of ints is taken as it is), and the tableau holds Python ints over one
+common denominator d, updated by Bareiss pivots whose divisions are exact.
+Homogeneous ">=" rows are negated into "<=" rows that start basic on their
+slacks, so only rows with a positive right-hand side that are not "<=" get
+an artificial. A crash step then moves each artificial row onto the first
+structural column where the row has a positive entry and wins the column's
+ratio test; that pivot keeps the basis feasible. Phase 1 runs only if an
+artificial is still basic after it, with its objective row over the
+denominator the crash left. Before an optimum is returned it is certified in
+integers on the program's own scaled rows, kept before the tableau copies
+them: x, the tableau's right-hand sides over d, is primal feasible, the
+duals read off the final tableau over d are dual feasible, and the two
+objective values agree. The certificate takes only those integers from the
+tableau, so a corrupted pivot is still caught. Exactness matters: equilibria
+hold with ties, so every comparison must be decided without rounding.
 
 The equilibrium benchmarks and the ``fixtures`` samplers are one LP,
 ``equilibrium_lp``, over the regret rows the distribution verifiers check
 (``equilibria.regret_rows``). Those rows are integers; each enters the LP as
-follow - deviate divided by the gcd of its entries. A positive row scale
-changes neither the reduced-cost signs nor the ratio test, so the simplex
-takes the pivots it would take on the rational rows. Phase 1 never runs on
-these LPs: sum p = 1 is their only row with an artificial, and the crash
-pivots it onto the first profile whose point mass meets every regret row,
-which for CE and CCE rows is a PNE. One always exists, because the contract
-game is a weighted potential game with potential
-f(S) - sum_i c(S_i) / a_i (Monderer & Shapley, GEB 1996; an agent with
-a_i = 0 has a dominant cheapest slice). Every dropout row reads 0 at
+follow - deviate divided by the gcd of its entries. A row with no negative
+entry is left out: every p >= 0 meets it, and its slack can fall in a pivot
+only beside a basic p(S) whose ratio is no larger, which Bland's rule takes
+first by its lower index, so no pivot, vertex or dual changes without it (in
+LP presolve, a redundant row: Andersen & Andersen, Math. Programming 1995).
+A positive row scale changes neither the reduced-cost signs nor the ratio
+test, so the simplex takes the pivots it would take on the rational rows.
+Phase 1 never runs on these LPs: sum p = 1 is their only row with an
+artificial, and the crash pivots it onto the first profile whose point mass
+meets every regret row, which for CE and CCE rows is a PNE. One always
+exists, because the contract game is a weighted potential game with
+potential f(S) - sum_i c(S_i) / a_i (Monderer & Shapley, GEB 1996; an agent
+with a_i = 0 has a dominant cheapest slice). Every dropout row reads 0 at
 profile 0, so on dropout rows the crash takes profile 0.
 
 The PNE searches (``enumerate_pne``, the best_pne cells of ``grid_search``
@@ -333,6 +337,15 @@ def equilibrium_lp(inst: Instance, a: Contract, concept: str, sense: str = "max"
     for *_, follow, deviate, _ in regret_rows(inst, a, concept, profiles,
                                               table.__getitem__):
         row = list(map(sub, follow, deviate))
+        if min(row) >= 0:
+            # p >= 0 meets a . p >= 0 when a >= 0, and the row changes no
+            # pivot: its slack s = a . p falls with an entering column only
+            # where some basic p(S) with a_S > 0 falls too, and s's ratio is
+            # then no less than the least of theirs. At best s ties one, and
+            # Bland's rule takes the p(S), whose index is lower. So s never
+            # leaves the basis, no other row or vertex changes, its dual is
+            # 0, and _certify's x >= 0 check still covers the row.
+            continue
         g = gcd(*row)
         if g > 1:
             row = [v // g for v in row]
@@ -504,7 +517,9 @@ def best_pne(inst: Instance):
     whose f(S) is not above the best value so far (a tie goes to the earlier
     profile). It folds the other rows agent by agent, keeping sum lo as a
     reduced integer pair, and leaves a row as soon as an interval is empty,
-    sum lo > 1 or (1 - sum lo) * f(S) is not above the best.
+    sum lo > 1 or (1 - sum lo) * f(S) is not above the best. An agent with
+    no action in S is passed over: its slice costs 0, so against every T it
+    has diff = -c(T) <= 0, and its interval is never empty and starts at 0.
     """
     fracs, slices, interval = _pne_table(inst)
     for S, (n_S, d_S) in enumerate(fracs):
@@ -517,6 +532,8 @@ def best_pne(inst: Instance):
             continue
         sum_n, sum_d = 0, 1
         for mask, subs in slices:
+            if not S & mask:
+                continue  # an idle agent's interval is never empty, lo = 0
             bound = interval(S, mask, subs)
             if bound is None:
                 break
@@ -530,7 +547,7 @@ def best_pne(inst: Instance):
                     break
         else:
             best_S, best_n, best_d = S, (sum_d - sum_n) * n_S, sum_d * d_S
-    shares = [Fraction(*interval(best_S, mask, subs)[:2])
+    shares = [Fraction(*interval(best_S, mask, subs)[:2]) if best_S & mask else ZERO
               for mask, subs in slices]
     return best_S, Contract(tuple(shares)), Fraction(best_n, best_d)
 

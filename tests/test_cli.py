@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -427,3 +428,62 @@ def test_huge_action_id_is_a_usage_error(place, tmp_path, separation_path,
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: bad ")
     assert f"id {HUGE_ID} is not an integer in [0, " in err[0]
+
+
+def verify_argv(separation_path, mne_path, share="1/36", tolerance="1/1000000"):
+    return ["verify", separation_path, "--contract", f"{share},1/36",
+            "--distribution", mne_path, "--concept", "mne",
+            "--tolerance", tolerance]
+
+
+@pytest.mark.parametrize("value", ["1e5000", "1E-5000", "1e999999999"])
+@pytest.mark.parametrize("place", ["share", "cost", "tolerance"])
+def test_exponent_past_the_digit_limit_is_a_usage_error(
+        place, value, separation_path, mne_path, tmp_path, capsys):
+    """Fraction would build 10**exp for these; the check refuses them first."""
+    if place == "cost":
+        doc = cli.instance_to_json(separation_example())
+        doc["agents"][0]["actions"][0]["cost"] = value
+        argv = verify_argv(write(tmp_path, "big.json", doc), mne_path)
+    else:
+        argv = verify_argv(separation_path, mne_path, **{place: value})
+    assert exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad rational")
+    assert "integer-digit limit 4300" in err[0]
+
+
+def test_exponents_within_the_digit_limit_parse(separation_path, mne_path, capsys):
+    assert cli.parse_scalar("1e3") == 1000
+    assert cli.parse_scalar("2.5E-2") == Fraction(1, 40)
+    assert cli.parse_scalar("1e4300") == 10 ** 4300
+    assert exit_code(verify_argv(separation_path, mne_path, share="2.5E-2",
+                                 tolerance="1e3")) == 0
+    assert "holds" in capsys.readouterr().out
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_calls_in_sequence_match_calls_alone(separation_path, capsys):
+    calls = [["gap-report"],  # no instance: argparse's usage error
+             ["gap-report", separation_path, "--resolution", "2",
+              "--concepts", "worst_cce", "best_ce"],
+             ["gap-report", separation_path, "--resolution", "2"],
+             ["reproduce", "A1-pne-180"]]
+
+    def run(argv):
+        code = exit_code(argv)
+        return code, capsys.readouterr().out
+
+    alone = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        alone.append(run(argv))
+    assert [code for code, _ in alone] == [2, 0, 0, 0]
+    cli.build_parser.cache_clear()
+    assert [run(argv) for argv in calls] == alone
+    assert [run(argv) for argv in reversed(calls)] == alone[::-1]

@@ -37,6 +37,24 @@ def test_as_fraction_parses_decimals_exactly():
         as_fraction(0.1)
 
 
+@pytest.mark.parametrize("text", ["1e5000", "1E-5000", "2.5e+0_4301", "1e999999999"])
+def test_exponent_past_the_digit_limit_is_refused(text):
+    """Fraction would build 10**exp for these, in time and memory that grow
+    faster than the exponent."""
+    for parse in (as_fraction, lambda t: Contract.of([t]),
+                  lambda t: make_instance([[t]], AdditiveReward([1]))):
+        with pytest.raises(ValueError, match="integer-digit limit 4300"):
+            parse(text)
+
+
+def test_exponent_within_the_digit_limit_parses(monkeypatch):
+    assert as_fraction("1e3") == 1000
+    assert as_fraction("2.5E-2") == F(1, 40)
+    assert as_fraction("1E-4300") == F(1, 10 ** 4300)
+    monkeypatch.setattr("sys.get_int_max_str_digits", lambda: 0)  # no limit
+    assert as_fraction("1e5000") == 10 ** 5000
+
+
 def test_submasks_ascending():
     assert list(submasks(0b101)) == [0b000, 0b001, 0b100, 0b101]
     assert list(submasks(0)) == [0]

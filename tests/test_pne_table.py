@@ -11,6 +11,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contractlab import solvers
 from contractlab.core import (
     CapacityError,
     Contract,
@@ -219,3 +220,35 @@ def test_contract_length_must_match_agents(count):
     for concept in ("ce", "cce", "dropout"):
         with pytest.raises(ValueError, match="for 3 agents"):
             list(regret_rows(inst, a, concept, [0, 1], inst.reward.value))
+
+
+def test_best_pne_never_asks_an_idle_agent(monkeypatch):
+    """An agent with no action in S keeps its empty slice under every share
+    (costs are >= 0), so best_pne never asks for its interval. Tables with
+    zero-cost actions, ties and multi-action agents; the answers still match
+    the brute force."""
+    asked = []
+    real_table = solvers._pne_table
+
+    def table(inst):
+        fracs, slices, interval = real_table(inst)
+
+        def spy(S, mask, subs):
+            asked.append(S & mask)
+            return interval(S, mask, subs)
+        return fracs, slices, spy
+
+    monkeypatch.setattr(solvers, "_pne_table", table)
+    rng = random.Random(15)
+    total = 0
+    for _ in range(300):
+        sizes = rng.choice(TABLE_SHAPES[2:])
+        table_values = [rng.choice(range(4)) for _ in range(1 << sum(sizes))]
+        costs = [[rng.choice([F(0), F(0), F(1, 2), F(1)]) for _ in range(k)]
+                 for k in sizes]
+        inst = make_instance(costs, TableReward(table_values))
+        asked.clear()
+        assert best_pne(inst) == reference_best_pne(inst)
+        assert all(asked)
+        total += len(asked)
+    assert total > 1000
