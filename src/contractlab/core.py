@@ -70,7 +70,8 @@ def as_fraction(x) -> Fraction:
     ``Fraction`` multiplies by 10**exp for a decimal exponent, in time and
     memory that grow faster than |exp|, so a string whose exponent is above
     Python's integer-digit limit (``sys.get_int_max_str_digits()``; 0 means
-    none) raises ValueError before it gets there.
+    none, as on the Pythons before 3.10.7 that lack the limit) raises
+    ValueError before it gets there.
     """
     if isinstance(x, Fraction):
         return x
@@ -78,7 +79,8 @@ def as_fraction(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         exp = _EXPONENT.search(x)
-        limit = sys.get_int_max_str_digits()
+        get_limit = getattr(sys, "get_int_max_str_digits", None)
+        limit = get_limit() if get_limit else 0
         if exp and limit:
             digits = exp.group(1).replace("_", "").lstrip("0")
             if len(digits) > len(str(limit)) or int(digits or 0) > limit:

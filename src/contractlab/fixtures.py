@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import cache
 
 from .core import (
     Contract,
@@ -75,9 +76,10 @@ def subadditive_gap_instance(n: int) -> Instance:
     first_half = mask_of(range(2, n + 2))
     group = mask_of(range(2, m))
 
-    def value(S: int) -> Fraction:
-        k = (S & 3).bit_count()
-        i = (S & group).bit_count()
+    @cache
+    def level(k: int, i: int, half: bool) -> Fraction:
+        """f at k = |S n {x, y}| and i = |S n [2n]|; ``half`` says that the
+        one missing member of [2n] (i = 2n - 1) left the first half full."""
         if i == 0:
             return Fraction((0, 4, 5)[k])
         # base + min(i, 2n - 1) / root, as one fraction
@@ -85,11 +87,16 @@ def subadditive_gap_instance(n: int) -> Instance:
             return Fraction((2, 4, 5)[k] * root + i, root)
         if i == 2 * n:
             base = (4, 6, 7)[k]
-        elif S & first_half == first_half:
+        elif half:
             base = (2, 5, 5)[k]
         else:
             base = (3, 4, 6)[k]
         return Fraction(base * root + 2 * n - 1, root)
+
+    def value(S: int) -> Fraction:
+        i = (S & group).bit_count()
+        return level((S & 3).bit_count(), i,
+                     i == 2 * n - 1 and S & first_half == first_half)
 
     reward = FormulaReward(m, value)
     cost = Fraction(2, 3 * n)

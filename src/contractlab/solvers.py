@@ -4,6 +4,19 @@ The simplex is a two-phase tableau method with Bland's anti-cycling rule. It
 pivots fraction-free over integers: each row is scaled to integers once (a
 row of ints is taken as it is), and the tableau holds Python ints over one
 common denominator d, updated by Bareiss pivots whose divisions are exact.
+
+A presolve first takes out the forcing rows (Andersen & Andersen, Math.
+Programming 1995): rhs 0 and entries of one sign, every entry <= 0 on a
+">=" row or >= 0 on a "<=" row. For x >= 0 the terms a_j x_j then share
+that sign and sum to 0, so every feasible x has x_j = 0 wherever a_j != 0.
+The tableau leaves out the row and those columns, and x is 0 on them; "="
+rows stay in, for phase 1 to drive out. A forcing row's dual is not read
+off the tableau. It takes the sign its relation needs, so that
+w_r a_rj = k |a_rj| only adds to each column's side of A^T w >= c, and k
+is the least integer that covers what that side still lacks on the row's
+columns. The row is 0 on every kept column and its rhs is 0, so neither
+another column nor the dual value moves.
+
 Homogeneous ">=" rows are negated into "<=" rows that start basic on their
 slacks, so only rows with a positive right-hand side that are not "<=" get
 an artificial. A crash step then moves each artificial row onto the first
@@ -11,12 +24,13 @@ structural column where the row has a positive entry and wins the column's
 ratio test; that pivot keeps the basis feasible. Phase 1 runs only if an
 artificial is still basic after it, with its objective row over the
 denominator the crash left. Before an optimum is returned it is certified in
-integers on the program's own scaled rows, kept before the tableau copies
-them: x, the tableau's right-hand sides over d, is primal feasible, the
-duals read off the final tableau over d are dual feasible, and the two
-objective values agree. The certificate takes only those integers from the
-tableau, so a corrupted pivot is still caught. Exactness matters: equilibria
-hold with ties, so every comparison must be decided without rounding.
+integers on the program's own scaled rows, every row and every column, kept
+before the tableau copies them: x, the tableau's right-hand sides over d, is
+primal feasible, the duals read off the final tableau over d (and the
+forcing rows' duals) are dual feasible, and the two objective values agree.
+The certificate takes only those integers from the tableau, so a corrupted
+pivot is still caught. Exactness matters: equilibria hold with ties, so
+every comparison must be decided without rounding.
 
 The equilibrium benchmarks and the ``fixtures`` samplers are one LP,
 ``equilibrium_lp``, over the regret rows the distribution verifiers check
@@ -26,15 +40,20 @@ entry is left out: every p >= 0 meets it, and its slack can fall in a pivot
 only beside a basic p(S) whose ratio is no larger, which Bland's rule takes
 first by its lower index, so no pivot, vertex or dual changes without it (in
 LP presolve, a redundant row: Andersen & Andersen, Math. Programming 1995).
+A row with no positive entry is a forcing row, and the presolve drops the
+profiles where it is negative, most of them on the regret rows of CCE and
+CE. Bland's rule meets the kept columns in their old order, so at a tied
+optimum the vertex can move; the value cannot.
 A positive row scale changes neither the reduced-cost signs nor the ratio
 test, so the simplex takes the pivots it would take on the rational rows.
 Phase 1 never runs on these LPs: sum p = 1 is their only row with an
-artificial, and the crash pivots it onto the first profile whose point mass
-meets every regret row, which for CE and CCE rows is a PNE. One always
+artificial, and the crash pivots it onto the first kept profile whose point
+mass meets every regret row, which for CE and CCE rows is a PNE. One always
 exists, because the contract game is a weighted potential game with
 potential f(S) - sum_i c(S_i) / a_i (Monderer & Shapley, GEB 1996; an agent
-with a_i = 0 has a dominant cheapest slice). Every dropout row reads 0 at
-profile 0, so on dropout rows the crash takes profile 0.
+with a_i = 0 has a dominant cheapest slice), and no forcing row drops it,
+since its point mass meets every row. Every dropout row reads 0 at profile
+0, so on dropout rows the crash takes profile 0.
 
 The PNE searches (``enumerate_pne``, the best_pne cells of ``grid_search``
 and ``best_pne``, the best PNE over all contracts) read one table,
@@ -162,19 +181,41 @@ def _iterate(tab, basis, d, allowed_cols):
 _FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 
 
-def solve_lp(lp: LinearProgram) -> LpResult:
-    n = len(lp.objective)
-    objective, obj_scale = over_common_denominator(lp.objective)
+def _forcing(row, rel) -> bool:
+    """Is the integer row (rhs last) a forcing row: rhs 0 and entries of one
+    sign, not all 0, that x >= 0 meets only at a . x = 0 (every entry <= 0
+    on a ">=" row, >= 0 on a "<=" row)?"""
+    if row[-1] or rel == "=":
+        return False
+    if rel == ">=":
+        return max(row) == 0 and min(row) < 0
+    return min(row) == 0 and max(row) > 0
 
-    # scale each row to integers once; the certificate reads these rows. The
-    # tableau copies them with every rhs nonnegative and every homogeneous
-    # ">=" row made a "<=" row, so that it starts basic on its slack
-    rows, tab, rels, signs = [], [], [], []
-    for coeffs, rel, rhs in lp.rows:
-        row, _ = over_common_denominator([*coeffs, rhs])
-        rows.append(row)
+
+def solve_lp(lp: LinearProgram) -> LpResult:
+    objective, obj_scale = over_common_denominator(lp.objective)
+    sign = 1 if lp.sense == "max" else -1
+
+    # scale each row to integers once; the certificate reads these rows.
+    # A forcing row and the columns it forces to 0 stay out of the tableau
+    rows = [over_common_denominator([*coeffs, rhs])[0] for coeffs, _, rhs in lp.rows]
+    forcing = [r for r, (row, (_, rel, _)) in enumerate(zip(rows, lp.rows))
+               if _forcing(row, rel)]
+    forced = {j for r in forcing for j, v in enumerate(rows[r]) if v}
+    cols = [j for j in range(len(objective)) if j not in forced]
+    skip = set(forcing)
+    at = [r for r in range(len(rows)) if r not in skip]  # the tableau's rows
+    n = len(cols)
+
+    # the tableau copies the other rows on the kept columns, with every rhs
+    # nonnegative and every homogeneous ">=" row made a "<=" row, so that it
+    # starts basic on its slack
+    keep = cols + [-1]
+    tab, rels, signs = [], [], []
+    for r in at:
+        row, rel = rows[r], lp.rows[r][1]
         flip = row[-1] < 0 or (row[-1] == 0 and rel == ">=")
-        tab.append([-v for v in row] if flip else row[:])
+        tab.append([-row[j] for j in keep] if flip else [row[j] for j in keep])
         rels.append(_FLIP[rel] if flip else rel)
         signs.append(-1 if flip else 1)
 
@@ -247,7 +288,7 @@ def solve_lp(lp: LinearProgram) -> LpResult:
                 d = _pivot(tab, basis, d, r, col)
             r += 1
 
-    cost = objective if lp.sense == "max" else [-c for c in objective]
+    cost = [sign * objective[j] for j in cols]
     obj = [d * c for c in cost] + [0] * (total - n + 1)
     for row, b in zip(tab, basis):
         if b < n and cost[b] != 0:
@@ -258,14 +299,35 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     if status == "unbounded":
         return LpResult(status="unbounded")
     obj = tab.pop()
-    x = [0] * n
+    x = [0] * len(objective)
     for row, b in zip(tab, basis):
         if b < n:
-            x[b] = row[-1]
+            x[cols[b]] = row[-1]
     del tab
     # the reduced cost of a row's unit column is minus its dual over
     # d * obj_scale; a flipped row's dual changes sign
-    w = [0 if u in dropped else -sign * obj[u] for sign, u in zip(signs, unit)]
+    w = [0] * len(rows)
+    for r, s_r, u in zip(at, signs, unit):
+        if u not in dropped:
+            w[r] = -s_r * obj[u]
+    if forcing:
+        # need[j]: what sum_r w_r a_rj >= +-c_j d still lacks on a forced
+        # column. A forcing dual of its relation's sign adds k |a_rj| there
+        # and nothing elsewhere (see the module docstring), so each row takes
+        # the least k that covers its columns
+        need = {j: sign * objective[j] * d for j in forced}
+        for r, w_r in enumerate(w):
+            if w_r:
+                row = rows[r]
+                for j in need:
+                    need[j] -= w_r * row[j]
+        for r in forcing:
+            row = rows[r]
+            k = max(-(-need[j] // abs(row[j])) for j in need if row[j])
+            if k > 0:
+                w[r] = -k if lp.rows[r][1] == ">=" else k
+                for j in need:
+                    need[j] -= k * abs(row[j])
     value = _certify(lp, rows, objective, x, d, w)
     return LpResult(status="optimal",
                     x=tuple(Fraction(v, d) if v else ZERO for v in x),
@@ -280,7 +342,8 @@ def _certify(lp: LinearProgram, rows, objective, x, d, w) -> int:
     scaled to integers, s being the objective's scale, and y is the dual of
     those integer rows. They are scaled once, before the tableau copies
     them, so a corrupted tableau cannot bend them to fit. x, d and w are the
-    tableau's integers, d > 0. With c negated for "min", x must satisfy
+    tableau's integers, d > 0, with x 0 and w chosen outside the tableau on
+    the forcing rows' columns and rows. With c negated for "min", x must satisfy
     every row, a_r . x against b_r * d under the row's relation, and
     x >= 0; w needs w_r >= 0 on "<=" rows and w_r <= 0 on ">=" rows,
     sum_r w_r a_rj >= c_j * d for every column j and

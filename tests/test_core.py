@@ -55,6 +55,15 @@ def test_exponent_within_the_digit_limit_parses(monkeypatch):
     assert as_fraction("1e5000") == 10 ** 5000
 
 
+def test_no_digit_limit_function_means_no_limit(monkeypatch):
+    """Pythons before 3.10.7 have no ``sys.get_int_max_str_digits``, and no
+    limit."""
+    monkeypatch.delattr("sys.get_int_max_str_digits")
+    assert as_fraction("1/2") == F(1, 2)
+    assert as_fraction("1e5") == 100000
+    assert as_fraction("2.5E-2") == F(1, 40)
+
+
 def test_submasks_ascending():
     assert list(submasks(0b101)) == [0b000, 0b001, 0b100, 0b101]
     assert list(submasks(0)) == [0]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -99,6 +100,45 @@ def test_subadditive_sandwich_bounds():
         k = (S & 0b11).bit_count()
         base = 2 * (k >= 1) + (k >= 2) + (S & group).bit_count() / root
         assert 2 + base <= inst.reward.value(S) <= 4 + base
+
+
+def _gap_value_formula(n, S):
+    """f of the subadditive gap family, written out case by case."""
+    root = math.isqrt(n)
+    first_half = sum(1 << j for j in range(2, n + 2))
+    group = sum(1 << j for j in range(2, 2 * n + 2))
+    k = (S & 3).bit_count()
+    i = (S & group).bit_count()
+    if i == 0:
+        return F((0, 4, 5)[k])
+    if i < 2 * n - 1:
+        return F((2, 4, 5)[k] * root + i, root)
+    if i == 2 * n:
+        base = (4, 6, 7)[k]
+    elif S & first_half == first_half:
+        base = (2, 5, 5)[k]
+    else:
+        base = (3, 4, 6)[k]
+    return F(base * root + 2 * n - 1, root)
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 25, 729])
+def test_subadditive_values_match_the_formula(n):
+    """The tabulated levels of f agree with the case-by-case formula on
+    random profiles and on every profile kind near a full [2n]."""
+    rng = random.Random(n)
+    m = 2 * n + 2
+    group = ((1 << m) - 1) & ~3
+    profiles = [rng.getrandbits(m) for _ in range(300)]
+    profiles += [rng.getrandbits(2) | (group & ~(1 << j))
+                 for j in rng.sample(range(2, m), min(m - 2, 300))]
+    profiles += [xy | group for xy in range(4)] + list(range(4))
+    # i = 2n - 2 and i just below it
+    profiles += [rng.getrandbits(2) | (group & ~(1 << rng.randrange(2, m))
+                                       & ~(1 << rng.randrange(2, m))) for _ in range(50)]
+    f = subadditive_gap_instance(n).reward.value
+    for S in profiles:
+        assert f(S) == _gap_value_formula(n, S), S
 
 
 def test_claim_c3_mne():

@@ -235,7 +235,13 @@ def test_equilibrium_lps_skip_phase_one(trace, monkeypatch, kind, sizes):
     def solve(prog):
         start = len(trace)
         result = real_solve(prog)
-        calls.append(trace[start:])
+        # the profiles a homogeneous ">=" row with entries <= 0 forces to 0
+        # leave the tableau; column k of the tableau is profile kept[k]
+        forced = {S for coeffs, rel, rhs in prog.rows
+                  if rel == ">=" and rhs == 0 and max(coeffs) <= 0 and min(coeffs) < 0
+                  for S, v in enumerate(coeffs) if v}
+        kept = [S for S in range(len(prog.objective)) if S not in forced]
+        calls.append((trace[start:], kept))
         return result
 
     monkeypatch.setattr(solvers, "solve_lp", solve)
@@ -245,10 +251,10 @@ def test_equilibrium_lps_skip_phase_one(trace, monkeypatch, kind, sizes):
         a = random_contract(inst.n, rng)
         calls.clear()
         solver(inst, a)
-        (log,) = calls
+        ((log, kept),) = calls
         assert log.count(("iterate",)) == 1, name  # phase 2 only
         (crash,) = crash_pivots(log)
-        S = crash[2]  # column k of an equilibrium LP is profile k
+        S = kept[crash[2]]
         if concept == "dropout":
             # every agent already plays the empty slice at profile 0
             assert S == 0
