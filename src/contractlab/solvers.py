@@ -5,17 +5,21 @@ pivots fraction-free over integers: each row is scaled to integers once (a
 row of ints is taken as it is), and the tableau holds Python ints over one
 common denominator d, updated by Bareiss pivots whose divisions are exact.
 
-A presolve first takes out the forcing rows (Andersen & Andersen, Math.
-Programming 1995): rhs 0 and entries of one sign, every entry <= 0 on a
-">=" row or >= 0 on a "<=" row. For x >= 0 the terms a_j x_j then share
-that sign and sum to 0, so every feasible x has x_j = 0 wherever a_j != 0.
-The tableau leaves out the row and those columns, and x is 0 on them; "="
-rows stay in, for phase 1 to drive out. A forcing row's dual is not read
-off the tableau. It takes the sign its relation needs, so that
-w_r a_rj = k |a_rj| only adds to each column's side of A^T w >= c, and k
-is the least integer that covers what that side still lacks on the row's
-columns. The row is 0 on every kept column and its rhs is 0, so neither
-another column nor the dual value moves.
+A presolve sorts the integer rows by one rule (Andersen & Andersen, Math.
+Programming 1995): a row with rhs 0, a relation other than "=" and entries
+of one sign is decided by x >= 0 alone. Every x >= 0 meets it when every
+entry is >= 0 on a ">=" row or <= 0 on a "<=" row, all 0 included: the row
+is met and left out, with dual 0 and no pivot changed (``_presolve`` says
+why). With the other sign, not all 0, the terms a_j x_j share that sign and
+sum to 0, so x_j = 0 wherever a_j != 0: the row is forcing, and it leaves
+the tableau with those columns. A forcing row's dual takes the sign its
+relation needs, so that w_r a_rj = k |a_rj| only adds to each column's side
+of A^T w >= c, and k is the least integer that covers what that side still
+lacks on the row's columns; the row is 0 on every kept column and its rhs
+is 0, so neither another column nor the dual value moves. "=" rows stay in,
+for phase 1 to drive out. The tableau copies each kept row over the gcd of
+its entries and rhs: a positive row scale changes no ratio test and no
+phase-2 reduced cost.
 
 Homogeneous ">=" rows are negated into "<=" rows that start basic on their
 slacks, so only rows with a positive right-hand side that are not "<=" get
@@ -24,28 +28,21 @@ structural column where the row has a positive entry and wins the column's
 ratio test; that pivot keeps the basis feasible. Phase 1 runs only if an
 artificial is still basic after it, with its objective row over the
 denominator the crash left. Before an optimum is returned it is certified in
-integers on the program's own scaled rows, every row and every column, kept
-before the tableau copies them: x, the tableau's right-hand sides over d, is
-primal feasible, the duals read off the final tableau over d (and the
-forcing rows' duals) are dual feasible, and the two objective values agree.
-The certificate takes only those integers from the tableau, so a corrupted
-pivot is still caught. Exactness matters: equilibria hold with ties, so
-every comparison must be decided without rounding.
+integers on the program's rows as scaled to integers before the tableau
+copies them, every row and every column: x, the tableau's right-hand sides
+over d, is primal feasible, the duals read off the final tableau over d
+(and the met and forcing rows' duals) are dual feasible, and the two
+objective values agree. The certificate takes only those integers from the
+tableau, so a corrupted pivot is still caught. Exactness matters:
+equilibria hold with ties, so every comparison must be decided without
+rounding.
 
 The equilibrium benchmarks and the ``fixtures`` samplers are one LP,
-``equilibrium_lp``, over the regret rows the distribution verifiers check
-(``equilibria.regret_rows``). Those rows are integers; each enters the LP as
-follow - deviate divided by the gcd of its entries. A row with no negative
-entry is left out: every p >= 0 meets it, and its slack can fall in a pivot
-only beside a basic p(S) whose ratio is no larger, which Bland's rule takes
-first by its lower index, so no pivot, vertex or dual changes without it (in
-LP presolve, a redundant row: Andersen & Andersen, Math. Programming 1995).
-A row with no positive entry is a forcing row, and the presolve drops the
-profiles where it is negative, most of them on the regret rows of CCE and
-CE. Bland's rule meets the kept columns in their old order, so at a tied
+``equilibrium_lp``: every regret row the distribution verifiers check
+(``equilibria.regret_rows``), follow - deviate >= 0, then sum p = 1. Rows
+with no negative entry are met, and most rows of CCE and CE are forcing.
+Bland's rule meets the kept columns in their old order, so at a tied
 optimum the vertex can move; the value cannot.
-A positive row scale changes neither the reduced-cost signs nor the ratio
-test, so the simplex takes the pivots it would take on the rational rows.
 Phase 1 never runs on these LPs: sum p = 1 is their only row with an
 artificial, and the crash pivots it onto the first kept profile whose point
 mass meets every regret row, which for CE and CCE rows is a PNE. One always
@@ -181,15 +178,23 @@ def _iterate(tab, basis, d, allowed_cols):
 _FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 
 
-def _forcing(row, rel) -> bool:
-    """Is the integer row (rhs last) a forcing row: rhs 0 and entries of one
-    sign, not all 0, that x >= 0 meets only at a . x = 0 (every entry <= 0
-    on a ">=" row, >= 0 on a "<=" row)?"""
+def _presolve(row, rel) -> str:
+    """The presolve's verdict on the integer row (rhs last): "met",
+    "forcing" or "kept" (see the module docstring).
+
+    A met row's absence changes no pivot of any LP: its slack is s = |a| . x,
+    the sum of |a_j| x_j over the basic x_j. If an entering column makes s
+    fall at rate r_s > 0, some x_j with a_j != 0 falls at a rate r_j > 0,
+    and the least such x_j / r_j is at most s / r_s (a mediant). Bland's
+    rule breaks a tie for the lower index, a structural one, so s never
+    leaves the basis, no other row changes, and its dual is 0.
+    """
     if row[-1] or rel == "=":
-        return False
-    if rel == ">=":
-        return max(row) == 0 and min(row) < 0
-    return min(row) == 0 and max(row) > 0
+        return "kept"
+    lo, hi = (min(row), max(row)) if rel == ">=" else (-max(row), -min(row))
+    if lo >= 0:
+        return "met"
+    return "forcing" if hi <= 0 else "kept"
 
 
 def solve_lp(lp: LinearProgram) -> LpResult:
@@ -197,17 +202,24 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     sign = 1 if lp.sense == "max" else -1
 
     # scale each row to integers once; the certificate reads these rows.
-    # A forcing row and the columns it forces to 0 stay out of the tableau
-    rows = [over_common_denominator([*coeffs, rhs])[0] for coeffs, _, rhs in lp.rows]
-    forcing = [r for r, (row, (_, rel, _)) in enumerate(zip(rows, lp.rows))
-               if _forcing(row, rel)]
+    # The tableau copies only the kept rows, each over its gcd
+    rows, at, forcing = [], [], []  # at: the tableau's rows
+    for r, (coeffs, rel, rhs) in enumerate(lp.rows):
+        row = over_common_denominator([*coeffs, rhs])[0]
+        kind = _presolve(row, rel)
+        if kind == "kept":
+            at.append(r)
+            g = gcd(*row)
+            if g > 1:
+                row = [v // g for v in row]
+        elif kind == "forcing":
+            forcing.append(r)
+        rows.append(row)
     forced = {j for r in forcing for j, v in enumerate(rows[r]) if v}
     cols = [j for j in range(len(objective)) if j not in forced]
-    skip = set(forcing)
-    at = [r for r in range(len(rows)) if r not in skip]  # the tableau's rows
     n = len(cols)
 
-    # the tableau copies the other rows on the kept columns, with every rhs
+    # the tableau copies those rows on the unforced columns, with every rhs
     # nonnegative and every homogeneous ">=" row made a "<=" row, so that it
     # starts basic on its slack
     keep = cols + [-1]
@@ -340,10 +352,11 @@ def _certify(lp: LinearProgram, rows, objective, x, d, w) -> int:
 
     ``rows`` (rhs last) and ``objective`` are ``lp``'s rows and objective
     scaled to integers, s being the objective's scale, and y is the dual of
-    those integer rows. They are scaled once, before the tableau copies
-    them, so a corrupted tableau cannot bend them to fit. x, d and w are the
-    tableau's integers, d > 0, with x 0 and w chosen outside the tableau on
-    the forcing rows' columns and rows. With c negated for "min", x must satisfy
+    those integer rows, each a positive multiple of its row of ``lp``. They
+    are scaled once, before the tableau copies them, so a corrupted tableau
+    cannot bend them to fit. x, d and w are the tableau's integers, d > 0,
+    with x 0 and w chosen outside the tableau on the forcing rows' columns
+    and on the met and forcing rows. With c negated for "min", x must satisfy
     every row, a_r . x against b_r * d under the row's relation, and
     x >= 0; w needs w_r >= 0 on "<=" rows and w_r <= 0 on ">=" rows,
     sum_r w_r a_rj >= c_j * d for every column j and
@@ -396,23 +409,9 @@ def equilibrium_lp(inst: Instance, a: Contract, concept: str, sense: str = "max"
     """
     profiles = _profiles(inst, "equilibrium LP")
     table = [Fraction(n, d) for n, d in inst.reward.table()]
-    rows = []
-    for *_, follow, deviate, _ in regret_rows(inst, a, concept, profiles,
-                                              table.__getitem__):
-        row = list(map(sub, follow, deviate))
-        if min(row) >= 0:
-            # p >= 0 meets a . p >= 0 when a >= 0, and the row changes no
-            # pivot: its slack s = a . p falls with an entering column only
-            # where some basic p(S) with a_S > 0 falls too, and s's ratio is
-            # then no less than the least of theirs. At best s ties one, and
-            # Bland's rule takes the p(S), whose index is lower. So s never
-            # leaves the basis, no other row or vertex changes, its dual is
-            # 0, and _certify's x >= 0 check still covers the row.
-            continue
-        g = gcd(*row)
-        if g > 1:
-            row = [v // g for v in row]
-        rows.append((tuple(row), ">=", 0))
+    rows = [(tuple(map(sub, follow, deviate)), ">=", 0)
+            for *_, follow, deviate, _ in regret_rows(inst, a, concept, profiles,
+                                                      table.__getitem__)]
     rows.append(((1,) * len(profiles), "=", 1))
     weights = table if objective is None else [objective(S) for S in profiles]
     result = solve_lp(LinearProgram(objective=tuple(weights), sense=sense,
@@ -420,7 +419,7 @@ def equilibrium_lp(inst: Instance, a: Contract, concept: str, sense: str = "max"
     if result.status != "optimal":
         raise RuntimeError(f"equilibrium LP came back {result.status}")
     dist = JointDistribution(tuple(
-        (S, p) for S, p in zip(profiles, result.x) if p > 0))
+        (S, p) for S, p in zip(profiles, result.x) if p))
     return dist, (ONE - a.total()) * dist.expectation(table.__getitem__)
 
 

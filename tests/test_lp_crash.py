@@ -109,15 +109,24 @@ def _rescaled(prog, rng):
                          sense=prog.sense, rows=tuple(rows))
 
 
-def _fraction_certificate(prog, x, d, w):
+def _row_scale(row, coeffs, rhs):
+    """The s > 0 with ``row`` = s * (coeffs, rhs); 1 for an all-0 row. Fails
+    unless the integer row is a positive multiple of the program's row."""
+    pairs = [(v, F(u)) for v, u in zip(row, (*coeffs, rhs))]
+    s = next((F(v) / u for v, u in pairs if u), F(1))
+    assert s > 0 and all(v == s * u for v, u in pairs), (row, coeffs, rhs)
+    return s
+
+
+def _fraction_certificate(prog, rows, x, d, w):
     """Does x / d with the dual y_r = w_r s_r / (d s_c) pass the primal, dual
-    and value checks, in Fractions on ``prog`` as given? s_r and s_c are the
-    lcms of the denominators of row r (rhs included) and of the objective,
-    the scales of the integer forms ``_certify`` reads."""
+    and value checks, in Fractions on ``prog`` as given? s_r is the scale of
+    the integer row ``rows[r]`` that ``_certify`` reads, a positive multiple
+    of row r of ``prog``, and s_c the lcm of the objective's denominators."""
     s_c = lcm(*(c.denominator for c in prog.objective))
     xs = [F(v, d) for v in x]
-    ys = [F(w_r * lcm(*(v.denominator for v in (*coeffs, rhs))), d * s_c)
-          for w_r, (coeffs, _, rhs) in zip(w, prog.rows)]
+    ys = [F(w_r) * _row_scale(row, coeffs, rhs) / (d * s_c)
+          for w_r, row, (coeffs, _, rhs) in zip(w, rows, prog.rows)]
     c = [v if prog.sense == "max" else -v for v in prog.objective]
     return (all(v >= 0 for v in xs)
             and all(_meets(sum(map(F.__mul__, coeffs, xs)), rel, rhs)
@@ -150,7 +159,7 @@ def test_certificate_matches_a_fraction_check(monkeypatch):
             continue
         optima += 1
         (_, rows, objective, x, d, w), = calls
-        assert _fraction_certificate(prog, x, d, w)
+        assert _fraction_certificate(prog, rows, x, d, w)
         tampered = [([*x[:j], x[j] + e, *x[j + 1:]], w)
                     for j in range(len(x)) for e in (1, -1)]
         tampered += [(x, [*w[:r], v, *w[r + 1:]])
@@ -161,7 +170,7 @@ def test_certificate_matches_a_fraction_check(monkeypatch):
                 accepted = True
             except RuntimeError:
                 accepted = False
-            assert accepted == _fraction_certificate(prog, bad_x, d, bad_w), \
+            assert accepted == _fraction_certificate(prog, rows, bad_x, d, bad_w), \
                 (prog, bad_x, d, bad_w)
             verdicts += not accepted
     assert optima > 100 and verdicts > 1000

@@ -1,10 +1,10 @@
-"""The rows an equilibrium LP hands to ``solve_lp``: regret rows that every
-p >= 0 meets are left out without changing a pivot or a result, integer rows
-enter the tableau unscaled, and the sampled equilibria lie between the LP
-optima of their concepts."""
+"""The rows an equilibrium LP hands to ``solve_lp``: every regret row, of
+which those that every p >= 0 meets stay out of the tableau without
+changing a pivot or a result; integer rows are taken over 1; and the sampled
+equilibria lie between the LP optima of their concepts."""
 import random
 from fractions import Fraction as F
-from math import gcd
+from operator import sub
 
 import pytest
 
@@ -18,11 +18,18 @@ from contractlab.fixtures import (
     sample_cce,
 )
 from contractlab.solvers import (
-    LinearProgram,
     best_ce,
     best_cce,
     equilibrium_lp,
     worst_cce,
+)
+from test_lp_presolve import (
+    REAL_PRESOLVE,
+    expected_start,
+    forcing_rows,
+    keep_met_rows,
+    met_rows,
+    record_start_tableaus,
 )
 
 KINDS = ("additive", "coverage", "xos", "supermodular", "table")
@@ -30,15 +37,12 @@ SIZES = ([2, 2], [1, 1, 1, 1], [2, 2, 1])
 
 
 def every_regret_row(inst, a, concept):
-    """The LP's rows before any is left out: each regret row as
-    follow - deviate over the gcd of its entries, then sum p = 1."""
+    """The LP's rows: each regret row as follow - deviate >= 0, then
+    sum p = 1."""
     table = [F(n, d) for n, d in inst.reward.table()]
-    rows = []
-    for *_, follow, deviate, _ in regret_rows(inst, a, concept,
-                                              range(1 << inst.m), table.__getitem__):
-        row = [x - y for x, y in zip(follow, deviate)]
-        g = gcd(*row)
-        rows.append((tuple(v // g for v in row) if g > 1 else tuple(row), ">=", 0))
+    rows = [(tuple(map(sub, follow, deviate)), ">=", 0)
+            for *_, follow, deviate, _ in regret_rows(inst, a, concept, range(1 << inst.m),
+                                                      table.__getitem__)]
     rows.append(((1,) * (1 << inst.m), "=", 1))
     return tuple(rows)
 
@@ -47,11 +51,12 @@ def every_regret_row(inst, a, concept):
 @pytest.mark.parametrize("sizes", SIZES, ids=str)
 def test_rows_met_by_every_distribution_change_nothing(monkeypatch, kind, sizes):
     """Every equilibrium LP, for CCE, CE and dropout rows, max and min, f and
-    random objectives, reaches solve_lp without the regret rows whose entries
-    are all >= 0; with them put back in place it gives the same result in
-    the same number of pivots."""
+    random objectives, hands every regret row to solve_lp and to _certify;
+    no row whose entries are all >= 0 reaches the tableau, and with the met
+    rule off the LP gives the same result in the same number of pivots."""
     real_solve, real_pivot = solvers.solve_lp, solvers._pivot
-    solved, pivots = [], [0]
+    real_iterate, real_certify = solvers._iterate, solvers._certify
+    solved, pivots, tableau_rows, certified = [], [0], [], []
 
     def solve(prog):
         solved.append(prog)
@@ -61,11 +66,20 @@ def test_rows_met_by_every_distribution_change_nothing(monkeypatch, kind, sizes)
         pivots[0] += 1
         return real_pivot(*args)
 
-    monkeypatch.setattr(solvers, "solve_lp", solve)
-    monkeypatch.setattr(solvers, "_pivot", pivot)
+    def iterate(tab, basis, d, allowed_cols):
+        tableau_rows.append(len(basis))
+        return real_iterate(tab, basis, d, allowed_cols)
+
+    def certify(lp, rows, *args):
+        certified.append(len(rows))
+        return real_certify(lp, rows, *args)
+
+    for name, spy in (("solve_lp", solve), ("_pivot", pivot), ("_iterate", iterate),
+                      ("_certify", certify)):
+        monkeypatch.setattr(solvers, name, spy)
     inst = random_instance(kind, 1500 + sum(sizes), len(sizes), sizes)
     rng = random.Random(len(sizes) * 10 + sum(sizes))
-    dropped = 0
+    met_total = 0
     for concept in ("cce", "ce", "dropout"):
         for sense in ("max", "min"):
             weights = [F(rng.randint(-5, 10)) for _ in range(1 << inst.m)]
@@ -74,20 +88,43 @@ def test_rows_met_by_every_distribution_change_nothing(monkeypatch, kind, sizes)
                 solved.clear()
                 equilibrium_lp(inst, a, concept, sense, objective)
                 (prog,) = solved
-                *regret, last = prog.rows
-                assert last == ((1,) * (1 << inst.m), "=", 1)
-                assert all(min(coeffs) < 0 for coeffs, _, _ in regret)
-                rows = every_regret_row(inst, a, concept)
-                assert prog.rows == tuple(r for r in rows
-                                          if r is rows[-1] or min(r[0]) < 0)
-                dropped += len(rows) - len(prog.rows)
-                pivots[0] = 0
-                kept = real_solve(prog)
-                kept_pivots, pivots[0] = pivots[0], 0
-                full = real_solve(LinearProgram(objective=prog.objective,
-                                                sense=sense, rows=rows))
-                assert (full, pivots[0]) == (kept, kept_pivots)
-    assert dropped > 0
+                assert prog.rows == every_regret_row(inst, a, concept)
+                met = len(met_rows(prog.rows))
+                forcing = len(forcing_rows(prog.rows)[0])
+                met_total += met
+                runs = []
+                for presolve in (REAL_PRESOLVE, keep_met_rows):
+                    monkeypatch.setattr(solvers, "_presolve", presolve)
+                    pivots[0] = 0
+                    tableau_rows.clear()
+                    certified.clear()
+                    result = real_solve(prog)
+                    # phase 1 never runs: the one simplex call is phase 2
+                    (n_rows,) = tableau_rows
+                    assert certified == [len(prog.rows)]
+                    runs.append((result, pivots[0], n_rows))
+                (result, n_pivots, n_rows), off = runs
+                assert n_rows == len(prog.rows) - met - forcing
+                assert off == (result, n_pivots, n_rows + met)
+    assert met_total > 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("sizes", SIZES, ids=str)
+def test_tableau_starts_from_every_regret_row(monkeypatch, kind, sizes):
+    """For CCE, CE and dropout rows the initial tableau is the rows
+    follow - deviate over their gcd, built here from ``regret_rows``, less
+    the met and the forcing rows and the profiles they force."""
+    log = record_start_tableaus(monkeypatch)
+    inst = random_instance(kind, 1700 + sum(sizes), len(sizes), sizes)
+    rng = random.Random(len(sizes) * 1000 + sum(sizes))
+    for concept in ("cce", "ce", "dropout"):
+        for sense in ("max", "min"):
+            a = random_contract(inst.n, rng)
+            log.clear()
+            equilibrium_lp(inst, a, concept, sense)
+            ((_, _, start),) = log
+            assert start == expected_start(every_regret_row(inst, a, concept))
 
 
 def test_integer_rows_pass_through_unscaled():
