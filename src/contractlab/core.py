@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import countOf
 from typing import Iterator, Optional, Sequence
 
 Scalar = Fraction
@@ -92,11 +93,12 @@ def as_fraction(x) -> Fraction:
 
 
 def over_common_denominator(values) -> tuple:
-    """``values`` (Fractions or ints) times the lcm of their denominators, as
-    ints, and that lcm. Values that are all ints come back as they are, not
-    copied, with denominator 1. Raises TypeError on any other value, an
-    inexact float included."""
-    if all(type(v) is int for v in values):
+    """``values`` (a sequence of Fractions or ints) times the lcm of their
+    denominators, as ints, and that lcm. Values that are all ints come back
+    as they are, not copied, with denominator 1; the types are counted at C
+    speed, and a bool is not an int here, so it comes back as 0 or 1 in a new
+    list. Raises TypeError on any other value, an inexact float included."""
+    if countOf(map(type, values), int) == len(values):
         return values, 1
     try:
         den = lcm(*[v.denominator for v in values])
@@ -242,8 +244,11 @@ class Contract:
 
     def __post_init__(self):
         for a in self.alpha:
+            if not isinstance(a, Fraction):
+                raise TypeError(f"share {a!r} is a {type(a).__name__}, not a Fraction;"
+                                " Contract.of coerces ints and strings")
             # a Fraction's denominator is positive: 0 <= a <= 1 in integers
-            if not isinstance(a, Fraction) or not 0 <= a.numerator <= a.denominator:
+            if not 0 <= a.numerator <= a.denominator:
                 raise ValueError(f"share {a!r} outside [0, 1]")
 
     @classmethod

@@ -4,7 +4,11 @@ Each of CE, CCE and dropout stability is one family of linear regret rows,
 written once in ``regret_rows`` in integers, one positive scale per group of
 rows: the verifiers evaluate those rows on a support, and the LP benchmarks
 and samplers take them as constraints. A PNE is the point-mass case:
-``is_pne`` reads the CE rows of the point mass.
+``is_pne`` reads the CE rows of the point mass. ``regret_rows`` reads f as
+integer pairs (numerator, denominator): the LPs hand it the reward's
+``table()`` over all 2^m profiles, each profile its own position in it, and
+the verifiers read the value oracle (``value_pairs``) on a support's
+profiles and their deviations, placed through a dict.
 
 All verifiers use weak inequalities decided exactly, in integers over the
 rows' scale and the probabilities' common denominator. The optional ``tol``
@@ -154,7 +158,7 @@ def is_pne(inst: Instance, S: int, a: Contract, tol=None) -> Verdict:
 
 
 def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[int],
-                f: Callable[[int], Fraction]):
+                f: Callable[[int], tuple]):
     """The regret rows of ``concept`` ("ce", "cce" or "dropout") over ``profiles``,
     in integers.
 
@@ -169,30 +173,44 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
     deviations in ``submasks`` order, and a group's rows share one follow list
     and one scale.
 
-    The scale is q_i * cost_den * the lcm of the denominators of the f values
-    the group reads, for a_i = p_i / q_i, so every entry is an exact integer.
-    f is read once per distinct profile: the profiles' own values first, into
-    a list aligned with ``profiles``, then each deviation S_-i | T when a
-    group first needs it, through one dict keyed by profile. A member that
-    deviates to its own slice reads the list. The scaled values a_i f(S) *
-    scale are kept per agent while the lcm stays the same, so the full-width
-    CE groups of an agent, which all read every profile, scale each value
-    once. Slice costs come from ``Instance.cost_numerator``.
+    ``f(S)`` is f at profile S as an integer pair (numerator, denominator),
+    the denominator positive and the pair not necessarily in lowest terms: a
+    reward's ``table()`` read by index, or ``value_pairs(reward)``. The
+    scale is q_i * cost_den * the lcm of the denominators of the pairs the
+    group reads, for a_i = p_i / q_i, so every entry is an exact integer.
+    f is read once per distinct profile, into a list, in one of two position
+    modes. When ``profiles`` is ``range(2**m)``, as the LP benchmarks pass
+    it, each profile is its own position, so a deviation S_-i | T indexes
+    the list directly; every group then reads every profile (its members and
+    their deviations over all of the agent's slices T are all 2^m), and its
+    lcm is the whole list's. Otherwise, as the verifiers pass a support, a
+    dict gives each profile its position in order of first read: the
+    profiles' own values first, then each deviation when a group first needs
+    it; a member that deviates to its own slice reads its own position. The
+    scaled values a_i f(S) * scale are kept per agent while the lcm stays
+    the same, so the full-width groups of an agent scale each value once,
+    and a full-width group (CCE, dropout) builds each row as a list
+    comprehension over its positions. Slice costs come from
+    ``Instance.cost_numerator``.
     """
     if concept not in ("ce", "cce", "dropout"):
         raise ValueError(f"unknown concept {concept!r}")
     inst.check_contract(a)
     width = len(profiles)
-    where: dict = {}  # profile -> its position in nums and dens
-    nums, dens = [], []  # f of every profile read, as numerator, denominator
-    claim = where.setdefault  # a new profile gets the next position
-    own_f = [claim(S, len(where)) for S in profiles]
-    for S, at in zip(profiles, own_f):
-        if at == len(nums):
-            v = f(S)
-            nums.append(v.numerator)
-            dens.append(v.denominator)
-    everyone = ((None, range(width)),)
+    full = range(width)
+    if profiles == range(1 << inst.m):
+        where = None  # each profile is its own position in pairs
+        pairs = list(map(f, profiles))
+        own_f = profiles
+        every_den = lcm(*{d for _, d in pairs})
+    else:
+        where: dict = {}  # profile -> its position in pairs
+        pairs = []  # f of every profile read, as (numerator, denominator)
+        claim = where.setdefault  # a new profile gets the next position
+        own_f = [claim(S, len(where)) for S in profiles]
+        for S, at in zip(profiles, own_f):
+            if at == len(pairs):
+                pairs.append(f(S))
     # read once, as it is parsed from the environment; dropout rows skip it
     cap = None if concept == "dropout" else enum_cap_bits()
     for i in range(inst.n):
@@ -212,30 +230,38 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
                 groups.setdefault(own, []).append(k)
             groups = groups.items()
         else:
-            groups = everyone
+            groups = ((None, full),)
         top, q = a[i].numerator * inst.cost_den, a[i].denominator
-        value, value_den = {}, None  # position -> a_i f(S) * scale, for the last lcm
+        value, value_den = None, None  # position -> a_i f(S) * scale, for the last lcm
         for rec, members in groups:
             deviations = [T for T in targets if T != rec]
-            reads = []  # per deviation, the position of each member's f
-            for T in deviations:
-                row = [own_f[k] if owns[k] == T else claim(rests[k] | T, len(where))
-                       for k in members]
-                if len(where) > len(nums):  # new profiles, in order of position
-                    for k, at in zip(members, row):
-                        if at == len(nums):
-                            v = f(rests[k] | T)
-                            nums.append(v.numerator)
-                            dens.append(v.denominator)
-                reads.append(row)
-            needed = {own_f[k] for k in members}
-            needed.update(*reads)
-            den = lcm(*{dens[at] for at in needed})
-            if den != value_den:
-                value, value_den = {}, den
-            for at in needed:
-                if at not in value:
-                    value[at] = top * nums[at] * (den // dens[at])
+            if where is None:
+                # the group's members and their deviations S_-i | T, over
+                # all of the agent's slices T, read every profile
+                away = rests if members is full else [rests[k] for k in members]
+                reads = [[rest | T for rest in away] for T in deviations]
+                den = every_den
+                if value is None:
+                    value = [top * num * (den // d) for num, d in pairs]
+            else:
+                reads = []  # per deviation, the position of each member's f
+                for T in deviations:
+                    row = [own_f[k] if owns[k] == T else claim(rests[k] | T, len(where))
+                           for k in members]
+                    if len(where) > len(pairs):  # new profiles, in order of position
+                        for k, at in zip(members, row):
+                            if at == len(pairs):
+                                pairs.append(f(rests[k] | T))
+                    reads.append(row)
+                needed = {own_f[k] for k in members}
+                needed.update(*reads)
+                den = lcm(*{pairs[at][1] for at in needed})
+                if den != value_den:
+                    value, value_den = {}, den
+                for at in needed:
+                    if at not in value:
+                        num, d = pairs[at]
+                        value[at] = top * num * (den // d)
             base = q * den
             follow = [0] * width
             for k in members:
@@ -246,10 +272,23 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
             scale = base * inst.cost_den
             for T, row in zip(deviations, reads):
                 cost_T = costs[T] * base
-                deviate = [0] * width
-                for k, at in zip(members, row):
-                    deviate[k] = value[at] - cost_T
+                if members is full:
+                    deviate = [value[at] - cost_T for at in row]
+                else:
+                    deviate = [0] * width
+                    for k, at in zip(members, row):
+                        deviate[k] = value[at] - cost_T
                 yield i, rec, T, follow, deviate, scale
+
+
+def value_pairs(reward) -> Callable[[int], tuple]:
+    """f read from ``reward.value`` as the integer pairs ``regret_rows``
+    takes, for profiles that are not worth a whole table."""
+    value = reward.value
+
+    def pair(S: int) -> tuple:
+        return value(S).as_integer_ratio()
+    return pair
 
 
 def _violation(inst: Instance, support, a: Contract, concept: str,
@@ -265,7 +304,7 @@ def _violation(inst: Instance, support, a: Contract, concept: str,
     weights, den = over_common_denominator(probs)
     group = None
     for i, rec, T, follow, deviate, scale in regret_rows(inst, a, concept, profiles,
-                                                         inst.reward.value):
+                                                         value_pairs(inst.reward)):
         if follow is not group:
             group = follow
             lhs = sum(map(mul, weights, follow))

@@ -235,7 +235,7 @@ def random_instance(kind: str, seed: int, n: int, sizes) -> Instance:
 
 
 def _random_objective(rng: random.Random):
-    return lambda S: Fraction(rng.randint(-5, 10))
+    return lambda S: rng.randint(-5, 10)
 
 
 def sample_dropout_stable(inst: Instance, a: Contract,

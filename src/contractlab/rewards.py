@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import index
 from typing import Callable, Sequence
 
 from .core import (
@@ -155,7 +156,7 @@ class CoverageReward(RewardFunction):
         self.weights = tuple(as_fraction(w) for w in weights)
         if any(w < 0 for w in self.weights):
             raise ValueError("universe weights must be nonnegative")
-        self.covers = tuple(int(c) for c in covers)
+        self.covers = tuple(map(index, covers))  # TypeError on a float cover
         self.m = len(self.covers)
         top = 1 << len(self.weights)
         if any(not 0 <= c < top for c in self.covers):

@@ -2,7 +2,8 @@
 
 The simplex is a two-phase tableau method with Bland's anti-cycling rule. It
 pivots fraction-free over integers: each row is scaled to integers once (a
-row of ints is taken as it is), and the tableau holds Python ints over one
+row of ints is taken as it is, its types counted at C speed by
+``core.over_common_denominator``), and the tableau holds Python ints over one
 common denominator d, updated by Bareiss pivots whose divisions are exact.
 
 A presolve sorts the integer rows by one rule (Andersen & Andersen, Math.
@@ -41,6 +42,11 @@ The equilibrium benchmarks and the ``fixtures`` samplers are one LP,
 ``equilibrium_lp``: every regret row the distribution verifiers check
 (``equilibria.regret_rows``), follow - deviate >= 0, then sum p = 1. Rows
 with no negative entry are met, and most rows of CCE and CE are forcing.
+The LP is integer from the reward table to the certified value: the rows
+read f as the integer pairs of ``RewardFunction.table()``, each profile its
+own position, the default objective is the table's numerators over their
+lcm L, and E[f] is the certified optimum over L, with no ``Fraction`` per
+profile. A sampler's random objective is integers too.
 Bland's rule meets the kept columns in their old order, so at a tied
 optimum the vertex can move; the value cannot.
 Phase 1 never runs on these LPs: sum p = 1 is their only row with an
@@ -72,7 +78,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import sub
 from typing import Callable, Optional, Sequence
 
@@ -404,23 +410,33 @@ def equilibrium_lp(inst: Instance, a: Contract, concept: str, sense: str = "max"
     ``concept``, with the principal's utility under it.
 
     ``objective(S)`` weighs profile S, f(S) (expected reward) by default. f is
-    tabulated once, by ``inst.reward.table()``, for the rows and the
-    objective. Raises RuntimeError unless the LP is solved to optimality.
+    tabulated once, as the integer pairs of ``inst.reward.table()``, for the
+    rows and the default objective, which is the table's numerators over
+    their lcm L: the certified optimum ``LpResult.value`` is then L E[f].
+    Raises RuntimeError unless the LP is solved to optimality.
     """
     profiles = _profiles(inst, "equilibrium LP")
-    table = [Fraction(n, d) for n, d in inst.reward.table()]
+    table = inst.reward.table()
     rows = [(tuple(map(sub, follow, deviate)), ">=", 0)
             for *_, follow, deviate, _ in regret_rows(inst, a, concept, profiles,
                                                       table.__getitem__)]
     rows.append(((1,) * len(profiles), "=", 1))
-    weights = table if objective is None else [objective(S) for S in profiles]
+    if objective is None:
+        den = lcm(*{d for _, d in table})
+        weights = [num * (den // d) for num, d in table]
+    else:
+        weights = [objective(S) for S in profiles]
     result = solve_lp(LinearProgram(objective=tuple(weights), sense=sense,
                                     rows=tuple(rows)))
     if result.status != "optimal":
         raise RuntimeError(f"equilibrium LP came back {result.status}")
     dist = JointDistribution(tuple(
         (S, p) for S, p in zip(profiles, result.x) if p))
-    return dist, (ONE - a.total()) * dist.expectation(table.__getitem__)
+    if objective is None:
+        reward = result.value / den
+    else:
+        reward = dist.expectation(lambda S: Fraction(*table[S]))
+    return dist, (ONE - a.total()) * reward
 
 
 def best_cce(inst: Instance, a: Contract):

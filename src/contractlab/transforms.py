@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Contract, Instance, ONE, ZERO
+from .core import Contract, Instance, ONE, ZERO, as_fraction
 from .equilibria import (
     JointDistribution,
     best_response_dynamics,
@@ -25,13 +25,19 @@ THREE_QUARTERS = Fraction(3, 4)
 
 @dataclass(frozen=True)
 class ScalingParams:
-    """gamma > 1, the agent subset kept active, and an optional uniform bump."""
+    """gamma > 1, the agent subset kept active, and an optional uniform bump.
+
+    gamma and epsilon are read with ``as_fraction``: an int or a string
+    becomes a ``Fraction``, and a float is refused with TypeError.
+    """
 
     gamma: Fraction
     subset: frozenset
     epsilon: Fraction = ZERO
 
     def __post_init__(self):
+        object.__setattr__(self, "gamma", as_fraction(self.gamma))
+        object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
         if self.gamma <= 1:
             raise ValueError("gamma must exceed 1")
         if self.epsilon < 0:

@@ -1,6 +1,7 @@
 import importlib
 import pkgutil
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from contractlab.core import (
     enum_cap_bits,
     mask_of,
     make_instance,
+    over_common_denominator,
     potential,
     principal_utility,
     profile_cap,
@@ -122,6 +124,36 @@ def test_contract_bounds():
     a = Contract.of(["1/2", "1/2", "1/2"])
     assert a.total() == F(3, 2)  # totals above 1 are allowed
     assert a.replace(0, F(0)).total() == F(1)
+
+
+def test_contract_names_the_type_of_a_share_that_is_not_a_fraction():
+    for bad, kind in ((0.25, "float"), (1, "int"), ("1/2", "str"), (None, "NoneType")):
+        with pytest.raises(TypeError, match=f"^share .* is a {kind}, not a Fraction"):
+            Contract((F(1, 2), bad))
+    for bad in (F(5, 4), F(-1, 4)):
+        with pytest.raises(ValueError, match="outside"):
+            Contract((bad,))
+    assert Contract.of([1, "1/4"]).alpha == (F(1), F(1, 4))
+
+
+def test_over_common_denominator_counts_ints_at_c_speed():
+    """All ints come back as they are; a bool is not an int here and comes
+    back as 0 or 1 in a new list; a float or a non-rational is refused."""
+    for ints in ([3, -4, 0], (7,), [], [10 ** 40, -1]):
+        scaled, den = over_common_denominator(ints)
+        assert scaled is ints and den == 1
+    flags = [True, 2, False]
+    scaled, den = over_common_denominator(flags)
+    assert (scaled, den) == ([1, 2, 0], 1) and scaled is not flags
+    assert [type(v) for v in scaled] == [int, int, int]
+    assert over_common_denominator([True, F(1, 2)]) == ([2, 1], 2)
+    assert over_common_denominator((F(2, 3), -1)) == ([2, -3], 3)
+    for bad in ([1, 2.5], [2.0], [F(1, 2), 0.5], [True, 1.0]):
+        with pytest.raises(TypeError, match="inexact float"):
+            over_common_denominator(bad)
+    for bad in ([1, "2"], [Decimal(1)], [F(1, 3), None], [1j]):
+        with pytest.raises(TypeError, match="non-rational"):
+            over_common_denominator(bad)
 
 
 def test_agent_utility_separation():

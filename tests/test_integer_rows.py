@@ -17,6 +17,7 @@ from contractlab.equilibria import (
     is_mne,
     is_pne,
     regret_rows,
+    value_pairs,
 )
 from contractlab.fixtures import (
     claim_c3_mne,
@@ -112,7 +113,8 @@ def test_row_values_are_exact_utilities(concept):
             everything = list(range(1 << inst.m))
             samples = (everything, rng.sample(everything, min(5, len(everything))))
         for profiles in samples:
-            got = list(regret_rows(inst, a, concept, profiles, inst.reward.value))
+            got = list(regret_rows(inst, a, concept, profiles,
+                                   value_pairs(inst.reward)))
             want = expected_rows(inst, profiles, concept)
             assert [row[:3] for row in got] == [row[:3] for row in want], label
             for (i, _, T, follow, deviate, scale), (*_, members) in zip(got, want):

@@ -39,7 +39,7 @@ SIZES = ([2, 2], [1, 1, 1, 1], [2, 2, 1])
 def every_regret_row(inst, a, concept):
     """The LP's rows: each regret row as follow - deviate >= 0, then
     sum p = 1."""
-    table = [F(n, d) for n, d in inst.reward.table()]
+    table = inst.reward.table()
     rows = [(tuple(map(sub, follow, deviate)), ">=", 0)
             for *_, follow, deviate, _ in regret_rows(inst, a, concept, range(1 << inst.m),
                                                       table.__getitem__)]

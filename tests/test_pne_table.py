@@ -20,7 +20,7 @@ from contractlab.core import (
     principal_utility,
     submasks,
 )
-from contractlab.equilibria import is_pne, regret_rows
+from contractlab.equilibria import is_pne, regret_rows, value_pairs
 from contractlab.fixtures import random_instance
 from contractlab.rewards import TableReward
 from contractlab.solvers import (
@@ -219,7 +219,7 @@ def test_contract_length_must_match_agents(count):
         is_pne(inst, 0, a)
     for concept in ("ce", "cce", "dropout"):
         with pytest.raises(ValueError, match="for 3 agents"):
-            list(regret_rows(inst, a, concept, [0, 1], inst.reward.value))
+            list(regret_rows(inst, a, concept, [0, 1], value_pairs(inst.reward)))
 
 
 def test_best_pne_never_asks_an_idle_agent(monkeypatch):

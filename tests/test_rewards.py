@@ -35,6 +35,15 @@ def test_value_rejects_stray_bits():
         separation_example().reward.value(1 << 5)
 
 
+def test_coverage_refuses_a_cover_that_is_not_an_int():
+    for bad in ([1, 1.9], [1.0, 2], [1, "2"], [1, F(2)]):
+        with pytest.raises(TypeError):
+            CoverageReward([1, 2], bad)
+    assert CoverageReward([1, 2], [1, 3]).covers == (1, 3)
+    # a bool is an index: True covers element 0, as 1 does
+    assert CoverageReward([1, 2], [True, 2]).covers == (1, 2)
+
+
 def test_table_reward_needs_power_of_two():
     with pytest.raises(ValueError):
         TableReward([0, 1, 2])

@@ -44,6 +44,21 @@ def test_scaling_params_validation():
         ScalingParams(gamma=F(2), subset=frozenset(), epsilon=F(-1))
 
 
+def test_scaling_params_refuse_floats():
+    for kwargs in ({"gamma": 2.0}, {"gamma": F(2), "epsilon": 0.25}):
+        with pytest.raises(TypeError, match="inexact float"):
+            ScalingParams(subset=frozenset({0, 1}), **kwargs)
+    # ints are exact: they become Fractions, and scaling runs as with F(2)
+    params = ScalingParams(gamma=2, subset=frozenset({0, 1}), epsilon=0)
+    assert (params.gamma, params.epsilon) == (F(2), F(0))
+    assert type(params.gamma) is F and type(params.epsilon) is F
+    inst = separation_example()
+    a, P = separation_mne()
+    D = P.to_joint(inst)
+    assert scale_for_existence(inst, a, D, params) == scale_for_existence(
+        inst, a, D, ScalingParams(gamma=F(2), subset=frozenset({0, 1})))
+
+
 def test_scaled_contract():
     inst = separation_example()
     a = Contract.of(["1/36", "1/36"])
