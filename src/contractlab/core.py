@@ -152,8 +152,8 @@ class Instance:
 
     ``owners[j]`` is the agent owning global action j; owners must be
     non-decreasing so action ids are numbered in agent order. ``reward`` is a
-    ``rewards.RewardFunction``: it exposes ``m``, ``value(mask) -> Fraction``
-    and ``table()``.
+    ``rewards.RewardFunction``: it exposes ``m``, ``value(mask) -> Fraction``,
+    ``value_pair(mask)`` (f as an integer pair) and ``table()``.
     """
 
     n: int

@@ -7,8 +7,9 @@ and samplers take them as constraints. A PNE is the point-mass case:
 ``is_pne`` reads the CE rows of the point mass. ``regret_rows`` reads f as
 integer pairs (numerator, denominator): the LPs hand it the reward's
 ``table()`` over all 2^m profiles, each profile its own position in it, and
-the verifiers read the value oracle (``value_pairs``) on a support's
-profiles and their deviations, placed through a dict.
+the verifiers hand it the reward's integer value oracle
+(``RewardFunction.value_pair``), read on a support's profiles and their
+deviations, placed through a dict; no ``Fraction`` is built per read.
 
 All verifiers use weak inequalities decided exactly, in integers over the
 rows' scale and the probabilities' common denominator. The optional ``tol``
@@ -175,7 +176,7 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
 
     ``f(S)`` is f at profile S as an integer pair (numerator, denominator),
     the denominator positive and the pair not necessarily in lowest terms: a
-    reward's ``table()`` read by index, or ``value_pairs(reward)``. The
+    reward's ``table()`` read by index, or its ``value_pair``. The
     scale is q_i * cost_den * the lcm of the denominators of the pairs the
     group reads, for a_i = p_i / q_i, so every entry is an exact integer.
     f is read once per distinct profile, into a list, in one of two position
@@ -281,16 +282,6 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
                 yield i, rec, T, follow, deviate, scale
 
 
-def value_pairs(reward) -> Callable[[int], tuple]:
-    """f read from ``reward.value`` as the integer pairs ``regret_rows``
-    takes, for profiles that are not worth a whole table."""
-    value = reward.value
-
-    def pair(S: int) -> tuple:
-        return value(S).as_integer_ratio()
-    return pair
-
-
 def _violation(inst: Instance, support, a: Contract, concept: str,
                tol) -> Verdict:
     """The first regret row of ``concept`` that ``support`` violates, as a
@@ -304,7 +295,7 @@ def _violation(inst: Instance, support, a: Contract, concept: str,
     weights, den = over_common_denominator(probs)
     group = None
     for i, rec, T, follow, deviate, scale in regret_rows(inst, a, concept, profiles,
-                                                         value_pairs(inst.reward)):
+                                                         inst.reward.value_pair):
         if follow is not group:
             group = follow
             lhs = sum(map(mul, weights, follow))

@@ -1,7 +1,14 @@
 """Reward set functions: value oracles and their integer tables, a demand
 oracle (closed forms for additive and XOS rewards, an exhaustive integer
 search over the reward's table otherwise), and exhaustive class-membership
-testers."""
+testers.
+
+Each reward writes its rule once, in integers: ``value_pair(S)`` is f(S) as
+a (numerator, denominator) pair, and ``value(S)`` is that pair as one
+``Fraction``. Additive, XOS and coverage rewards put their weights over one
+common denominator when they are built, so a read sums ints and ``table()``
+fills its rows from the same ints.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -26,12 +33,18 @@ CLASSIFY_CAP = 12
 
 
 class RewardFunction:
-    """Base class; subclasses provide ``m`` and ``value(mask)``."""
+    """Base class; subclasses provide ``m`` and ``value(mask)``, and may
+    provide a faster ``value_pair(mask)``."""
 
     m: int
 
     def value(self, S: int) -> Fraction:
         raise NotImplementedError
+
+    def value_pair(self, S: int) -> tuple:
+        """f(S) as an integer pair (numerator, denominator), the denominator
+        positive, not always in lowest terms. This fallback reads ``value``."""
+        return self.value(S).as_integer_ratio()
 
     def table(self, mask: int | None = None, base: int = 0) -> list:
         """f(base | T) for every T in ``submasks(mask)``, in that order, as
@@ -43,17 +56,16 @@ class RewardFunction:
         otherwise). The caller bounds 2^|mask|: the PNE searches and the LPs
         check the profile cap first, ``classify`` its own cap, ``demand``
         asks for blocks within the profile cap. This fallback calls
-        ``value`` once per profile. Additive, coverage and XOS rewards put
-        their weights over one common denominator and fill the table in
+        ``value_pair`` once per profile. Additive, coverage and XOS rewards
+        fill the table from their weights over one common denominator, in
         integers, one add per profile, each from the profile without its
         highest action of ``mask``, starting from base's sum (or cover); a
         table reward returns its stored values, each over its own
         denominator (one lcm over 2^m arbitrary values can run to thousands
         of digits).
         """
-        value = self.value
-        return [(v.numerator, v.denominator)
-                for v in (value(base | T) for T in submasks(self._cube(mask, base)))]
+        pair = self.value_pair
+        return [pair(base | T) for T in submasks(self._cube(mask, base))]
 
     def _cube(self, mask, base) -> int:
         """``mask`` (all m actions if None) after checking that it and base
@@ -94,6 +106,11 @@ class TableReward(RewardFunction):
         self._check(S)
         return self.values[S]
 
+    def value_pair(self, S: int) -> tuple:
+        self._check(S)
+        v = self.values[S]
+        return v.numerator, v.denominator
+
     def table(self, mask: int | None = None, base: int = 0) -> list:
         if mask is None and not base:
             return [(v.numerator, v.denominator) for v in self.values]
@@ -106,13 +123,18 @@ class AdditiveReward(RewardFunction):
     def __init__(self, per_action: Sequence):
         self.per_action = tuple(as_fraction(v) for v in per_action)
         self.m = len(self.per_action)
+        self._weights, self._den = over_common_denominator(self.per_action)
 
     def value(self, S: int) -> Fraction:
+        return Fraction(*self.value_pair(S))
+
+    def value_pair(self, S: int) -> tuple:
         self._check(S)
-        return sum((self.per_action[j] for j in bits_of(S)), ZERO)
+        weights = self._weights
+        return sum(weights[j] for j in bits_of(S)), self._den
 
     def table(self, mask: int | None = None, base: int = 0) -> list:
-        weights, den = over_common_denominator(self.per_action)
+        weights, den = self._weights, self._den
         positions = list(bits_of(self._cube(mask, base)))
         return [(s, den) for s in _subset_sums([weights[j] for j in positions],
                                                sum(weights[j] for j in bits_of(base)))]
@@ -131,18 +153,25 @@ class XosReward(RewardFunction):
                 raise ValueError("clause width mismatch")
             if any(v < 0 for v in cl):
                 raise ValueError("clause values must be nonnegative")
+        flat, self._den = over_common_denominator(
+            [v for cl in self.clauses for v in cl])
+        m = self.m
+        self._clauses = [flat[k * m:(k + 1) * m] for k in range(len(self.clauses))]
 
     def value(self, S: int) -> Fraction:
+        return Fraction(*self.value_pair(S))
+
+    def value_pair(self, S: int) -> tuple:
         self._check(S)
-        return max(sum((cl[j] for j in bits_of(S)), ZERO) for cl in self.clauses)
+        positions = list(bits_of(S))
+        return (max(sum(clause[j] for j in positions) for clause in self._clauses),
+                self._den)
 
     def table(self, mask: int | None = None, base: int = 0) -> list:
         """One running sum per clause, and their max at each profile."""
-        flat, den = over_common_denominator([v for cl in self.clauses for v in cl])
-        m, best = self.m, None
+        den, best = self._den, None
         positions = list(bits_of(self._cube(mask, base)))
-        for k in range(len(self.clauses)):
-            clause = flat[k * m:(k + 1) * m]
+        for clause in self._clauses:
             sums = _subset_sums([clause[j] for j in positions],
                                 sum(clause[j] for j in bits_of(base)))
             best = sums if best is None else list(map(max, best, sums))
@@ -161,18 +190,23 @@ class CoverageReward(RewardFunction):
         top = 1 << len(self.weights)
         if any(not 0 <= c < top for c in self.covers):
             raise ValueError("cover mask outside universe")
+        self._weights, self._den = over_common_denominator(self.weights)
 
     def value(self, S: int) -> Fraction:
+        return Fraction(*self.value_pair(S))
+
+    def value_pair(self, S: int) -> tuple:
         self._check(S)
+        covers, weights = self.covers, self._weights
         covered = 0
         for j in bits_of(S):
-            covered |= self.covers[j]
-        return sum((self.weights[e] for e in bits_of(covered)), ZERO)
+            covered |= covers[j]
+        return sum(weights[e] for e in bits_of(covered)), self._den
 
     def table(self, mask: int | None = None, base: int = 0) -> list:
         """Adding an action ORs its cover into the profile's and adds the
         weight of only the newly covered elements."""
-        weights, den = over_common_denominator(self.weights)
+        weights, den = self._weights, self._den
         positions = list(bits_of(self._cube(mask, base)))
         start = 0
         for j in bits_of(base):
@@ -194,7 +228,11 @@ class CoverageReward(RewardFunction):
 
 
 class FormulaReward(RewardFunction):
-    """Closed-form rule evaluated by a callback (used by named fixtures)."""
+    """Closed-form rule evaluated by a callback (used by named fixtures).
+
+    The callback must return an exact rational, an ``int`` or a
+    ``Fraction``; anything else, a float included, is a TypeError on read.
+    """
 
     def __init__(self, m: int, fn: Callable[[int], Fraction]):
         self.m = m
@@ -202,7 +240,11 @@ class FormulaReward(RewardFunction):
 
     def value(self, S: int) -> Fraction:
         self._check(S)
-        return self.fn(S)
+        v = self.fn(S)
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"formula reward returned a {type(v).__name__} "
+                            f"({v!r}) at profile {S:#x}, not an int or Fraction")
+        return v
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +356,11 @@ def classify(f: RewardFunction) -> ClassReport:
     full = (1 << m) - 1
     # every test below compares sums of values, so f (and an XOS reward's
     # clauses) times the lcm of their denominators gives the same verdicts
-    # in int arithmetic
+    # in int arithmetic; an XOS table is over its clauses' denominator
     pairs = f.table()
-    clauses = f.clauses if isinstance(f, XosReward) else ()
-    scale = lcm(*[d for _, d in pairs],
-                *[v.denominator for cl in clauses for v in cl])
+    scale = lcm(*{d for _, d in pairs})
     table = [n * (scale // d) for n, d in pairs]
-    clauses = [[v.numerator * (scale // v.denominator) for v in cl]
-               for cl in clauses]
+    clauses = f._clauses if isinstance(f, XosReward) else ()
 
     normalized = table[0] == 0
     nonnegative = all(v >= 0 for v in table)

@@ -407,13 +407,14 @@ def _profiles(inst: Instance, what: str) -> range:
 def equilibrium_lp(inst: Instance, a: Contract, concept: str, sense: str = "max",
                    objective: Optional[Callable[[int], Fraction]] = None):
     """An optimal distribution over all profiles subject to the regret rows of
-    ``concept``, with the principal's utility under it.
+    ``concept``, with the certified optimum of the objective it solved.
 
-    ``objective(S)`` weighs profile S, f(S) (expected reward) by default. f is
-    tabulated once, as the integer pairs of ``inst.reward.table()``, for the
-    rows and the default objective, which is the table's numerators over
-    their lcm L: the certified optimum ``LpResult.value`` is then L E[f].
-    Raises RuntimeError unless the LP is solved to optimality.
+    ``objective(S)`` weighs profile S, f(S) by default, when the optimum is
+    E[f] under the distribution. f is tabulated once, as the integer pairs
+    of ``inst.reward.table()``, for the rows and the default objective,
+    which is the table's numerators over their lcm L: the certified optimum
+    ``LpResult.value`` is then L E[f]. Raises RuntimeError unless the LP is
+    solved to optimality.
     """
     profiles = _profiles(inst, "equilibrium LP")
     table = inst.reward.table()
@@ -425,6 +426,7 @@ def equilibrium_lp(inst: Instance, a: Contract, concept: str, sense: str = "max"
         den = lcm(*{d for _, d in table})
         weights = [num * (den // d) for num, d in table]
     else:
+        den = 1
         weights = [objective(S) for S in profiles]
     result = solve_lp(LinearProgram(objective=tuple(weights), sense=sense,
                                     rows=tuple(rows)))
@@ -432,24 +434,27 @@ def equilibrium_lp(inst: Instance, a: Contract, concept: str, sense: str = "max"
         raise RuntimeError(f"equilibrium LP came back {result.status}")
     dist = JointDistribution(tuple(
         (S, p) for S, p in zip(profiles, result.x) if p))
-    if objective is None:
-        reward = result.value / den
-    else:
-        reward = dist.expectation(lambda S: Fraction(*table[S]))
+    return dist, result.value / den
+
+
+def _principal_lp(inst: Instance, a: Contract, concept: str, sense: str):
+    """``equilibrium_lp`` under its default objective, E[f], with the
+    principal's utility (1 - sum a) E[f]."""
+    dist, reward = equilibrium_lp(inst, a, concept, sense)
     return dist, (ONE - a.total()) * reward
 
 
 def best_cce(inst: Instance, a: Contract):
     """CCE maximizing expected reward; returns it with the principal utility."""
-    return equilibrium_lp(inst, a, "cce", "max")
+    return _principal_lp(inst, a, "cce", "max")
 
 
 def worst_cce(inst: Instance, a: Contract):
-    return equilibrium_lp(inst, a, "cce", "min")
+    return _principal_lp(inst, a, "cce", "min")
 
 
 def best_ce(inst: Instance, a: Contract):
-    return equilibrium_lp(inst, a, "ce", "max")
+    return _principal_lp(inst, a, "ce", "max")
 
 
 def _pne_table(inst: Instance):

@@ -17,7 +17,6 @@ from contractlab.equilibria import (
     is_mne,
     is_pne,
     regret_rows,
-    value_pairs,
 )
 from contractlab.fixtures import (
     claim_c3_mne,
@@ -114,7 +113,7 @@ def test_row_values_are_exact_utilities(concept):
             samples = (everything, rng.sample(everything, min(5, len(everything))))
         for profiles in samples:
             got = list(regret_rows(inst, a, concept, profiles,
-                                   value_pairs(inst.reward)))
+                                   inst.reward.value_pair))
             want = expected_rows(inst, profiles, concept)
             assert [row[:3] for row in got] == [row[:3] for row in want], label
             for (i, _, T, follow, deviate, scale), (*_, members) in zip(got, want):

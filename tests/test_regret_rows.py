@@ -16,7 +16,6 @@ from contractlab.equilibria import (
     is_mne,
     is_pne,
     regret_rows,
-    value_pairs,
 )
 from contractlab.fixtures import (
     claim_c3_mne,
@@ -139,7 +138,7 @@ def test_row_counts_per_concept(sizes):
     a = random_contract(inst.n, random.Random(5))
     profiles = list(range(1 << inst.m))
     counts = {concept: sum(1 for _ in regret_rows(inst, a, concept, profiles,
-                                                  value_pairs(inst.reward)))
+                                                  inst.reward.value_pair))
               for concept in ("cce", "ce", "dropout")}
     assert counts["cce"] == sum(2 ** k for k in sizes)
     assert counts["ce"] == sum(2 ** k * (2 ** k - 1) for k in sizes)
@@ -150,7 +149,7 @@ def test_rows_reject_unknown_concept():
     inst = random_instance("additive", 1, 2, 1)
     with pytest.raises(ValueError):
         next(regret_rows(inst, random_contract(2, random.Random(1)), "pne",
-                         [0], value_pairs(inst.reward)))
+                         [0], inst.reward.value_pair))
 
 
 def test_samplers_respect_profile_cap(monkeypatch):

@@ -8,12 +8,14 @@ import pytest
 
 from contractlab import solvers
 from contractlab.core import ONE, make_instance
-from contractlab.equilibria import regret_rows, value_pairs
+from contractlab.equilibria import JointDistribution, regret_rows
 from contractlab.fixtures import (
     golden_ratio_instance,
     random_contract,
     random_instance,
+    sample_cce,
     sample_ce,
+    sample_dropout_stable,
     supermodular_cce_gap_instance,
 )
 from contractlab.rewards import AdditiveReward
@@ -67,7 +69,7 @@ def test_table_pairs_and_value_pairs_give_the_same_rows(concept):
     for label, inst, a in [*instances(), *fractional_instances()]:
         profiles = range(1 << inst.m)
         from_table = regret_rows(inst, a, concept, profiles, inst.reward.table().__getitem__)
-        from_value = regret_rows(inst, a, concept, list(profiles), value_pairs(inst.reward))
+        from_value = regret_rows(inst, a, concept, list(profiles), inst.reward.value_pair)
         for got, want in zip(from_table, from_value, strict=True):
             assert got[:3] == want[:3], label
             for row, ref in zip(got[3:5], want[3:5]):
@@ -112,3 +114,21 @@ def test_default_objective_is_the_tables_integers(monkeypatch):
         draws = random.Random(7)
         assert lp.objective == tuple(draws.randint(-5, 10) for _ in range(1 << inst.m))
         assert all(type(w) is int for w in lp.objective), label
+
+
+def test_lp_value_is_the_optimum_of_a_callers_objective(monkeypatch):
+    """Under a caller's objective the LP hands back that objective's certified
+    optimum, and neither it nor a sampler takes an expectation of f."""
+    def refuse(self, fn):
+        raise AssertionError("an expectation was taken")
+
+    monkeypatch.setattr(JointDistribution, "expectation", refuse)
+    rng = random.Random(11)
+    for label, inst, a in [*instances(), *fractional_instances()]:
+        weights = [rng.randint(-5, 10) for _ in range(1 << inst.m)]
+        for concept in ("cce", "ce", "dropout"):
+            for sense in ("max", "min"):
+                dist, value = equilibrium_lp(inst, a, concept, sense, weights.__getitem__)
+                assert value == sum(p * weights[S] for S, p in dist.support), label
+        for sample in (sample_cce, sample_ce, sample_dropout_stable):
+            sample(inst, a, random.Random(7))
