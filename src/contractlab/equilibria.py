@@ -9,7 +9,12 @@ integer pairs (numerator, denominator): the LPs hand it the reward's
 ``table()`` over all 2^m profiles, each profile its own position in it, and
 the verifiers hand it the reward's integer value oracle
 (``RewardFunction.value_pair``), read on a support's profiles and their
-deviations, placed through a dict; no ``Fraction`` is built per read.
+deviations; no ``Fraction`` is built per read. On a support, an agent whose
+slice varies places its deviations through a dict keyed by profile, so that
+f is read once per distinct profile. An agent with one slice R on every
+(distinct) profile reads each deviation T != R straight into a list: such a
+profile has T on the agent's actions where every other read has R, so it is
+read only there.
 
 All verifiers use weak inequalities decided exactly, in integers over the
 rows' scale and the probabilities' common denominator. The optional ``tol``
@@ -193,12 +198,26 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
     and a full-width group (CCE, dropout) builds each row as a list
     comprehension over its positions. Slice costs come from
     ``Instance.cost_numerator``.
+
+    A support's agent that owns none of the actions on which its profiles
+    differ is fixed: it plays one slice R on every profile (every agent of a
+    point mass, every pure agent of a product). Its one group holds all
+    members, and for each deviation T != R it reads f(S_-i | T) once per
+    member straight into a list, with no dict and no position. No other read
+    of the call can equal such a read: it has slice T on A_i, and every
+    profile and every other read has R there. So f is still read once per
+    distinct profile, provided the profiles are distinct, as
+    ``JointDistribution`` guarantees; repeated profiles give the same rows
+    but may read f more than once.
     """
     if concept not in ("ce", "cce", "dropout"):
         raise ValueError(f"unknown concept {concept!r}")
     inst.check_contract(a)
     width = len(profiles)
     full = range(width)
+    # the actions on which the profiles differ; all of them (-1) in LP mode
+    # and on an empty support, so that no agent is fixed there
+    varying = -1
     if profiles == range(1 << inst.m):
         where = None  # each profile is its own position in pairs
         pairs = list(map(f, profiles))
@@ -212,6 +231,12 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
         for S, at in zip(profiles, own_f):
             if at == len(pairs):
                 pairs.append(f(S))
+        own_pairs = [pairs[at] for at in own_f]
+        own_den = lcm(*{d for _, d in own_pairs})
+        if width:
+            varying = 0
+            for S in profiles:
+                varying |= S ^ profiles[0]
     # read once, as it is parsed from the environment; dropout rows skip it
     cap = None if concept == "dropout" else enum_cap_bits()
     for i in range(inst.n):
@@ -223,6 +248,30 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
                 check_enum_bits(mask.bit_count(), f"{concept} rows agent {i}")
             targets = list(submasks(mask))
         costs = {T: inst.cost_numerator(T) for T in targets}
+        top, q = a[i].numerator * inst.cost_den, a[i].denominator
+        if not mask & varying:
+            # slice R on every profile: a deviation T != R is read fresh
+            R = profiles[0] & mask
+            if R not in costs:
+                costs[R] = inst.cost_numerator(R)
+            fresh = {T: [f((S ^ R) | T) for S in profiles] for T in targets if T != R}
+            den = lcm(own_den, *{d for reads in fresh.values() for _, d in reads})
+            base = q * den
+            own = _scaled(own_pairs, top, den)
+            cost_R = costs[R] * base
+            follow = [v - cost_R for v in own]
+            scale = base * inst.cost_den
+            rec = R if concept == "ce" else None
+            for T in targets:
+                if T != R:
+                    value = _scaled(fresh[T], top, den)
+                elif rec is None:
+                    value = own  # a CCE or dropout row against R itself
+                else:
+                    continue
+                cost_T = costs[T] * base
+                yield i, rec, T, follow, [v - cost_T for v in value], scale
+            continue
         owns = [S & mask for S in profiles]
         rests = [S ^ own for S, own in zip(profiles, owns)]
         if concept == "ce":
@@ -232,7 +281,6 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
             groups = groups.items()
         else:
             groups = ((None, full),)
-        top, q = a[i].numerator * inst.cost_den, a[i].denominator
         value, value_den = None, None  # position -> a_i f(S) * scale, for the last lcm
         for rec, members in groups:
             deviations = [T for T in targets if T != rec]
@@ -243,7 +291,7 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
                 reads = [[rest | T for rest in away] for T in deviations]
                 den = every_den
                 if value is None:
-                    value = [top * num * (den // d) for num, d in pairs]
+                    value = _scaled(pairs, top, den)
             else:
                 reads = []  # per deviation, the position of each member's f
                 for T in deviations:
@@ -280,6 +328,12 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
                     for k, at in zip(members, row):
                         deviate[k] = value[at] - cost_T
                 yield i, rec, T, follow, deviate, scale
+
+
+def _scaled(pairs, top: int, den: int) -> list:
+    """top * f(S) * den for each pair (numerator, denominator) of f(S), den a
+    multiple of every pair's denominator: the agents' a_i f(S) over a scale."""
+    return [top * num * (den // d) for num, d in pairs]
 
 
 def _violation(inst: Instance, support, a: Contract, concept: str,

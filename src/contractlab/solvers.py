@@ -92,7 +92,7 @@ from .core import (
     over_common_denominator,
     submasks,
 )
-from .equilibria import JointDistribution, regret_rows
+from .equilibria import JointDistribution, regret_rows, require_pne
 
 
 @dataclass(frozen=True)
@@ -603,6 +603,8 @@ def best_pne(inst: Instance):
     sum lo > 1 or (1 - sum lo) * f(S) is not above the best. An agent with
     no action in S is passed over: its slice costs 0, so against every T it
     has diff = -c(T) <= 0, and its interval is never empty and starts at 0.
+    The answer is certified by ``require_pne`` (RuntimeError unless the
+    contract makes S a PNE).
     """
     fracs, slices, interval = _pne_table(inst)
     for S, (n_S, d_S) in enumerate(fracs):
@@ -632,7 +634,9 @@ def best_pne(inst: Instance):
             best_S, best_n, best_d = S, (sum_d - sum_n) * n_S, sum_d * d_S
     shares = [Fraction(*interval(best_S, mask, subs)[:2]) if best_S & mask else ZERO
               for mask, subs in slices]
-    return best_S, Contract(tuple(shares)), Fraction(best_n, best_d)
+    contract = Contract(tuple(shares))
+    require_pne(inst, best_S, contract, "best PNE")
+    return best_S, contract, Fraction(best_n, best_d)
 
 
 def best_pne_binary(inst: Instance):
@@ -694,6 +698,10 @@ def grid_search(inst: Instance, resolution: int, objective: str,
     """Sweep the contract grid (plus any explicit contracts) and pick the best
     cell. worst_cce is also maximized: the value of a contract is its worst
     case, and we search for the contract whose worst case is largest.
+
+    best_pne cells read the PNE rows sorted once by f(S) descending (the
+    smaller profile first on a tie), so a cell whose principal's share is
+    positive stops at the first row whose bounds it meets.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -706,9 +714,16 @@ def grid_search(inst: Instance, resolution: int, objective: str,
         inst.check_contract(a)
     if objective == "best_pne":
         table = list(_pne_bounds(inst))
+        ranked = sorted(table, key=lambda row: (-Fraction(*row[1]), row[0]))
 
         def evaluate(a, shares, share):
-            return _best_pne(table, shares, share)
+            s_n, s_d = share
+            if s_n < 0:  # explicit cells with shares summing above 1
+                return _best_pne(table, shares, share)
+            # with s_n = 0 every PNE is worth 0: the first in profile order
+            for S, (n_S, d_S) in _pnes(ranked if s_n else table, shares):
+                return Fraction(s_n * n_S, s_d * d_S), S
+            return None
     else:
         def evaluate(a, shares, share):
             return evaluate_cell(inst, a, objective)

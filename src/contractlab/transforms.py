@@ -59,7 +59,15 @@ class LiftResult:
 
 
 def scaled_contract(inst: Instance, a: Contract, params: ScalingParams) -> Contract:
-    """gamma * a_i + epsilon on the subset, epsilon elsewhere; must stay in [0,1]."""
+    """gamma * a_i + epsilon on the subset, epsilon elsewhere; must stay in [0,1].
+
+    Every id in the subset must be an agent, an int in range(n): ValueError
+    names the first that is not, the smallest by ``repr``.
+    """
+    strays = [i for i in params.subset if not (isinstance(i, int) and 0 <= i < inst.n)]
+    if strays:
+        raise ValueError(f"scaling subset id {min(strays, key=repr)!r} "
+                         f"is not an agent in range({inst.n})")
     shares = []
     for i in range(inst.n):
         v = params.gamma * a[i] + params.epsilon if i in params.subset else params.epsilon

@@ -252,3 +252,29 @@ def test_best_pne_never_asks_an_idle_agent(monkeypatch):
         assert all(asked)
         total += len(asked)
     assert total > 1000
+
+
+def test_best_pne_certifies_its_contract(monkeypatch):
+    """best_pne checks its answer with is_pne: a lower interval end that is
+    wrong (halved, here, on the best profile only) makes the returned
+    contract fail to induce S, and the search raises RuntimeError instead of
+    returning it."""
+    inst = random_instance("additive", 21, 3, [2, 1, 1])
+    best_S, a, _ = best_pne(inst)
+    assert any(a.alpha)
+    real_table = solvers._pne_table
+
+    def table(inst):
+        fracs, slices, interval = real_table(inst)
+
+        def halved(S, mask, subs):
+            bound = interval(S, mask, subs)
+            if S != best_S or bound is None:
+                return bound
+            lo_n, lo_d, hi_n, hi_d = bound
+            return lo_n, 2 * lo_d, hi_n, hi_d
+        return fracs, slices, halved
+
+    monkeypatch.setattr(solvers, "_pne_table", table)
+    with pytest.raises(RuntimeError, match=f"best PNE {best_S:#x} failed"):
+        best_pne(inst)

@@ -9,6 +9,7 @@ import pytest
 from contractlab.core import CapacityError, Contract
 from contractlab.equilibria import (
     JointDistribution,
+    ProductDistribution,
     Verdict,
     is_ce,
     is_cce,
@@ -67,6 +68,43 @@ def rows_in_order(inst, support, concept):
     return rows
 
 
+def violations(inst, support, a, concept, tol=None):
+    """(agent, recommendation, deviation, follow, deviate) of every row that
+    ``support`` violates by more than ``tol``, in the verifiers' order."""
+    eps = tol or 0
+    found = []
+    for i, rec, T in rows_in_order(inst, support, concept):
+        follow, deviate = regret(inst, support, a, i, T, rec)
+        if deviate > follow + eps:
+            found.append((i, rec, T, follow, deviate))
+    return found
+
+
+def counting(inst):
+    """``inst`` with a reward that records every profile f is read at, and
+    the list it records into."""
+    calls = []
+    reward = inst.reward
+    fn = reward.fn if isinstance(reward, FormulaReward) else reward.value
+    return replace(inst, reward=FormulaReward(
+        inst.m, lambda S: calls.append(S) or fn(S))), calls
+
+
+def pinned_products(inst, rng, count):
+    """Product distributions with one slice for a random subset of the
+    agents (pinned) and two or more mixed slices for the rest."""
+    for _ in range(count):
+        per_agent = []
+        for i in range(inst.n):
+            slices = subsets(inst.agent_mask(i))
+            chosen = rng.sample(slices, 1 if rng.random() < 0.5
+                                else rng.randint(2, len(slices)))
+            weights = [rng.randint(1, 5) for _ in chosen]
+            per_agent.append(tuple((T, F(w, sum(weights)))
+                                   for T, w in zip(chosen, weights)))
+        yield ProductDistribution(tuple(per_agent))
+
+
 def supports_for(inst, a, rng):
     """Sampled equilibria (mostly passing) and random supports (mostly failing)."""
     base = rng.randrange(1 << 30)
@@ -91,11 +129,7 @@ def test_verdicts_match_brute_force_regret(kind):
         for D in supports_for(inst, a, rng):
             for concept, verify in VERIFIERS.items():
                 verdict = verify(inst, D, a)
-                violated = []
-                for i, rec, T in rows_in_order(inst, D.support, concept):
-                    follow, deviate = regret(inst, D.support, a, i, T, rec)
-                    if deviate > follow:
-                        violated.append((i, rec, T, follow, deviate))
+                violated = violations(inst, D.support, a, concept)
                 assert bool(verdict) == (not violated), (concept, D)
                 if verdict:
                     held += 1
@@ -112,12 +146,7 @@ def test_verdicts_match_brute_force_regret(kind):
         for tol in (None, F(1)):
             for S in range(1 << inst.m):
                 point = ((S, F(1)),)
-                eps = tol or 0
-                violated = []
-                for i, rec, T in rows_in_order(inst, point, "ce"):
-                    follow, deviate = regret(inst, point, a, i, T, rec)
-                    if deviate > follow + eps:
-                        violated.append((i, T, follow, deviate))
+                violated = violations(inst, point, a, "ce", tol)
                 verdict = is_pne(inst, S, a, tol=tol)
                 assert verdict.recommendation is None
                 if not violated:
@@ -125,11 +154,59 @@ def test_verdicts_match_brute_force_regret(kind):
                     pne_held[tol] += 1
                     continue
                 pne_failed[tol] += 1
-                assert verdict == Verdict(False, *violated[0][:2],
-                                          lhs=violated[0][2], rhs=violated[0][3])
+                i, _, T, follow, deviate = violated[0]
+                assert verdict == Verdict(False, i, T, lhs=follow, rhs=deviate)
     assert failed and held
     assert all(pne_failed.values()) and all(pne_held.values())
     assert pne_held[F(1)] > pne_held[None]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pinned_supports_match_brute_force_and_full_rows(kind):
+    """Supports on which some agents play one slice on every profile (their
+    rows are read without the profile dict): the verdicts and witnesses
+    match the brute-force regret sums with tol None and 1, f is read once
+    per distinct profile, and every row entry over its scale equals the
+    entry of the same (agent, recommendation, deviation, profile) in the
+    rows over all 2^m profiles."""
+    rng = random.Random(f"pinned/{kind}")
+    held = failed = 0
+    for sizes in ([2, 1], [2, 2], [1, 1, 1], [2, 2, 1]):
+        inst = random_instance(kind, rng.randrange(1 << 30), len(sizes), sizes)
+        counted, calls = counting(inst)
+        a = random_contract(inst.n, rng)
+        table = inst.reward.table()
+        for P in pinned_products(inst, rng, 6):
+            D = P.to_joint(inst)
+            profiles = [S for S, _ in D.support]
+            for concept, verify in VERIFIERS.items():
+                for tol in (None, F(1)):
+                    calls.clear()
+                    verdict = verify(counted, D, a, tol=tol)
+                    assert len(calls) == len(set(calls))
+                    violated = violations(inst, D.support, a, concept, tol)
+                    assert bool(verdict) == (not violated), (concept, tol, D)
+                    if verdict:
+                        held += 1
+                        continue
+                    failed += 1
+                    i, rec, T, follow, deviate = violated[0]
+                    assert (verdict.agent, verdict.recommendation, verdict.deviation,
+                            verdict.lhs, verdict.rhs) == (i, rec, T, follow, deviate)
+                full = {(i, rec, T): (follow, deviate, scale)
+                        for i, rec, T, follow, deviate, scale in regret_rows(
+                            inst, a, concept, range(1 << inst.m), table.__getitem__)}
+                rows = list(regret_rows(inst, a, concept, profiles,
+                                        inst.reward.value_pair))
+                assert [row[:3] for row in rows] \
+                    == rows_in_order(inst, D.support, concept)
+                for i, rec, T, follow, deviate, scale in rows:
+                    all_follow, all_deviate, all_scale = full[i, rec, T]
+                    assert len(follow) == len(deviate) == len(profiles)
+                    for k, S in enumerate(profiles):
+                        assert F(follow[k], scale) == F(all_follow[S], all_scale)
+                        assert F(deviate[k], scale) == F(all_deviate[S], all_scale)
+    assert held and failed
 
 
 @pytest.mark.parametrize("sizes", [[1, 1], [2, 1], [3, 1, 2], [2, 2, 2]])
@@ -165,12 +242,13 @@ def test_samplers_respect_profile_cap(monkeypatch):
 def test_gap_verifiers_read_each_profile_once(n):
     """On the gap instance's C3 support (4 profiles), is_mne and
     is_dropout_stable call f once per distinct profile they read: the 4
-    support profiles, and each of them without each of the 2n paid actions."""
+    support profiles, and each of them without each of the 2n paid actions.
+    So does is_pne on each support profile, a point mass, and so do the
+    verifiers on supports of small instances on which some agents play one
+    slice on every profile."""
     inst = subadditive_gap_instance(n)
     a, P = claim_c3_mne(inst, n)
-    calls = []
-    counted = replace(inst, reward=FormulaReward(
-        inst.m, lambda S: calls.append(S) or inst.reward.fn(S)))
+    counted, calls = counting(inst)
     joint = P.to_joint(inst)
     half = Contract(tuple(v / 2 for v in a.alpha))
     for verify in (lambda c: is_mne(counted, P, c),
@@ -181,3 +259,23 @@ def test_gap_verifiers_read_each_profile_once(n):
             assert calls and len(calls) == len(set(calls))
             if verdict:
                 assert len(calls) == 8 * n + 4
+    for S, _ in joint.support:
+        for contract in (a, half):
+            calls.clear()
+            is_pne(counted, S, contract)
+            assert calls and len(calls) == len(set(calls))
+    rng = random.Random(n)
+    for kind in KINDS:
+        small = random_instance(kind, rng.randrange(1 << 30), 3, [2, 2, 1])
+        counted, calls = counting(small)
+        c = random_contract(small.n, rng)
+        for Q in pinned_products(small, rng, 3):
+            D = Q.to_joint(small)
+            for verify in VERIFIERS.values():
+                calls.clear()
+                verify(counted, D, c)
+                assert calls and len(calls) == len(set(calls))
+            for S, _ in D.support:
+                calls.clear()
+                is_pne(counted, S, c)
+                assert calls and len(calls) == len(set(calls))

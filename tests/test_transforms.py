@@ -70,6 +70,25 @@ def test_scaled_contract():
                         ScalingParams(gamma=F(2), subset=frozenset({0})))
 
 
+@pytest.mark.parametrize("subset,named", [
+    (frozenset({5}), "5"), (frozenset({"0", "1"}), "'0'"), (frozenset({-1}), "-1")])
+def test_scaled_contract_rejects_ids_that_name_no_agent(subset, named):
+    """A subset id that is not an agent would otherwise leave every share at
+    epsilon: the zero contract, with no error."""
+    inst = random_instance("xos", 3, 3, 1)
+    a = Contract.of(["1/8", "1/8", "1/8"])
+    params = ScalingParams(gamma=F(2), subset=subset)
+    with pytest.raises(ValueError, match=rf"scaling subset id {named} is not an agent"):
+        scaled_contract(inst, a, params)
+    D = JointDistribution.point(0)
+    with pytest.raises(ValueError, match="is not an agent"):
+        scale_for_existence(inst, a, D, params)
+    # the callers' subsets, every agent or all but the top one, still scale
+    for kept in (frozenset(range(3)), frozenset({0, 2})):
+        out = scaled_contract(inst, a, ScalingParams(gamma=F(2), subset=kept))
+        assert out.alpha == tuple(F(1, 4) if i in kept else F(0) for i in range(3))
+
+
 def test_scale_for_existence_separation():
     inst = separation_example()
     a, P = separation_mne()
