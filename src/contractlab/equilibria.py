@@ -199,25 +199,26 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
     comprehension over its positions. Slice costs come from
     ``Instance.cost_numerator``.
 
-    A support's agent that owns none of the actions on which its profiles
-    differ is fixed: it plays one slice R on every profile (every agent of a
-    point mass, every pure agent of a product). Its one group holds all
-    members, and for each deviation T != R it reads f(S_-i | T) once per
-    member straight into a list, with no dict and no position. No other read
-    of the call can equal such a read: it has slice T on A_i, and every
-    profile and every other read has R there. So f is still read once per
-    distinct profile, provided the profiles are distinct, as
-    ``JointDistribution`` guarantees; repeated profiles give the same rows
-    but may read f more than once.
+    On a non-empty support, an agent that owns none of the actions on which
+    the profiles differ is fixed: it plays one slice R on every profile
+    (every agent of a point mass, every pure agent of a product, an agent
+    with no actions). Its one group holds all members; its value list holds
+    the profiles' own values at their positions, then, for each deviation
+    T != R, f(S_-i | T) read once per member, with no dict. No other read of
+    the call can equal such a read: it has slice T on A_i, and every profile
+    and every other read has R there. So f is still read once per distinct
+    profile, provided the profiles are distinct, as ``JointDistribution``
+    guarantees; repeated profiles give the same rows but may read f more
+    than once.
     """
     if concept not in ("ce", "cce", "dropout"):
         raise ValueError(f"unknown concept {concept!r}")
     inst.check_contract(a)
     width = len(profiles)
     full = range(width)
-    # the actions on which the profiles differ; all of them (-1) in LP mode
-    # and on an empty support, so that no agent is fixed there
-    varying = -1
+    # the actions on which a non-empty support's profiles differ; None in LP
+    # mode and on an empty support, where no agent is fixed
+    varying = None
     if profiles == range(1 << inst.m):
         where = None  # each profile is its own position in pairs
         pairs = list(map(f, profiles))
@@ -231,8 +232,7 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
         for S, at in zip(profiles, own_f):
             if at == len(pairs):
                 pairs.append(f(S))
-        own_pairs = [pairs[at] for at in own_f]
-        own_den = lcm(*{d for _, d in own_pairs})
+        distinct = len(pairs)  # the profiles' own values are pairs[:distinct]
         if width:
             varying = 0
             for S in profiles:
@@ -249,42 +249,38 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
             targets = list(submasks(mask))
         costs = {T: inst.cost_numerator(T) for T in targets}
         top, q = a[i].numerator * inst.cost_den, a[i].denominator
-        if not mask & varying:
-            # slice R on every profile: a deviation T != R is read fresh
-            R = profiles[0] & mask
-            if R not in costs:
-                costs[R] = inst.cost_numerator(R)
-            fresh = {T: [f((S ^ R) | T) for S in profiles] for T in targets if T != R}
-            den = lcm(own_den, *{d for reads in fresh.values() for _, d in reads})
-            base = q * den
-            own = _scaled(own_pairs, top, den)
-            cost_R = costs[R] * base
-            follow = [v - cost_R for v in own]
-            scale = base * inst.cost_den
-            rec = R if concept == "ce" else None
-            for T in targets:
-                if T != R:
-                    value = _scaled(fresh[T], top, den)
-                elif rec is None:
-                    value = own  # a CCE or dropout row against R itself
-                else:
-                    continue
-                cost_T = costs[T] * base
-                yield i, rec, T, follow, [v - cost_T for v in value], scale
-            continue
-        owns = [S & mask for S in profiles]
-        rests = [S ^ own for S, own in zip(profiles, owns)]
-        if concept == "ce":
-            groups: dict = {}
-            for k, own in enumerate(owns):
-                groups.setdefault(own, []).append(k)
-            groups = groups.items()
+        fixed = varying is not None and not mask & varying
+        if fixed:
+            R = profiles[0] & mask  # the agent's slice on every profile
+            owns = [R] * width
+            groups = ((R if concept == "ce" else None, full),)
         else:
-            groups = ((None, full),)
+            owns = [S & mask for S in profiles]
+            rests = [S ^ own for S, own in zip(profiles, owns)]
+            if concept == "ce":
+                groups: dict = {}
+                for k, own in enumerate(owns):
+                    groups.setdefault(own, []).append(k)
+                groups = groups.items()
+            else:
+                groups = ((None, full),)
         value, value_den = None, None  # position -> a_i f(S) * scale, for the last lcm
         for rec, members in groups:
             deviations = [T for T in targets if T != rec]
-            if where is None:
+            if fixed:
+                # the profiles' own values keep their positions; each
+                # deviation T != R reads f(S_-i | T) fresh after them
+                got = pairs[:distinct]
+                reads = []
+                for T in deviations:
+                    if T == R:
+                        reads.append(own_f)
+                    else:
+                        reads.append(range(len(got), len(got) + width))
+                        got += [f((S ^ R) | T) for S in profiles]
+                den = lcm(*{d for _, d in got})
+                value = _scaled(got, top, den)
+            elif where is None:
                 # the group's members and their deviations S_-i | T, over
                 # all of the agent's slices T, read every profile
                 away = rests if members is full else [rests[k] for k in members]
@@ -307,10 +303,8 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
                 den = lcm(*{pairs[at][1] for at in needed})
                 if den != value_den:
                     value, value_den = {}, den
-                for at in needed:
-                    if at not in value:
-                        num, d = pairs[at]
-                        value[at] = top * num * (den // d)
+                new = [at for at in needed if at not in value]
+                value.update(zip(new, _scaled([pairs[at] for at in new], top, den)))
             base = q * den
             follow = [0] * width
             for k in members:

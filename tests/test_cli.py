@@ -142,6 +142,19 @@ def test_gap_report_command(separation_path, tmp_path, capsys):
     assert doc["concepts"]["best_cce"]["best_value"] == "2040/11"
 
 
+def test_lp_commands_on_an_agent_without_actions(tmp_path, capsys):
+    doc = {"agents": [{"actions": [{"cost": "1", "id": 0}], "id": 0},
+                      {"actions": [], "id": 1}],
+           "reward": {"type": "additive", "values": ["3"]}}
+    path = write(tmp_path, "idle.json", doc)
+    assert cli.main(["gap-report", path, "--resolution", "4",
+                     "--concepts", "best_pne", "best_cce"]) == 0
+    assert "best_cce / best_pne ratio: 1" in capsys.readouterr().out
+    assert cli.main(["robustify", path, "--contract", "1/2,0", "--profile", "0"]) == 0
+    # agent 0 acts under 7/12 of 3, so the principal keeps 5/12 of it
+    assert "worst-cce utility: 5/4" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", [
     ["lift", "--contract", "1/36,1/36", "--mode", "xos", "--out"],
     ["gap-report", "--resolution", "2", "--concepts", "best_pne", "--json"],

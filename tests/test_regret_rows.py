@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from contractlab.core import CapacityError, Contract
+from contractlab.core import CapacityError, Contract, make_instance
 from contractlab.equilibria import (
     JointDistribution,
     ProductDistribution,
@@ -27,7 +27,8 @@ from contractlab.fixtures import (
     sample_dropout_stable,
     subadditive_gap_instance,
 )
-from contractlab.rewards import FormulaReward
+from contractlab.rewards import AdditiveReward, FormulaReward
+from contractlab.solvers import best_cce, best_ce, worst_cce
 
 KINDS = ("additive", "coverage", "xos", "supermodular", "table")
 VERIFIERS = {"cce": is_cce, "ce": is_ce, "dropout": is_dropout_stable}
@@ -279,3 +280,54 @@ def test_gap_verifiers_read_each_profile_once(n):
                 calls.clear()
                 is_pne(counted, S, c)
                 assert calls and len(calls) == len(set(calls))
+
+
+def written_out(inst, a, concept, profiles):
+    """Every row over ``profiles`` as (agent, recommendation, deviation,
+    follow, deviate), its entries the utilities as Fractions, written out
+    profile by profile."""
+    out = []
+    for i, rec, T in rows_in_order(inst, [(S, None) for S in profiles], concept):
+        mask = inst.agent_mask(i)
+        follow, deviate = [], []
+        for S in profiles:
+            inside = rec is None or S & mask == rec
+            follow.append(a[i] * inst.reward.value(S) - inst.cost(S & mask)
+                          if inside else F(0))
+            deviate.append(a[i] * inst.reward.value((S & ~mask) | T) - inst.cost(T)
+                           if inside else F(0))
+        out.append((i, rec, T, follow, deviate))
+    return out
+
+
+@pytest.mark.parametrize("actions", [[[1], []], [[], [F(1, 2)], [1, F(1, 3)]]])
+def test_agents_without_actions_and_empty_supports(actions):
+    """An agent that owns no actions plays the empty slice on every profile.
+    Its rows, in LP mode, on supports and on an empty support, match the
+    utilities written out profile by profile, and the LPs and the verifiers
+    run on such an instance."""
+    m = sum(map(len, actions))
+    inst = make_instance(actions, AdditiveReward([F(k + 2, k + 1) for k in range(m)]))
+    a = Contract(tuple(F(1, 4 + i) for i in range(inst.n)))
+    table = inst.reward.table()
+    everything = range(1 << m)
+    supports = [[], list(everything), [everything[-1], 0]] + [[S] for S in everything]
+    for concept in VERIFIERS:
+        for profiles, f in [(everything, table.__getitem__)] + [
+                (profiles, inst.reward.value_pair) for profiles in supports]:
+            rows = [(i, rec, T, [F(v, scale) for v in follow],
+                     [F(v, scale) for v in deviate])
+                    for i, rec, T, follow, deviate, scale in regret_rows(
+                        inst, a, concept, profiles, f)]
+            assert rows == written_out(inst, a, concept, list(profiles))
+        for S in everything:
+            violated = violations(inst, ((S, F(1)),), a, concept)
+            assert bool(VERIFIERS[concept](inst, JointDistribution(((S, F(1)),)), a)) \
+                == (not violated)
+    for S in everything:
+        assert bool(is_pne(inst, S, a)) == (not violations(inst, ((S, F(1)),), a, "ce"))
+    for lp, verify in ((best_cce, is_cce), (worst_cce, is_cce), (best_ce, is_ce)):
+        D, utility = lp(inst, a)
+        assert verify(inst, D, a)
+        assert utility == (1 - a.total()) * sum(p * inst.reward.value(S)
+                                                for S, p in D.support)
