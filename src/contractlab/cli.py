@@ -61,20 +61,27 @@ def parse_scalar(raw) -> Fraction:
         raise InputError(f"bad rational {raw!r}: {exc}") from None
 
 
+def _listed(value, what: str) -> list:
+    """``value``, which must be a JSON list: a string or an object would
+    iterate as characters or keys."""
+    if not isinstance(value, list):
+        raise InputError(f"bad reward payload: {what} must be a list")
+    return value
+
+
 def _reward_from_json(payload, m: int):
     if not isinstance(payload, dict) or "type" not in payload:
         raise InputError("reward payload needs a 'type' field")
     kind = payload["type"]
     try:
-        if kind == "table":
-            reward = TableReward([parse_scalar(v) for v in payload["values"]])
-        elif kind == "additive":
-            reward = AdditiveReward([parse_scalar(v) for v in payload["values"]])
+        if kind in ("table", "additive"):
+            values = [parse_scalar(v) for v in _listed(payload["values"], "values")]
+            reward = (TableReward if kind == "table" else AdditiveReward)(values)
         elif kind == "xos":
-            reward = XosReward([[parse_scalar(v) for v in clause]
-                                for clause in payload["clauses"]])
+            reward = XosReward([[parse_scalar(v) for v in _listed(clause, "each clause")]
+                                for clause in _listed(payload["clauses"], "clauses")])
         elif kind == "coverage":
-            weights = [parse_scalar(w) for w in payload["weights"]]
+            weights = [parse_scalar(w) for w in _listed(payload["weights"], "weights")]
             reward = CoverageReward(
                 weights, [_id_mask(cover, len(weights), "cover")
                           for cover in payload["covers"]])
@@ -157,7 +164,9 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting too deep for the decoder, which is bad
+        # input and not a failed post-check (it is a RuntimeError)
         raise InputError(f"cannot read {path}: {exc}") from None
 
 

@@ -4,10 +4,14 @@ Each of CE, CCE and dropout stability is one family of linear regret rows,
 written once in ``regret_rows`` in integers, one positive scale per group of
 rows: the verifiers evaluate those rows on a support, and the LP benchmarks
 and samplers take them as constraints. A PNE is the point-mass case:
-``is_pne`` reads the CE rows of the point mass. ``regret_rows`` reads f as
-integer pairs (numerator, denominator): the LPs hand it the reward's
-``table()`` over all 2^m profiles, each profile its own position in it, and
-the verifiers hand it the reward's integer value oracle
+``is_pne`` reads the CE rows of the point mass. The rows are sparse: each
+carries the positions of its group's profiles (one recommendation's for CE,
+every profile for CCE and dropout) and its values there only, so a verifier
+sums over the members, and only ``solvers.equilibrium_lp`` writes a row out
+over every profile. ``regret_rows`` reads f as integer pairs (numerator,
+denominator), profile k at position k: the LPs hand it the reward's
+``table()`` over all 2^m profiles, where a deviation is itself a profile's
+position, and the verifiers hand it the reward's integer value oracle
 (``RewardFunction.value_pair``), read on a support's profiles and their
 deviations; no ``Fraction`` is built per read. On a support, an agent whose
 slice varies places its deviations through a dict keyed by profile, so that
@@ -168,71 +172,65 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
     """The regret rows of ``concept`` ("ce", "cce" or "dropout") over ``profiles``,
     in integers.
 
-    Yields (agent, recommendation, deviation T, follow, deviate, scale):
-    follow[k] / scale is the agent's utility a_i f(S) - c(S_i) at
-    S = profiles[k], deviate[k] / scale its utility a_i f(S_-i | T) - c(T)
-    after switching its slice to T, both 0 outside the recommendation's
-    group. A distribution p satisfies the row when
-    sum p * follow >= sum p * deviate. CE groups profiles by the agent's
-    slice R, in order of first appearance, and skips T == R; CCE has one group
-    per agent (None); dropout is CCE with T = 0 only. Agents come in order,
-    deviations in ``submasks`` order, and a group's rows share one follow list
-    and one scale.
+    Yields (agent, recommendation, deviation T, members, follow, deviate,
+    scale). ``members`` holds the positions in ``profiles`` of the row's
+    group, in increasing order; it is ``range(len(profiles))`` when the
+    group holds every profile. For S = profiles[members[x]], follow[x] /
+    scale is the agent's utility a_i f(S) - c(S_i), and deviate[x] / scale
+    its utility a_i f(S_-i | T) - c(T) after switching its slice to T. A
+    distribution p satisfies the row when, summed over the members,
+    p * follow >= p * deviate. CE groups profiles by the agent's slice R, in
+    order of first appearance, and skips T == R; CCE has one group per agent
+    (None) that holds every profile; dropout is CCE with T = 0 only. Agents
+    come in order, deviations in ``submasks`` order, and a group's rows
+    share one members object, one follow list and one scale.
 
     ``f(S)`` is f at profile S as an integer pair (numerator, denominator),
     the denominator positive and the pair not necessarily in lowest terms: a
     reward's ``table()`` read by index, or its ``value_pair``. The
     scale is q_i * cost_den * the lcm of the denominators of the pairs the
     group reads, for a_i = p_i / q_i, so every entry is an exact integer.
-    f is read once per distinct profile, into a list, in one of two position
-    modes. When ``profiles`` is ``range(2**m)``, as the LP benchmarks pass
-    it, each profile is its own position, so a deviation S_-i | T indexes
-    the list directly; every group then reads every profile (its members and
-    their deviations over all of the agent's slices T are all 2^m), and its
-    lcm is the whole list's. Otherwise, as the verifiers pass a support, a
-    dict gives each profile its position in order of first read: the
-    profiles' own values first, then each deviation when a group first needs
-    it; a member that deviates to its own slice reads its own position. The
-    scaled values a_i f(S) * scale are kept per agent while the lcm stays
-    the same, so the full-width groups of an agent scale each value once,
-    and a full-width group (CCE, dropout) builds each row as a list
-    comprehension over its positions. Slice costs come from
-    ``Instance.cost_numerator``.
+    f is read into one list in which profile k keeps position k, one read
+    per entry of ``profiles`` (a repeated profile is read once per
+    occurrence), and the deviations' reads come after. When ``profiles`` is
+    ``range(2**m)``, as the LP benchmarks pass it, a deviation S_-i | T is a
+    profile and indexes the list directly; every group then reads every
+    profile (its members and their deviations over all of the agent's
+    slices T are all 2^m), and its lcm is the whole list's. Otherwise, as
+    the verifiers pass a support, a dict gives each deviation its position:
+    the profile's own when it is one of the profiles, else the next free
+    one, read when a group first needs it. The scaled values
+    a_i f(S) * scale are kept per agent while the lcm stays the same, so
+    the full-width groups of an agent scale each value once. Slice costs
+    come from ``Instance.cost_numerator``.
 
-    On a non-empty support, an agent that owns none of the actions on which
-    the profiles differ is fixed: it plays one slice R on every profile
-    (every agent of a point mass, every pure agent of a product, an agent
-    with no actions). Its one group holds all members; its value list holds
-    the profiles' own values at their positions, then, for each deviation
-    T != R, f(S_-i | T) read once per member, with no dict. No other read of
-    the call can equal such a read: it has slice T on A_i, and every profile
-    and every other read has R there. So f is still read once per distinct
-    profile, provided the profiles are distinct, as ``JointDistribution``
-    guarantees; repeated profiles give the same rows but may read f more
-    than once.
+    On a non-empty ``profiles``, an agent that owns none of the actions on
+    which the profiles differ is fixed: it plays one slice R on every
+    profile (every agent of a point mass, every pure agent of a product, an
+    agent with no actions). Its one group holds every profile; for each
+    deviation T != R it reads f(S_-i | T) once per member into its own copy
+    of the list, with no dict. No other read of the call can equal such a
+    read: it has slice T on A_i, and every profile and every other read has
+    R there. So f is read once per distinct profile when the profiles are
+    distinct, as ``JointDistribution`` guarantees.
     """
     if concept not in ("ce", "cce", "dropout"):
         raise ValueError(f"unknown concept {concept!r}")
     inst.check_contract(a)
     width = len(profiles)
     full = range(width)
-    # the actions on which a non-empty support's profiles differ; None in LP
-    # mode and on an empty support, where no agent is fixed
+    pairs = list(map(f, profiles))  # f as (numerator, denominator), profile k at k
+    # the actions on which the profiles differ; None on an empty support,
+    # where no agent is fixed
     varying = None
     if profiles == range(1 << inst.m):
         where = None  # each profile is its own position in pairs
-        pairs = list(map(f, profiles))
-        own_f = profiles
+        varying = (1 << inst.m) - 1
         every_den = lcm(*{d for _, d in pairs})
     else:
-        where: dict = {}  # profile -> its position in pairs
-        pairs = []  # f of every profile read, as (numerator, denominator)
-        claim = where.setdefault  # a new profile gets the next position
-        own_f = [claim(S, len(where)) for S in profiles]
-        for S, at in zip(profiles, own_f):
-            if at == len(pairs):
-                pairs.append(f(S))
-        distinct = len(pairs)  # the profiles' own values are pairs[:distinct]
+        where = dict(zip(profiles, full))  # deviation S_-i | T -> its position
+        claim = where.setdefault  # a new profile gets the next free position
+        repeats = width - len(where)  # positions held by repeated profiles
         if width:
             varying = 0
             for S in profiles:
@@ -247,15 +245,14 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
             if mask.bit_count() > cap:
                 check_enum_bits(mask.bit_count(), f"{concept} rows agent {i}")
             targets = list(submasks(mask))
-        costs = {T: inst.cost_numerator(T) for T in targets}
         top, q = a[i].numerator * inst.cost_den, a[i].denominator
         fixed = varying is not None and not mask & varying
         if fixed:
             R = profiles[0] & mask  # the agent's slice on every profile
-            owns = [R] * width
+            owns, slices = [R] * width, (R,)
             groups = ((R if concept == "ce" else None, full),)
         else:
-            owns = [S & mask for S in profiles]
+            owns = slices = [S & mask for S in profiles]
             rests = [S ^ own for S, own in zip(profiles, owns)]
             if concept == "ce":
                 groups: dict = {}
@@ -264,17 +261,21 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
                 groups = groups.items()
             else:
                 groups = ((None, full),)
+        # the slices the rows price: every slice is a CE or CCE deviation,
+        # while dropout prices 0 and the agent's own slices
+        priced = {0, *slices} if concept == "dropout" else targets
+        costs = {T: inst.cost_numerator(T) for T in priced}
         value, value_den = None, None  # position -> a_i f(S) * scale, for the last lcm
         for rec, members in groups:
             deviations = [T for T in targets if T != rec]
             if fixed:
                 # the profiles' own values keep their positions; each
                 # deviation T != R reads f(S_-i | T) fresh after them
-                got = pairs[:distinct]
+                got = pairs[:width]
                 reads = []
                 for T in deviations:
                     if T == R:
-                        reads.append(own_f)
+                        reads.append(members)
                     else:
                         reads.append(range(len(got), len(got) + width))
                         got += [f((S ^ R) | T) for S in profiles]
@@ -283,7 +284,7 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
             elif where is None:
                 # the group's members and their deviations S_-i | T, over
                 # all of the agent's slices T, read every profile
-                away = rests if members is full else [rests[k] for k in members]
+                away = [rests[k] for k in members]
                 reads = [[rest | T for rest in away] for T in deviations]
                 den = every_den
                 if value is None:
@@ -291,14 +292,13 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
             else:
                 reads = []  # per deviation, the position of each member's f
                 for T in deviations:
-                    row = [own_f[k] if owns[k] == T else claim(rests[k] | T, len(where))
-                           for k in members]
-                    if len(where) > len(pairs):  # new profiles, in order of position
+                    row = [claim(rests[k] | T, len(where) + repeats) for k in members]
+                    if len(where) + repeats > len(pairs):  # new profiles, in order
                         for k, at in zip(members, row):
                             if at == len(pairs):
                                 pairs.append(f(rests[k] | T))
                     reads.append(row)
-                needed = {own_f[k] for k in members}
+                needed = set(members)
                 needed.update(*reads)
                 den = lcm(*{pairs[at][1] for at in needed})
                 if den != value_den:
@@ -306,22 +306,12 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
                 new = [at for at in needed if at not in value]
                 value.update(zip(new, _scaled([pairs[at] for at in new], top, den)))
             base = q * den
-            follow = [0] * width
-            for k in members:
-                own = owns[k]
-                if own not in costs:
-                    costs[own] = inst.cost_numerator(own)
-                follow[k] = value[own_f[k]] - costs[own] * base
+            follow = [value[k] - costs[owns[k]] * base for k in members]
             scale = base * inst.cost_den
             for T, row in zip(deviations, reads):
                 cost_T = costs[T] * base
-                if members is full:
-                    deviate = [value[at] - cost_T for at in row]
-                else:
-                    deviate = [0] * width
-                    for k, at in zip(members, row):
-                        deviate[k] = value[at] - cost_T
-                yield i, rec, T, follow, deviate, scale
+                deviate = [value[at] - cost_T for at in row]
+                yield i, rec, T, members, follow, deviate, scale
 
 
 def _scaled(pairs, top: int, den: int) -> list:
@@ -335,20 +325,24 @@ def _violation(inst: Instance, support, a: Contract, concept: str,
     """The first regret row of ``concept`` that ``support`` violates, as a
     witness.
 
-    The probabilities are put over their lcm ``den``, so a row of the group
-    with scale s holds when rhs - lhs <= eps * s * den, all in integers.
+    The probabilities are put over their lcm ``den``, and each side sums
+    over the row's members, so a row of the group with scale s holds when
+    rhs - lhs <= eps * s * den, all in integers.
     """
     eps = _tol(tol)
     profiles, probs = zip(*support)
     weights, den = over_common_denominator(probs)
     group = None
-    for i, rec, T, follow, deviate, scale in regret_rows(inst, a, concept, profiles,
-                                                         inst.reward.value_pair):
+    for i, rec, T, members, follow, deviate, scale in regret_rows(
+            inst, a, concept, profiles, inst.reward.value_pair):
         if follow is not group:
             group = follow
-            lhs = sum(map(mul, weights, follow))
+            # the members' weights; a group of every profile takes them all
+            held = (weights if len(members) == len(weights)
+                    else [weights[k] for k in members])
+            lhs = sum(map(mul, held, follow))
             slack = eps.numerator * scale * den
-        rhs = sum(map(mul, weights, deviate))
+        rhs = sum(map(mul, held, deviate))
         if (rhs - lhs) * eps.denominator > slack:
             total = scale * den
             return Verdict(False, agent=i, deviation=T, recommendation=rec,

@@ -18,18 +18,16 @@ from operator import index
 from typing import Callable, Sequence
 
 from .core import (
-    CapacityError,
     ZERO,
     as_fraction,
     bits_of,
     check_enum_bits,
+    check_profile_count,
     mask_of,
     over_common_denominator,
     profile_cap,
     submasks,
 )
-
-CLASSIFY_CAP = 12
 
 
 class RewardFunction:
@@ -53,9 +51,9 @@ class RewardFunction:
 
         With no arguments this is f over all 2^m profiles, indexed by
         bitmask. ``mask`` and ``base`` must be disjoint profiles (ValueError
-        otherwise). The caller bounds 2^|mask|: the PNE searches and the LPs
-        check the profile cap first, ``classify`` its own cap, ``demand``
-        asks for blocks within the profile cap. This fallback calls
+        otherwise). The caller bounds 2^|mask|: the PNE searches, the LPs
+        and ``classify`` check the profile cap first, ``demand`` asks for
+        blocks within the profile cap. This fallback calls
         ``value_pair`` once per profile. Additive, coverage and XOS rewards
         fill the table from their weights over one common denominator, in
         integers, one add per profile, each from the profile without its
@@ -348,11 +346,12 @@ def classify(f: RewardFunction) -> ClassReport:
     marginals of S (which always works for submodular f); only where both
     fail does an exact LP decide. A max of nonnegative additive clauses is
     monotone, so XOS also requires monotone, which the per-set test alone
-    does not check. Gross substitutes is deliberately not tested.
+    does not check. Gross substitutes is deliberately not tested. The 2^m
+    profiles must be within the profile cap (``CONTRACTLAB_CAP``), or
+    CapacityError is raised.
     """
     m = f.m
-    if m > CLASSIFY_CAP:
-        raise CapacityError(f"classify: m={m} exceeds cap {CLASSIFY_CAP}")
+    check_profile_count(1 << m, "classify")
     full = (1 << m) - 1
     # every test below compares sums of values, so f (and an XOS reward's
     # clauses) times the lcm of their denominators gives the same verdicts

@@ -40,8 +40,9 @@ rounding.
 
 The equilibrium benchmarks and the ``fixtures`` samplers are one LP,
 ``equilibrium_lp``: every regret row the distribution verifiers check
-(``equilibria.regret_rows``), follow - deviate >= 0, then sum p = 1. Rows
-with no negative entry are met, and most rows of CCE and CE are forcing.
+(``equilibria.regret_rows``), follow - deviate >= 0, written over every
+profile with 0 outside the row's group, then sum p = 1. Rows with no
+negative entry are met, and most rows of CCE and CE are forcing.
 The LP is integer from the reward table to the certified value: the rows
 read f as the integer pairs of ``RewardFunction.table()``, each profile its
 own position, the default objective is the table's numerators over their
@@ -79,7 +80,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import comb, gcd, lcm
-from operator import sub
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -418,9 +418,13 @@ def equilibrium_lp(inst: Instance, a: Contract, concept: str, sense: str = "max"
     """
     profiles = _profiles(inst, "equilibrium LP")
     table = inst.reward.table()
-    rows = [(tuple(map(sub, follow, deviate)), ">=", 0)
-            for *_, follow, deviate, _ in regret_rows(inst, a, concept, profiles,
-                                                      table.__getitem__)]
+    rows = []
+    for *_, members, follow, deviate, _ in regret_rows(inst, a, concept, profiles,
+                                                       table.__getitem__):
+        row = [0] * len(profiles)  # the dense LP row: 0 outside the members
+        for k, u, v in zip(members, follow, deviate):
+            row[k] = u - v
+        rows.append((tuple(row), ">=", 0))
     rows.append(((1,) * len(profiles), "=", 1))
     if objective is None:
         den = lcm(*{d for _, d in table})
@@ -640,11 +644,10 @@ def best_pne(inst: Instance):
 
 
 def best_pne_binary(inst: Instance):
-    """``best_pne`` on binary actions, where it is the closed form
-    g(S) = f(S) * (1 - sum_{i in S} c_i / f(i | S\\{i})), a free action
-    needing no share."""
+    """``best_pne`` behind a check that the actions are binary, every agent
+    owning exactly one action (ValueError otherwise)."""
     if not inst.binary:
-        raise ValueError("closed-form search needs binary actions")
+        raise ValueError("best_pne_binary needs binary actions")
     return best_pne(inst)
 
 

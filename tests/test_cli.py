@@ -7,12 +7,14 @@ from pathlib import Path
 import pytest
 
 from contractlab import cli
+from contractlab.core import CapacityError
 from contractlab.fixtures import (
     random_instance,
     separation_example,
     subadditive_gap_instance,
     supermodular_cce_gap_instance,
 )
+from contractlab.rewards import classify
 
 
 def write(tmp_path, name, doc):
@@ -500,3 +502,53 @@ def test_calls_in_sequence_match_calls_alone(separation_path, capsys):
     cli.build_parser.cache_clear()
     assert [run(argv) for argv in calls] == alone
     assert [run(argv) for argv in reversed(calls)] == alone[::-1]
+
+
+def test_deeply_nested_json_is_a_usage_error(separation_path, tmp_path, capsys):
+    """The JSON decoder gives up on deep nesting with RecursionError, which is
+    a RuntimeError; it is bad input, not a failed post-check."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    for argv in (["classify", str(deep)],
+                 ["verify", separation_path, "--contract", "1/36,1/36",
+                  "--distribution", str(deep), "--concept", "cce"]):
+        assert exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {deep}: ")
+
+
+@pytest.mark.parametrize("reward, m", [
+    ({"type": "table", "values": "05"}, 1),
+    ({"type": "table", "values": {"0": "0", "1": "5"}}, 1),
+    ({"type": "additive", "values": "5"}, 1),
+    ({"type": "xos", "clauses": ["12", "30"]}, 2),
+    ({"type": "xos", "clauses": "12"}, 1),
+    ({"type": "coverage", "weights": "1", "covers": [[0]]}, 1),
+], ids=str)
+def test_reward_fields_must_be_json_lists(reward, m, tmp_path, capsys):
+    """A string or an object iterates as characters or keys: "05" would read
+    as the table [0, 5]. Every list field of a reward must be a JSON list."""
+    doc = {"agents": [{"id": i, "actions": [{"id": i, "cost": "0"}]} for i in range(m)],
+           "reward": reward}
+    assert exit_code(["classify", write(tmp_path, "reward.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad reward payload: ")
+    assert captured.err.rstrip().endswith("must be a list")
+
+
+def test_classify_follows_the_profile_cap(tmp_path, monkeypatch, capsys):
+    """classify enumerates 2^m profiles, under CONTRACTLAB_CAP like every
+    other exponential allocation."""
+    monkeypatch.setenv("CONTRACTLAB_CAP", "24,16")
+    four, five = (random_instance("additive", 1, m, 1) for m in (4, 5))
+    assert classify(four.reward).additive
+    with pytest.raises(CapacityError, match="classify: 32 profiles"):
+        classify(five.reward)
+    assert exit_code(["classify", write(tmp_path, "four.json",
+                                        cli.instance_to_json(four))]) == 0
+    capsys.readouterr()
+    assert exit_code(["classify", write(tmp_path, "five.json",
+                                        cli.instance_to_json(five))]) == 3
+    assert capsys.readouterr().err.startswith("capacity: classify: 32 profiles")

@@ -30,6 +30,7 @@ from contractlab.fixtures import (
 )
 from contractlab.rewards import TableReward
 from contractlab.solvers import LinearProgram, best_ce, best_cce, solve_lp, worst_cce
+from padded_rows import padded
 
 KINDS = ("additive", "coverage", "xos", "supermodular", "table")
 CONCEPTS = ("cce", "ce", "dropout")
@@ -116,7 +117,12 @@ def test_row_values_are_exact_utilities(concept):
                                    inst.reward.value_pair))
             want = expected_rows(inst, profiles, concept)
             assert [row[:3] for row in got] == [row[:3] for row in want], label
-            for (i, _, T, follow, deviate, scale), (*_, members) in zip(got, want):
+            for (*_, members, follow, deviate, _), (*_, want_members) in zip(got, want):
+                assert list(members) == sorted(want_members), label
+                assert isinstance(members, range) == (len(members) == len(profiles))
+                assert len(follow) == len(deviate) == len(members)
+            for (i, _, T, follow, deviate, scale), (*_, members) in zip(
+                    padded(got, len(profiles)), want):
                 assert type(scale) is int and scale > 0
                 mask = inst.agent_mask(i)
                 for k, S in enumerate(profiles):

@@ -23,6 +23,7 @@ from contractlab.solvers import (
     equilibrium_lp,
     worst_cce,
 )
+from padded_rows import padded
 from test_lp_presolve import (
     REAL_PRESOLVE,
     expected_start,
@@ -41,8 +42,8 @@ def every_regret_row(inst, a, concept):
     sum p = 1."""
     table = inst.reward.table()
     rows = [(tuple(map(sub, follow, deviate)), ">=", 0)
-            for *_, follow, deviate, _ in regret_rows(inst, a, concept, range(1 << inst.m),
-                                                      table.__getitem__)]
+            for *_, follow, deviate, _ in padded(regret_rows(
+                inst, a, concept, range(1 << inst.m), table.__getitem__), 1 << inst.m)]
     rows.append(((1,) * (1 << inst.m), "=", 1))
     return tuple(rows)
 

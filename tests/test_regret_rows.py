@@ -29,6 +29,7 @@ from contractlab.fixtures import (
 )
 from contractlab.rewards import AdditiveReward, FormulaReward
 from contractlab.solvers import best_cce, best_ce, worst_cce
+from padded_rows import padded
 
 KINDS = ("additive", "coverage", "xos", "supermodular", "table")
 VERIFIERS = {"cce": is_cce, "ce": is_ce, "dropout": is_dropout_stable}
@@ -195,10 +196,11 @@ def test_pinned_supports_match_brute_force_and_full_rows(kind):
                     assert (verdict.agent, verdict.recommendation, verdict.deviation,
                             verdict.lhs, verdict.rhs) == (i, rec, T, follow, deviate)
                 full = {(i, rec, T): (follow, deviate, scale)
-                        for i, rec, T, follow, deviate, scale in regret_rows(
-                            inst, a, concept, range(1 << inst.m), table.__getitem__)}
-                rows = list(regret_rows(inst, a, concept, profiles,
-                                        inst.reward.value_pair))
+                        for i, rec, T, follow, deviate, scale in padded(regret_rows(
+                            inst, a, concept, range(1 << inst.m), table.__getitem__),
+                            1 << inst.m)}
+                rows = list(padded(regret_rows(inst, a, concept, profiles,
+                                               inst.reward.value_pair), len(profiles)))
                 assert [row[:3] for row in rows] \
                     == rows_in_order(inst, D.support, concept)
                 for i, rec, T, follow, deviate, scale in rows:
@@ -317,8 +319,8 @@ def test_agents_without_actions_and_empty_supports(actions):
                 (profiles, inst.reward.value_pair) for profiles in supports]:
             rows = [(i, rec, T, [F(v, scale) for v in follow],
                      [F(v, scale) for v in deviate])
-                    for i, rec, T, follow, deviate, scale in regret_rows(
-                        inst, a, concept, profiles, f)]
+                    for i, rec, T, follow, deviate, scale in padded(regret_rows(
+                        inst, a, concept, profiles, f), len(profiles))]
             assert rows == written_out(inst, a, concept, list(profiles))
         for S in everything:
             violated = violations(inst, ((S, F(1)),), a, concept)

@@ -20,6 +20,7 @@ from contractlab.fixtures import (
 )
 from contractlab.rewards import AdditiveReward
 from contractlab.solvers import best_ce, best_cce, equilibrium_lp, worst_cce
+from padded_rows import padded
 
 KINDS = ("additive", "coverage", "xos", "supermodular", "table")
 SHAPES = ([2, 2], [1, 1, 1, 1], [2, 2, 1], [3, 1])
@@ -68,8 +69,10 @@ def test_table_pairs_and_value_pairs_give_the_same_rows(concept):
     each row matches up to its group's positive scale."""
     for label, inst, a in [*instances(), *fractional_instances()]:
         profiles = range(1 << inst.m)
-        from_table = regret_rows(inst, a, concept, profiles, inst.reward.table().__getitem__)
-        from_value = regret_rows(inst, a, concept, list(profiles), inst.reward.value_pair)
+        from_table = padded(regret_rows(inst, a, concept, profiles,
+                                        inst.reward.table().__getitem__), len(profiles))
+        from_value = padded(regret_rows(inst, a, concept, list(profiles),
+                                        inst.reward.value_pair), len(profiles))
         for got, want in zip(from_table, from_value, strict=True):
             assert got[:3] == want[:3], label
             for row, ref in zip(got[3:5], want[3:5]):
