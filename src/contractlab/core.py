@@ -30,9 +30,22 @@ class CapacityError(Exception):
     """A brute-force enumeration would exceed the configured cap."""
 
 
+# the last CONTRACTLAB_CAP value parsed (None when unset) and its caps
+_parsed_caps = (None, (DEFAULT_ENUM_CAP_BITS, DEFAULT_PROFILE_CAP))
+
+
 def _caps() -> tuple:
-    """(enumeration bits, profile count) from CONTRACTLAB_CAP="bits[,profiles]"."""
+    """(enumeration bits, profile count) from CONTRACTLAB_CAP="bits[,profiles]".
+
+    The variable is read on every call and parsed only when it differs from
+    the last value parsed, so a change binds at the next check. A malformed
+    value is never kept: it raises ValueError on every call.
+    """
+    global _parsed_caps
     raw = os.environ.get("CONTRACTLAB_CAP")
+    last_raw, last_caps = _parsed_caps  # one read: another thread may set it
+    if raw == last_raw:
+        return last_caps
     caps = [DEFAULT_ENUM_CAP_BITS, DEFAULT_PROFILE_CAP]
     if raw:
         parts = raw.split(",")
@@ -40,7 +53,9 @@ def _caps() -> tuple:
             raise ValueError(f"CONTRACTLAB_CAP={raw!r} is not 'bits[,profiles]' "
                              f"with nonnegative integers")
         caps[:len(parts)] = [int(p) for p in parts]
-    return tuple(caps)
+    caps = tuple(caps)
+    _parsed_caps = (raw, caps)
+    return caps
 
 
 def enum_cap_bits() -> int:
@@ -154,6 +169,11 @@ class Instance:
     non-decreasing so action ids are numbered in agent order. ``reward`` is a
     ``rewards.RewardFunction``: it exposes ``m``, ``value(mask) -> Fraction``,
     ``value_pair(mask)`` (f as an integer pair) and ``table()``.
+
+    An instance keeps what it derives from its costs and reward: the costs
+    over one denominator, and the PNE table of ``solvers``, built on its
+    first read. So the reward must be a pure function of the profile, and
+    ``dataclasses.replace`` builds a new instance with tables of its own.
     """
 
     n: int
@@ -186,6 +206,8 @@ class Instance:
         nums, den = over_common_denominator(self.costs)
         object.__setattr__(self, "cost_den", den)
         object.__setattr__(self, "_cost_nums", tuple(nums))
+        # the rows of solvers' PNE table, filled on first read by _pne_rows
+        object.__setattr__(self, "_pne_cache", None)
 
     @property
     def m(self) -> int:

@@ -230,6 +230,8 @@ class FormulaReward(RewardFunction):
 
     The callback must return an exact rational, an ``int`` or a
     ``Fraction``; anything else, a float included, is a TypeError on read.
+    It must also be a pure function of S: an ``Instance`` keeps tables read
+    from its reward, so a callback whose answers change is not read again.
     """
 
     def __init__(self, m: int, fn: Callable[[int], Fraction]):

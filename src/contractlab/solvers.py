@@ -61,18 +61,21 @@ since its point mass meets every row. Every dropout row reads 0 at profile
 
 The PNE searches (``enumerate_pne``, the best_pne cells of ``grid_search``
 and ``best_pne``, the best PNE over all contracts) read one table,
-``_pne_table``, built once per call: f over every profile, from the
-reward's integer table (``RewardFunction.table``, no oracle call), and the
-slice costs, in integers (the costs are ``Instance``'s, over ``cost_den``).
-Its one helper, ``interval``, writes the PNE condition: it gives the exact
-interval of shares under which an agent keeps its slice of a profile, as
-integer pairs. ``_pne_bounds`` lists every profile's intervals, and a
-contract's shares are compared with them as integers; so is f, by the sign
-of the principal's share, to pick a contract's best PNE. A grid cell
-carries its shares as integer pairs (k, r). Only returned values become
-``Fraction``s. ``best_pne`` (which needs f >= 0) skips a profile whose f(S)
-cannot beat the best value so far and leaves a profile as soon as its lower
-ends lose.
+``_pne_table``: f over every profile, from the reward's integer table
+(``RewardFunction.table``, no oracle call), and the slice costs, in
+integers (the costs are ``Instance``'s, over ``cost_den``). Its one helper,
+``interval``, writes the PNE condition: it gives the exact interval of
+shares under which an agent keeps its slice of a profile, as integer pairs.
+``_pne_bounds`` lists every profile's intervals. Each instance keeps that
+list, built on its first read by ``enumerate_pne``, ``evaluate_cell`` or
+the grid (``_pne_rows``); the caps are still checked on every call. A
+contract's shares, the principal's among them, are integer pairs, compared
+with the kept intervals in integers; f is compared by the sign of the
+principal's share, to pick a contract's best PNE. A grid cell carries its
+shares as integer pairs (k, r). Only returned values become ``Fraction``s.
+``best_pne`` (which needs f >= 0) sweeps ``_pne_table`` afresh on every
+call and keeps nothing: it skips a profile whose f(S) cannot beat the best
+value so far and leaves a profile as soon as its lower ends lose.
 """
 from __future__ import annotations
 
@@ -89,6 +92,7 @@ from .core import (
     ZERO,
     check_enum_bits,
     check_profile_count,
+    enum_cap_bits,
     over_common_denominator,
     submasks,
 )
@@ -461,6 +465,16 @@ def best_ce(inst: Instance, a: Contract):
     return _principal_lp(inst, a, "ce", "max")
 
 
+def _check_pne_caps(inst: Instance) -> None:
+    """The caps on the PNE table: 2^m profiles and each agent's subsets."""
+    _profiles(inst, "PNE table")
+    cap = enum_cap_bits()  # read once, as it is parsed from the environment
+    for i in range(inst.n):
+        bits = inst.agent_mask(i).bit_count()
+        if bits > cap:
+            check_enum_bits(bits, f"PNE table agent {i}")
+
+
 def _pne_table(inst: Instance):
     """What the PNE searches read: f over every profile as (numerator,
     denominator) pairs, from ``inst.reward.table()`` without a ``value``
@@ -473,13 +487,10 @@ def _pne_table(inst: Instance):
     run to thousands of digits. No ``Fraction`` is built here; the searches
     build one for each value they return.
     """
-    _profiles(inst, "PNE table")
+    _check_pne_caps(inst)
     fracs = inst.reward.table()
-    slices = []
-    for i in range(inst.n):
-        mask = inst.agent_mask(i)
-        check_enum_bits(mask.bit_count(), f"PNE table agent {i}")
-        slices.append((mask, list(submasks(mask))))
+    slices = [(mask, list(submasks(mask)))
+              for mask in map(inst.agent_mask, range(inst.n))]
     c_den = inst.cost_den
     cost = {T: inst.cost_numerator(T) for _, subs in slices for T in subs}
 
@@ -542,12 +553,26 @@ def _pne_bounds(inst: Instance):
             yield S, fS, tuple(bounds)
 
 
+def _pne_rows(inst: Instance) -> tuple:
+    """The rows of ``_pne_bounds(inst)``, built on the first read and kept
+    on the instance. The caps are checked on every read, so a cap tightened
+    since the build still binds."""
+    rows = inst._pne_cache
+    if rows is None:
+        rows = tuple(_pne_bounds(inst))  # _pne_table checks the caps
+        object.__setattr__(inst, "_pne_cache", rows)
+    else:
+        _check_pne_caps(inst)
+    return rows
+
+
 def _shares(a: Contract):
     """The shares of ``a`` as integer pairs (p, q), q > 0, and the
-    principal's share 1 - sum a_i as one such pair."""
-    rest = ONE - a.total()
-    return ([(v.numerator, v.denominator) for v in a.alpha],
-            (rest.numerator, rest.denominator))
+    principal's share 1 - sum a_i as one such pair, L - sum p (L / q) over
+    L = lcm(q), not always in lowest terms."""
+    shares = [(v.numerator, v.denominator) for v in a.alpha]
+    den = lcm(*[q for _, q in shares])
+    return shares, (den - sum(p * (den // q) for p, q in shares), den)
 
 
 def _pnes(table, shares):
@@ -586,7 +611,7 @@ def enumerate_pne(inst: Instance, a: Contract) -> list:
     inst.check_contract(a)
     shares, (s_n, s_d) = _shares(a)
     found = [(S, Fraction(s_n * n_S, s_d * d_S))
-             for S, (n_S, d_S) in _pnes(_pne_bounds(inst), shares)]
+             for S, (n_S, d_S) in _pnes(_pne_rows(inst), shares)]
     found.sort(key=lambda e: (-e[1], e[0]))
     return found
 
@@ -690,7 +715,7 @@ def evaluate_cell(inst: Instance, a: Contract, objective: str):
     """Principal utility of the objective at one contract, with a witness."""
     if objective == "best_pne":
         inst.check_contract(a)
-        return _best_pne(_pne_bounds(inst), *_shares(a))
+        return _best_pne(_pne_rows(inst), *_shares(a))
     solver = {"best_cce": best_cce, "worst_cce": worst_cce, "best_ce": best_ce}
     dist, utility = solver[objective](inst, a)
     return utility, dist
@@ -702,9 +727,10 @@ def grid_search(inst: Instance, resolution: int, objective: str,
     cell. worst_cce is also maximized: the value of a contract is its worst
     case, and we search for the contract whose worst case is largest.
 
-    best_pne cells read the PNE rows sorted once by f(S) descending (the
-    smaller profile first on a tie), so a cell whose principal's share is
-    positive stops at the first row whose bounds it meets.
+    best_pne cells read the instance's PNE rows (``_pne_rows``), sorted
+    once per call by f(S) descending (the smaller profile first on a tie),
+    so a cell whose principal's share is positive stops at the first row
+    whose bounds it meets.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -716,7 +742,7 @@ def grid_search(inst: Instance, resolution: int, objective: str,
     for a in explicit_cells:
         inst.check_contract(a)
     if objective == "best_pne":
-        table = list(_pne_bounds(inst))
+        table = _pne_rows(inst)
         ranked = sorted(table, key=lambda row: (-Fraction(*row[1]), row[0]))
 
         def evaluate(a, shares, share):

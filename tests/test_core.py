@@ -9,10 +9,12 @@ import pytest
 import contractlab
 
 from contractlab.core import (
+    CapacityError,
     Contract,
     agent_utility,
     as_fraction,
     bits_of,
+    check_profile_count,
     enum_cap_bits,
     mask_of,
     make_instance,
@@ -236,6 +238,28 @@ def test_malformed_cap_is_a_clear_error(monkeypatch, raw):
             read()
     monkeypatch.setenv("CONTRACTLAB_CAP", " 20 , 100 ")
     assert (enum_cap_bits(), profile_cap()) == (20, 100)
+
+
+def test_caps_follow_every_change_of_the_variable(monkeypatch):
+    """The parsed caps are kept per raw value: a new value binds at the next
+    check, unsetting restores the defaults, and a malformed value raises on
+    every check, never from what was kept."""
+    monkeypatch.delenv("CONTRACTLAB_CAP", raising=False)
+    check_profile_count(32, "table")
+    monkeypatch.setenv("CONTRACTLAB_CAP", "24,16")
+    for _ in range(2):
+        with pytest.raises(CapacityError, match="table: 32 profiles"):
+            check_profile_count(32, "table")
+    monkeypatch.delenv("CONTRACTLAB_CAP")
+    check_profile_count(32, "table")
+    assert (enum_cap_bits(), profile_cap()) == (24, 4096)
+    monkeypatch.setenv("CONTRACTLAB_CAP", "x,y")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="CONTRACTLAB_CAP='x,y'"):
+            check_profile_count(32, "table")
+    monkeypatch.setenv("CONTRACTLAB_CAP", "24,16")
+    with pytest.raises(CapacityError):
+        check_profile_count(32, "table")
 
 
 def test_no_module_holds_a_float():
