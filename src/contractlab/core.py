@@ -171,9 +171,12 @@ class Instance:
     ``value_pair(mask)`` (f as an integer pair) and ``table()``.
 
     An instance keeps what it derives from its costs and reward: the costs
-    over one denominator, and the PNE table of ``solvers``, built on its
-    first read. So the reward must be a pure function of the profile, and
-    ``dataclasses.replace`` builds a new instance with tables of its own.
+    over one denominator, each agent's slice costs (``slice_costs``), and two
+    things of ``solvers``, each built on its first read: the PNE table, and
+    for each equilibrium concept the last contract's LP (its rows, the
+    reward's table and the feasible region after the crash). So the reward
+    must be a pure function of the profile, and ``dataclasses.replace``
+    builds a new instance with tables of its own.
     """
 
     n: int
@@ -206,8 +209,12 @@ class Instance:
         nums, den = over_common_denominator(self.costs)
         object.__setattr__(self, "cost_den", den)
         object.__setattr__(self, "_cost_nums", tuple(nums))
+        # each agent's (shift, slice costs), filled on first read by slice_costs
+        object.__setattr__(self, "_slice_costs", [None] * self.n)
         # the rows of solvers' PNE table, filled on first read by _pne_rows
         object.__setattr__(self, "_pne_cache", None)
+        # solvers' equilibrium LPs: concept -> (contract, table, rows, region)
+        object.__setattr__(self, "_lp_cache", {})
 
     @property
     def m(self) -> int:
@@ -231,6 +238,23 @@ class Instance:
         """c(mask) * cost_den, an exact integer."""
         nums = self._cost_nums
         return sum(nums[j] for j in bits_of(mask))
+
+    def slice_costs(self, i: int) -> tuple:
+        """(shift, costs): ``costs[T >> shift]`` is c(T) * cost_den for every
+        slice T of agent i, whose actions are consecutive from action
+        ``shift``, so the costs come in ``submasks`` order. Built on the
+        agent's first read and kept; it has 2^|A_i| entries, which the caller
+        bounds first, as it does before it enumerates the agent's slices."""
+        kept = self._slice_costs[i]
+        if kept is None:
+            mask = self._agent_masks[i]
+            nums = self._cost_nums
+            costs = [0]
+            for j in bits_of(mask):  # doubling: bit b of an index is action shift + b
+                costs += [c + nums[j] for c in costs]
+            kept = ((mask & -mask).bit_length() - 1 if mask else 0, tuple(costs))
+            self._slice_costs[i] = kept
+        return kept
 
     def cost(self, mask: int) -> Fraction:
         return Fraction(self.cost_numerator(mask), self.cost_den)

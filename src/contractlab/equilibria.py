@@ -202,7 +202,7 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
     one, read when a group first needs it. The scaled values
     a_i f(S) * scale are kept per agent while the lcm stays the same, so
     the full-width groups of an agent scale each value once. Slice costs
-    come from ``Instance.cost_numerator``.
+    come from ``Instance.slice_costs``, kept per instance.
 
     On a non-empty ``profiles``, an agent that owns none of the actions on
     which the profiles differ is fixed: it plays one slice R on every
@@ -235,24 +235,26 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
             varying = 0
             for S in profiles:
                 varying |= S ^ profiles[0]
-    # read once, as it is parsed from the environment; dropout rows skip it
-    cap = None if concept == "dropout" else enum_cap_bits()
+    # read once, as it is parsed from the environment; dropout rows are not
+    # held to it, as they price only 0 and the agent's own slices
+    cap = enum_cap_bits()
     for i in range(inst.n):
         mask = inst.agent_mask(i)
+        bits = mask.bit_count()
         if concept == "dropout":
             targets = (0,)
         else:
-            if mask.bit_count() > cap:
-                check_enum_bits(mask.bit_count(), f"{concept} rows agent {i}")
+            if bits > cap:
+                check_enum_bits(bits, f"{concept} rows agent {i}")
             targets = list(submasks(mask))
         top, q = a[i].numerator * inst.cost_den, a[i].denominator
         fixed = varying is not None and not mask & varying
         if fixed:
             R = profiles[0] & mask  # the agent's slice on every profile
-            owns, slices = [R] * width, (R,)
+            owns = [R] * width
             groups = ((R if concept == "ce" else None, full),)
         else:
-            owns = slices = [S & mask for S in profiles]
+            owns = [S & mask for S in profiles]
             rests = [S ^ own for S, own in zip(profiles, owns)]
             if concept == "ce":
                 groups: dict = {}
@@ -261,10 +263,14 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
                 groups = groups.items()
             else:
                 groups = ((None, full),)
-        # the slices the rows price: every slice is a CE or CCE deviation,
-        # while dropout prices 0 and the agent's own slices
-        priced = {0, *slices} if concept == "dropout" else targets
-        costs = {T: inst.cost_numerator(T) for T in priced}
+        # each profile's own slice cost, from the instance's slice costs; a
+        # dropout agent past the cap sums its own slices instead (c(0) = 0)
+        if bits <= cap:
+            shift, cost = inst.slice_costs(i)
+            paid = [cost[own >> shift] for own in owns]
+        else:
+            shift, cost = 0, (0,)
+            paid = list(map(inst.cost_numerator, owns))
         value, value_den = None, None  # position -> a_i f(S) * scale, for the last lcm
         for rec, members in groups:
             deviations = [T for T in targets if T != rec]
@@ -306,10 +312,10 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
                 new = [at for at in needed if at not in value]
                 value.update(zip(new, _scaled([pairs[at] for at in new], top, den)))
             base = q * den
-            follow = [value[k] - costs[owns[k]] * base for k in members]
+            follow = [value[k] - paid[k] * base for k in members]
             scale = base * inst.cost_den
             for T, row in zip(deviations, reads):
-                cost_T = costs[T] * base
+                cost_T = cost[T >> shift] * base
                 deviate = [value[at] - cost_T for at in row]
                 yield i, rec, T, members, follow, deviate, scale
 

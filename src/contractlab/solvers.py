@@ -38,11 +38,22 @@ tableau, so a corrupted pivot is still caught. Exactness matters:
 equilibria hold with ties, so every comparison must be decided without
 rounding.
 
+``solve_lp`` runs in two halves, one simplex. ``_region`` builds what the
+rows alone decide: the integer rows, the presolve, the tableau, the crash
+and phase 1, that is the feasible region with a feasible basis.
+``_optimum`` runs phase 2 for the objective on a copy of that tableau, reads
+the duals and certifies the optimum on every row. A program can carry a
+region built for the same rows (``LinearProgram._region``); phase 2 then
+starts from the same basis, so it takes the same pivots to the same vertex
+as a fresh solve.
+
 The equilibrium benchmarks and the ``fixtures`` samplers are one LP,
 ``equilibrium_lp``: every regret row the distribution verifiers check
 (``equilibria.regret_rows``), follow - deviate >= 0, written over every
 profile with 0 outside the row's group, then sum p = 1. Rows with no
-negative entry are met, and most rows of CCE and CE are forcing.
+negative entry are met, and most rows of CCE and CE are forcing. An
+instance keeps, per concept, the last contract's rows and region, so the
+best and worst CCE and the samplers at one contract build them once.
 The LP is integer from the reward table to the certified value: the rows
 read f as the integer pairs of ``RewardFunction.table()``, each profile its
 own position, the default objective is the table's numerators over their
@@ -62,8 +73,9 @@ since its point mass meets every row. Every dropout row reads 0 at profile
 The PNE searches (``enumerate_pne``, the best_pne cells of ``grid_search``
 and ``best_pne``, the best PNE over all contracts) read one table,
 ``_pne_table``: f over every profile, from the reward's integer table
-(``RewardFunction.table``, no oracle call), and the slice costs, in
-integers (the costs are ``Instance``'s, over ``cost_den``). Its one helper,
+(``RewardFunction.table``, no oracle call), and the slice costs the
+instance lists once (``Instance.slice_costs``, integers over
+``cost_den``). Its one helper,
 ``interval``, writes the PNE condition: it gives the exact interval of
 shares under which an agent keeps its slice of a profile, as integer pairs.
 ``_pne_bounds`` lists every profile's intervals. Each instance keeps that
@@ -94,14 +106,19 @@ from .core import (
     check_profile_count,
     enum_cap_bits,
     over_common_denominator,
-    submasks,
 )
 from .equilibria import JointDistribution, regret_rows, require_pne
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max/min objective . x subject to rows, x >= 0."""
+    """max/min objective . x subject to rows, x >= 0.
+
+    ``_region`` is private and None unless ``equilibrium_lp`` hands the
+    program to ``solve_lp`` with a list there: one that holds the ``_Region``
+    of a program with the same rows, which ``solve_lp`` then runs phase 2
+    from, or an empty one, which it fills with the region it builds.
+    """
 
     objective: tuple
     sense: str
@@ -116,6 +133,7 @@ class LinearProgram:
                 raise ValueError("row width does not match variable count")
             if rel not in ("<=", "=", ">="):
                 raise ValueError(f"unknown relation {rel!r}")
+        object.__setattr__(self, "_region", None)
 
 
 @dataclass(frozen=True)
@@ -207,15 +225,58 @@ def _presolve(row, rel) -> str:
     return "forcing" if hi <= 0 else "kept"
 
 
-def solve_lp(lp: LinearProgram) -> LpResult:
-    objective, obj_scale = over_common_denominator(lp.objective)
-    sign = 1 if lp.sense == "max" else -1
+@dataclass(frozen=True)
+class _Region:
+    """What ``solve_lp`` derives from a program's rows alone: its feasible
+    region, as the tableau after the crash and phase 1.
 
+    ``scaled[r]`` is row r in integers, rhs last, as the certificate reads
+    it, or None where that is the row as given, ``[*coeffs, rhs]``, so that
+    an integer row is kept once. The met and forcing rows are out of the
+    tableau, and so are the ``forced`` columns; ``cols`` are the others, in
+    order. ``duals`` lists (row, sign, unit column) for each row whose dual
+    phase 2 reads off the tableau. ``tab`` (no objective row), ``basis``
+    and ``d`` are never changed once built: phase 2 pivots a copy of the
+    two lists, and a pivot replaces the rows it changes rather than writing
+    into them.
+    """
+
+    scaled: list
+    forcing: list
+    forced: tuple
+    cols: list
+    duals: list
+    tab: list
+    basis: list
+    d: int
+    first_art: int
+    total: int
+
+
+def solve_lp(lp: LinearProgram) -> LpResult:
+    """Solve ``lp`` exactly: build its region (``_region``), unless ``lp``
+    carries one, then run phase 2 and certify the optimum (``_optimum``)."""
+    kept = lp._region
+    if kept:
+        region = kept[0]
+    else:
+        region = _region(lp)
+        if region is None:
+            return LpResult(status="infeasible")
+        if kept is not None:
+            kept.append(region)
+    return _optimum(lp, region)
+
+
+def _region(lp: LinearProgram) -> Optional[_Region]:
+    """The feasible region of ``lp``'s rows, None if it is empty: the rows
+    scaled to integers, the presolve, the tableau, the crash and phase 1."""
     # scale each row to integers once; the certificate reads these rows.
     # The tableau copies only the kept rows, each over its gcd
-    rows, at, forcing = [], [], []  # at: the tableau's rows
+    rows, scaled, at, forcing = [], [], [], []  # at: the tableau's rows
     for r, (coeffs, rel, rhs) in enumerate(lp.rows):
-        row = over_common_denominator([*coeffs, rhs])[0]
+        given = [*coeffs, rhs]
+        row = over_common_denominator(given)[0]
         kind = _presolve(row, rel)
         if kind == "kept":
             at.append(r)
@@ -225,8 +286,9 @@ def solve_lp(lp: LinearProgram) -> LpResult:
         elif kind == "forcing":
             forcing.append(r)
         rows.append(row)
+        scaled.append(None if row is given else row)
     forced = {j for r in forcing for j, v in enumerate(rows[r]) if v}
-    cols = [j for j in range(len(objective)) if j not in forced]
+    cols = [j for j in range(len(lp.objective)) if j not in forced]
     n = len(cols)
 
     # the tableau copies those rows on the unforced columns, with every rhs
@@ -296,7 +358,7 @@ def solve_lp(lp: LinearProgram) -> LpResult:
         tab.append(obj1)
         _, d = _iterate(tab, basis, d, total)
         if tab.pop()[-1] > 0:
-            return LpResult(status="infeasible")
+            return None
         # pivot remaining zero-level artificials out, or drop redundant rows
         r = 0
         while r < len(basis):
@@ -310,14 +372,29 @@ def solve_lp(lp: LinearProgram) -> LpResult:
                 d = _pivot(tab, basis, d, r, col)
             r += 1
 
+    duals = [(r, s_r, u) for r, s_r, u in zip(at, signs, unit) if u not in dropped]
+    return _Region(scaled=scaled, forcing=forcing, forced=tuple(forced), cols=cols,
+                   duals=duals, tab=tab, basis=basis, d=d, first_art=first_art,
+                   total=total)
+
+
+def _optimum(lp: LinearProgram, region: _Region) -> LpResult:
+    """Phase 2 of ``lp`` from ``region``, which must be its rows' region:
+    the optimum, certified by ``_certify`` on every row, or 'unbounded'."""
+    objective, obj_scale = over_common_denominator(lp.objective)
+    sign = 1 if lp.sense == "max" else -1
+    cols = region.cols
+    n = len(cols)
+    tab, basis, d = list(region.tab), list(region.basis), region.d
+
     cost = [sign * objective[j] for j in cols]
-    obj = [d * c for c in cost] + [0] * (total - n + 1)
+    obj = [d * c for c in cost] + [0] * (region.total - n + 1)
     for row, b in zip(tab, basis):
         if b < n and cost[b] != 0:
             coef = cost[b]
             obj = [v - coef * w for v, w in zip(obj, row)]
     tab.append(obj)
-    status, d = _iterate(tab, basis, d, first_art)
+    status, d = _iterate(tab, basis, d, region.first_art)
     if status == "unbounded":
         return LpResult(status="unbounded")
     obj = tab.pop()
@@ -326,24 +403,25 @@ def solve_lp(lp: LinearProgram) -> LpResult:
         if b < n:
             x[cols[b]] = row[-1]
     del tab
+    rows = [row or [*coeffs, rhs]
+            for row, (coeffs, _, rhs) in zip(region.scaled, lp.rows)]
     # the reduced cost of a row's unit column is minus its dual over
     # d * obj_scale; a flipped row's dual changes sign
     w = [0] * len(rows)
-    for r, s_r, u in zip(at, signs, unit):
-        if u not in dropped:
-            w[r] = -s_r * obj[u]
-    if forcing:
+    for r, s_r, u in region.duals:
+        w[r] = -s_r * obj[u]
+    if region.forcing:
         # need[j]: what sum_r w_r a_rj >= +-c_j d still lacks on a forced
         # column. A forcing dual of its relation's sign adds k |a_rj| there
         # and nothing elsewhere (see the module docstring), so each row takes
         # the least k that covers its columns
-        need = {j: sign * objective[j] * d for j in forced}
+        need = {j: sign * objective[j] * d for j in region.forced}
         for r, w_r in enumerate(w):
             if w_r:
                 row = rows[r]
                 for j in need:
                     need[j] -= w_r * row[j]
-        for r in forcing:
+        for r in region.forcing:
             row = rows[r]
             k = max(-(-need[j] // abs(row[j])) for j in need if row[j])
             if k > 0:
@@ -414,32 +492,54 @@ def equilibrium_lp(inst: Instance, a: Contract, concept: str, sense: str = "max"
     ``concept``, with the certified optimum of the objective it solved.
 
     ``objective(S)`` weighs profile S, f(S) by default, when the optimum is
-    E[f] under the distribution. f is tabulated once, as the integer pairs
-    of ``inst.reward.table()``, for the rows and the default objective,
-    which is the table's numerators over their lcm L: the certified optimum
-    ``LpResult.value`` is then L E[f]. Raises RuntimeError unless the LP is
-    solved to optimality.
+    E[f] under the distribution. f is tabulated once per instance, as the
+    integer pairs of ``inst.reward.table()``, for the rows and the default
+    objective, which is the table's numerators over their lcm L: the
+    certified optimum ``LpResult.value`` is then L E[f]. Raises RuntimeError
+    unless the LP is solved to optimality.
+
+    The feasible region depends on the instance, the contract and the
+    concept only, so the instance keeps, per concept, the last contract's
+    rows and the region ``solve_lp`` built for them. A later call with that
+    contract and concept, whatever its objective and sense, reads no reward
+    and builds no row: ``solve_lp`` runs phase 2 from the kept crash basis,
+    so it takes the pivots a fresh solve would, and still certifies every
+    row. The caps are checked on every call.
     """
     profiles = _profiles(inst, "equilibrium LP")
-    table = inst.reward.table()
-    rows = []
-    for *_, members, follow, deviate, _ in regret_rows(inst, a, concept, profiles,
-                                                       table.__getitem__):
-        row = [0] * len(profiles)  # the dense LP row: 0 outside the members
-        for k, u, v in zip(members, follow, deviate):
-            row[k] = u - v
-        rows.append((tuple(row), ">=", 0))
-    rows.append(((1,) * len(profiles), "=", 1))
+    kept = inst._lp_cache
+    entry = kept.get(concept)
+    if entry is not None and entry[0] == a:
+        _, table, rows, region = entry
+        if concept != "dropout":  # the caps regret_rows checks
+            _check_agent_caps(inst, f"{concept} rows")
+    else:
+        # f is read once per instance: any concept's entry holds the table
+        table = next((e[1] for e in kept.values()), None) or inst.reward.table()
+        rows = []
+        for *_, members, follow, deviate, _ in regret_rows(inst, a, concept, profiles,
+                                                           table.__getitem__):
+            row = [0] * len(profiles)  # the dense LP row: 0 outside the members
+            for k, u, v in zip(members, follow, deviate):
+                row[k] = u - v
+            rows.append((tuple(row), ">=", 0))
+        rows.append(((1,) * len(profiles), "=", 1))
+        rows, region = tuple(rows), None
     if objective is None:
         den = lcm(*{d for _, d in table})
         weights = [num * (den // d) for num, d in table]
     else:
         den = 1
         weights = [objective(S) for S in profiles]
-    result = solve_lp(LinearProgram(objective=tuple(weights), sense=sense,
-                                    rows=tuple(rows)))
+    lp = LinearProgram(objective=tuple(weights), sense=sense, rows=rows)
+    handed = [] if region is None else [region]
+    object.__setattr__(lp, "_region", handed)  # for this solve only
+    result = solve_lp(lp)
+    object.__setattr__(lp, "_region", None)
     if result.status != "optimal":
         raise RuntimeError(f"equilibrium LP came back {result.status}")
+    if handed:
+        kept[concept] = (a, table, rows, handed[0])
     dist = JointDistribution(tuple(
         (S, p) for S, p in zip(profiles, result.x) if p))
     return dist, result.value / den
@@ -465,36 +565,40 @@ def best_ce(inst: Instance, a: Contract):
     return _principal_lp(inst, a, "ce", "max")
 
 
-def _check_pne_caps(inst: Instance) -> None:
-    """The caps on the PNE table: 2^m profiles and each agent's subsets."""
-    _profiles(inst, "PNE table")
+def _check_agent_caps(inst: Instance, what: str) -> None:
+    """The enumeration cap on each agent's slices, as "<what> agent i"."""
     cap = enum_cap_bits()  # read once, as it is parsed from the environment
     for i in range(inst.n):
         bits = inst.agent_mask(i).bit_count()
         if bits > cap:
-            check_enum_bits(bits, f"PNE table agent {i}")
+            check_enum_bits(bits, f"{what} agent {i}")
+
+
+def _check_pne_caps(inst: Instance) -> None:
+    """The caps on the PNE table: 2^m profiles and each agent's subsets."""
+    _profiles(inst, "PNE table")
+    _check_agent_caps(inst, "PNE table")
 
 
 def _pne_table(inst: Instance):
     """What the PNE searches read: f over every profile as (numerator,
     denominator) pairs, from ``inst.reward.table()`` without a ``value``
-    call, each agent's slice as (mask, submasks), and
-    ``interval(S, mask, subs)``, the integer share interval of that agent
+    call, each agent's slice as (mask, slice costs), and
+    ``interval(S, mask, costs)``, the integer share interval of that agent
     at S.
 
-    Slice costs are ``Instance``'s integers over ``c_den = inst.cost_den``.
-    f keeps the reward's denominators: one lcm over 2^m arbitrary values can
-    run to thousands of digits. No ``Fraction`` is built here; the searches
-    build one for each value they return.
+    Slice costs are ``Instance.slice_costs``, integers over
+    ``c_den = inst.cost_den``; slice T of the agent is ``k << shift`` for
+    the k-th cost. f keeps the reward's denominators: one lcm over 2^m
+    arbitrary values can run to thousands of digits. No ``Fraction`` is
+    built here; the searches build one for each value they return.
     """
     _check_pne_caps(inst)
     fracs = inst.reward.table()
-    slices = [(mask, list(submasks(mask)))
-              for mask in map(inst.agent_mask, range(inst.n))]
+    slices = [(inst.agent_mask(i), inst.slice_costs(i)) for i in range(inst.n)]
     c_den = inst.cost_den
-    cost = {T: inst.cost_numerator(T) for _, subs in slices for T in subs}
 
-    def interval(S, mask, subs):
+    def interval(S, mask, costs):
         """(lo_n, lo_d, hi_n, hi_d), denominators positive: the agent keeps
         its slice of S exactly when lo_n / lo_d <= a_i <= hi_n / hi_d, within
         [0, 1]; None when no share does.
@@ -504,16 +608,18 @@ def _pne_table(inst: Instance):
         f(S) = n_S / d_S, gain = (n_S d_T - n_T d_S) c_den and
         diff = (c(S_i) - c(T)) d_S d_T.
         """
+        shift, cost = costs
         n_S, d_S = fracs[S]
         rest, own = S & ~mask, S & mask
-        own_cost = cost[own]
+        own_cost = cost[own >> shift]
         lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 1
-        for T in subs:
+        for k, cost_T in enumerate(cost):
+            T = k << shift
             if T == own:
                 continue
             n_T, d_T = fracs[rest | T]
             gain = (n_S * d_T - n_T * d_S) * c_den
-            diff = (own_cost - cost[T]) * d_S * d_T
+            diff = (own_cost - cost_T) * d_S * d_T
             if gain > 0:
                 if diff * lo_d > lo_n * gain:
                     lo_n, lo_d = diff, gain
@@ -540,8 +646,8 @@ def _pne_bounds(inst: Instance):
     fracs, slices, interval = _pne_table(inst)
     for S, fS in enumerate(fracs):
         bounds = []
-        for i, (mask, subs) in enumerate(slices):
-            bound = interval(S, mask, subs)
+        for i, (mask, costs) in enumerate(slices):
+            bound = interval(S, mask, costs)
             if bound is None:
                 break  # no contract makes S a PNE
             lo_n, lo_d, hi_n, hi_d = bound
@@ -589,12 +695,13 @@ def _pnes(table, shares):
 
 def _best_pne(table, shares, share):
     """The principal's utility at the best PNE in ``table`` of the contract
-    with ``shares``, and the profile; the smallest profile wins a tie.
+    with ``shares``, as an integer pair (numerator, positive denominator),
+    and the profile; the smallest profile wins a tie.
 
     The principal's share ``share`` = (s_n, s_d), s_d > 0, multiplies every
     f(S), so the largest f wins when s_n > 0, the smallest when s_n < 0 (a
     sum of shares above 1), and the first PNE when s_n = 0; f values are
-    compared by cross-multiplying. The one ``Fraction`` built is the value.
+    compared by cross-multiplying.
     """
     s_n, s_d = share
     best = None
@@ -603,7 +710,7 @@ def _best_pne(table, shares, share):
             best, best_n, best_d = S, n_S, d_S
     if best is None:
         return None
-    return Fraction(s_n * best_n, s_d * best_d), best
+    return (s_n * best_n, s_d * best_d), best
 
 
 def enumerate_pne(inst: Instance, a: Contract) -> list:
@@ -645,10 +752,10 @@ def best_pne(inst: Instance):
         if n_S * best_d <= best_n * d_S:
             continue
         sum_n, sum_d = 0, 1
-        for mask, subs in slices:
+        for mask, costs in slices:
             if not S & mask:
                 continue  # an idle agent's interval is never empty, lo = 0
-            bound = interval(S, mask, subs)
+            bound = interval(S, mask, costs)
             if bound is None:
                 break
             lo_n, lo_d, _, _ = bound
@@ -661,8 +768,8 @@ def best_pne(inst: Instance):
                     break
         else:
             best_S, best_n, best_d = S, (sum_d - sum_n) * n_S, sum_d * d_S
-    shares = [Fraction(*interval(best_S, mask, subs)[:2]) if best_S & mask else ZERO
-              for mask, subs in slices]
+    shares = [Fraction(*interval(best_S, mask, costs)[:2]) if best_S & mask else ZERO
+              for mask, costs in slices]
     contract = Contract(tuple(shares))
     require_pne(inst, best_S, contract, "best PNE")
     return best_S, contract, Fraction(best_n, best_d)
@@ -715,7 +822,11 @@ def evaluate_cell(inst: Instance, a: Contract, objective: str):
     """Principal utility of the objective at one contract, with a witness."""
     if objective == "best_pne":
         inst.check_contract(a)
-        return _best_pne(_pne_rows(inst), *_shares(a))
+        found = _best_pne(_pne_rows(inst), *_shares(a))
+        if found is None:
+            return None
+        (num, den), S = found
+        return Fraction(num, den), S
     solver = {"best_cce": best_cce, "worst_cce": worst_cce, "best_ce": best_ce}
     dist, utility = solver[objective](inst, a)
     return utility, dist
@@ -730,7 +841,9 @@ def grid_search(inst: Instance, resolution: int, objective: str,
     best_pne cells read the instance's PNE rows (``_pne_rows``), sorted
     once per call by f(S) descending (the smaller profile first on a tie),
     so a cell whose principal's share is positive stops at the first row
-    whose bounds it meets.
+    whose bounds it meets. Each cell's value comes as an integer pair, and
+    cells are compared by cross-multiplying; one ``Fraction`` is built per
+    cell, for the report.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -751,19 +864,21 @@ def grid_search(inst: Instance, resolution: int, objective: str,
                 return _best_pne(table, shares, share)
             # with s_n = 0 every PNE is worth 0: the first in profile order
             for S, (n_S, d_S) in _pnes(ranked if s_n else table, shares):
-                return Fraction(s_n * n_S, s_d * d_S), S
+                return (s_n * n_S, s_d * d_S), S
             return None
     else:
         def evaluate(a, shares, share):
-            return evaluate_cell(inst, a, objective)
+            value, witness = evaluate_cell(inst, a, objective)
+            return (value.numerator, value.denominator), witness
     cells = []
     best = None
     for a, shares, share in chain(_grid_contracts(inst.n, resolution),
                                   ((a, *_shares(a)) for a in explicit_cells)):
-        value, witness = evaluate(a, shares, share)
+        (num, den), witness = evaluate(a, shares, share)
+        value = Fraction(num, den)
         cells.append((a, value))
-        if best is None or value > best[1]:
-            best = (a, value, witness)
+        if best is None or num * best_den > best_num * den:  # both dens > 0
+            best, best_num, best_den = (a, value, witness), num, den
     return GapReport(objective=objective, resolution=resolution,
                      cells=tuple(cells), best_contract=best[0],
                      best_value=best[1], witness=best[2])
