@@ -381,22 +381,28 @@ def best_response_dynamics(inst: Instance, start: int, a: Contract,
                            forced_floor: Optional[Sequence[int]] = None) -> int:
     """Round-robin strict best responses until no agent can improve.
 
-    With ``forced_floor``, agent i only considers responses containing
-    floor_i; the start profile must contain the floor.
+    With ``forced_floor``, one entry per agent, agent i only considers
+    responses containing floor_i; the start profile must contain the floor.
+    Each agent's slices are checked against the enumeration cap once, in
+    index order, before the first sweep.
     """
+    inst.check_contract(a)
     inst.check_profile(start)
     floors = [0] * inst.n if forced_floor is None else list(forced_floor)
+    if len(floors) != inst.n:
+        raise ValueError(f"forced_floor has {len(floors)} entries for {inst.n} agents")
     for i, fl in enumerate(floors):
         if fl & ~inst.agent_mask(i):
             raise ValueError(f"floor for agent {i} not owned by the agent")
         if fl & ~start:
             raise ValueError("start profile does not contain the floor")
+    for i in range(inst.n):
+        check_enum_bits(inst.agent_mask(i).bit_count(), f"best response agent {i}")
     S = start
     while True:
         improved = False
         for i in range(inst.n):
             mask = inst.agent_mask(i)
-            check_enum_bits(mask.bit_count(), f"best response agent {i}")
             rest = S & ~mask
             best_T, best_u = S & mask, agent_utility(inst, S, a, i)
             for T in submasks(mask):
@@ -422,6 +428,7 @@ def potential_maximizer_pne(inst: Instance, a: Contract, restrict: int) -> int:
     ``a`` on those agents and zero elsewhere, verified before returning
     (RuntimeError if not).
     """
+    inst.check_contract(a)
     inst.check_profile(restrict)
     for i in range(inst.n):
         if restrict & inst.agent_mask(i) not in (0, inst.agent_mask(i)):

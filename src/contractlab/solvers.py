@@ -75,24 +75,26 @@ and ``best_pne``, the best PNE over all contracts) read one table,
 ``_pne_table``: f over every profile, from the reward's integer table
 (``RewardFunction.table``, no oracle call), and the slice costs the
 instance lists once (``Instance.slice_costs``, integers over
-``cost_den``). Its one helper,
-``interval``, writes the PNE condition: it gives the exact interval of
-shares under which an agent keeps its slice of a profile, as integer pairs.
-``_pne_bounds`` lists every profile's intervals. Each instance keeps that
-list, built on its first read by ``enumerate_pne``, ``evaluate_cell`` or
-the grid (``_pne_rows``); the caps are still checked on every call. A
-contract's shares, the principal's among them, are integer pairs, compared
-with the kept intervals in integers; f is compared by the sign of the
-principal's share, to pick a contract's best PNE. A grid cell carries its
-shares as integer pairs (k, r). Only returned values become ``Fraction``s.
-``best_pne`` (which needs f >= 0) sweeps ``_pne_table`` afresh on every
-call and keeps nothing: it skips a profile whose f(S) cannot beat the best
-value so far and leaves a profile as soon as its lower ends lose.
+``cost_den``). Its one helper, ``interval``, writes the PNE condition: the
+exact interval of shares under which an agent keeps its slice of a profile,
+as integer pairs. ``_pne_bounds`` lists every profile's intervals; each
+instance keeps them on its first read (``_pne_rows``), ranked by f
+descending, and the caps are still checked on every read. A contract's
+shares, the principal's among them, are integer pairs, compared with the
+kept intervals in integers. ``_ranked_pnes`` lists a contract's PNEs best
+first by the sign of the principal's share: ``enumerate_pne`` returns them
+all, and ``_best_pne``, which ``evaluate_cell`` and the grid read, the
+first. A grid cell carries its shares as integer pairs (k, r). Only
+returned values become ``Fraction``s. ``best_pne`` (which needs f >= 0)
+sweeps ``_pne_table`` afresh on every call and keeps nothing: it skips a
+profile whose f(S) cannot beat the best value so far and leaves a profile
+as soon as its lower ends lose.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop
 from itertools import chain
 from math import comb, gcd, lcm
 from typing import Callable, Optional, Sequence
@@ -660,12 +662,13 @@ def _pne_bounds(inst: Instance):
 
 
 def _pne_rows(inst: Instance) -> tuple:
-    """The rows of ``_pne_bounds(inst)``, built on the first read and kept
-    on the instance. The caps are checked on every read, so a cap tightened
-    since the build still binds."""
+    """The rows of ``_pne_bounds(inst)``, ranked by f(S) descending and the
+    smaller profile first on a tie (a stable sort of the profile order),
+    built on the first read and kept on the instance. The caps are checked
+    on every read, so a cap tightened since the build still binds."""
     rows = inst._pne_cache
-    if rows is None:
-        rows = tuple(_pne_bounds(inst))  # _pne_table checks the caps
+    if rows is None:  # _pne_table checks the caps
+        rows = tuple(sorted(_pne_bounds(inst), key=lambda row: -Fraction(*row[1])))
         object.__setattr__(inst, "_pne_cache", rows)
     else:
         _check_pne_caps(inst)
@@ -681,46 +684,47 @@ def _shares(a: Contract):
     return shares, (den - sum(p * (den // q) for p, q in shares), den)
 
 
-def _pnes(table, shares):
-    """(S, f(S)) for the profiles of ``table`` that are PNEs of the contract
-    whose shares are the integer pairs ``shares``."""
-    for S, fS, bounds in table:
+def _ranked_pnes(rows, shares, s_n):
+    """(S, f(S)) for the PNEs in ``rows`` of the contract whose shares are
+    the integer pairs ``shares``, best first for a principal's share of the
+    sign of ``s_n``, the smaller S first on a tie: lazily in the rows' order
+    (f descending) at s_n > 0, the smallest S first at s_n = 0 (every PNE is
+    worth 0) and the smallest f at s_n < 0 (shares summing above 1), off a
+    heap, so that the first costs about a ``min``."""
+    heap = []
+    for S, fS, bounds in rows:
         for i, lo, hi in bounds:
             p, q = shares[i]
             if (lo and p * lo[1] < lo[0] * q) or (hi and p * hi[1] > hi[0] * q):
                 break
         else:
-            yield S, fS
+            if s_n > 0:
+                yield S, fS
+            else:
+                heap.append((Fraction(*fS) if s_n else 0, S, fS))
+    heapify(heap)
+    while heap:
+        _, S, fS = heappop(heap)
+        yield S, fS
 
 
-def _best_pne(table, shares, share):
-    """The principal's utility at the best PNE in ``table`` of the contract
-    with ``shares``, as an integer pair (numerator, positive denominator),
-    and the profile; the smallest profile wins a tie.
-
-    The principal's share ``share`` = (s_n, s_d), s_d > 0, multiplies every
-    f(S), so the largest f wins when s_n > 0, the smallest when s_n < 0 (a
-    sum of shares above 1), and the first PNE when s_n = 0; f values are
-    compared by cross-multiplying.
-    """
+def _best_pne(rows, shares, share):
+    """The principal's utility at the first PNE of ``_ranked_pnes``, as an
+    integer pair (numerator, positive denominator), and the profile, or
+    None; ``share`` = (s_n, s_d), s_d > 0, is the principal's share."""
     s_n, s_d = share
-    best = None
-    for S, (n_S, d_S) in _pnes(table, shares):
-        if best is None or s_n * (n_S * best_d - best_n * d_S) > 0:
-            best, best_n, best_d = S, n_S, d_S
-    if best is None:
-        return None
-    return (s_n * best_n, s_d * best_d), best
+    for S, (n_S, d_S) in _ranked_pnes(rows, shares, s_n):
+        return (s_n * n_S, s_d * d_S), S
+    return None
 
 
 def enumerate_pne(inst: Instance, a: Contract) -> list:
-    """All pure equilibria with principal utilities, best first."""
+    """All pure equilibria with principal utilities, best first, the smaller
+    profile first on a tie."""
     inst.check_contract(a)
     shares, (s_n, s_d) = _shares(a)
-    found = [(S, Fraction(s_n * n_S, s_d * d_S))
-             for S, (n_S, d_S) in _pnes(_pne_rows(inst), shares)]
-    found.sort(key=lambda e: (-e[1], e[0]))
-    return found
+    return [(S, Fraction(s_n * n_S, s_d * d_S))
+            for S, (n_S, d_S) in _ranked_pnes(_pne_rows(inst), shares, s_n)]
 
 
 def best_pne(inst: Instance):
@@ -796,7 +800,8 @@ class GapReport:
     witness: object  # profile for best_pne, JointDistribution otherwise
 
 
-_OBJECTIVES = ("best_pne", "best_cce", "worst_cce", "best_ce")
+_LP_OBJECTIVES = {"best_cce": best_cce, "worst_cce": worst_cce, "best_ce": best_ce}
+_OBJECTIVES = ("best_pne", *_LP_OBJECTIVES)
 
 
 def _grid_contracts(n: int, resolution: int):
@@ -820,6 +825,8 @@ def _grid_contracts(n: int, resolution: int):
 
 def evaluate_cell(inst: Instance, a: Contract, objective: str):
     """Principal utility of the objective at one contract, with a witness."""
+    if objective not in _OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}")
     if objective == "best_pne":
         inst.check_contract(a)
         found = _best_pne(_pne_rows(inst), *_shares(a))
@@ -827,8 +834,7 @@ def evaluate_cell(inst: Instance, a: Contract, objective: str):
             return None
         (num, den), S = found
         return Fraction(num, den), S
-    solver = {"best_cce": best_cce, "worst_cce": worst_cce, "best_ce": best_ce}
-    dist, utility = solver[objective](inst, a)
+    dist, utility = _LP_OBJECTIVES[objective](inst, a)
     return utility, dist
 
 
@@ -838,12 +844,11 @@ def grid_search(inst: Instance, resolution: int, objective: str,
     cell. worst_cce is also maximized: the value of a contract is its worst
     case, and we search for the contract whose worst case is largest.
 
-    best_pne cells read the instance's PNE rows (``_pne_rows``), sorted
-    once per call by f(S) descending (the smaller profile first on a tie),
-    so a cell whose principal's share is positive stops at the first row
-    whose bounds it meets. Each cell's value comes as an integer pair, and
-    cells are compared by cross-multiplying; one ``Fraction`` is built per
-    cell, for the report.
+    A best_pne cell is ``_best_pne`` over the instance's kept PNE rows,
+    ranked by f(S) descending, so a cell whose principal's share is positive
+    stops at the first row whose bounds it meets. Each cell's value comes as
+    an integer pair, and cells are compared by cross-multiplying; one
+    ``Fraction`` is built per cell, for the report.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -855,17 +860,10 @@ def grid_search(inst: Instance, resolution: int, objective: str,
     for a in explicit_cells:
         inst.check_contract(a)
     if objective == "best_pne":
-        table = _pne_rows(inst)
-        ranked = sorted(table, key=lambda row: (-Fraction(*row[1]), row[0]))
+        rows = _pne_rows(inst)
 
         def evaluate(a, shares, share):
-            s_n, s_d = share
-            if s_n < 0:  # explicit cells with shares summing above 1
-                return _best_pne(table, shares, share)
-            # with s_n = 0 every PNE is worth 0: the first in profile order
-            for S, (n_S, d_S) in _pnes(ranked if s_n else table, shares):
-                return (s_n * n_S, s_d * d_S), S
-            return None
+            return _best_pne(rows, shares, share)
     else:
         def evaluate(a, shares, share):
             value, witness = evaluate_cell(inst, a, objective)

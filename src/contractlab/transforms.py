@@ -64,6 +64,7 @@ def scaled_contract(inst: Instance, a: Contract, params: ScalingParams) -> Contr
     Every id in the subset must be an agent, an int in range(n): ValueError
     names the first that is not, the smallest by ``repr``.
     """
+    inst.check_contract(a)
     strays = [i for i in params.subset if not (isinstance(i, int) and 0 <= i < inst.n)]
     if strays:
         raise ValueError(f"scaling subset id {min(strays, key=repr)!r} "
@@ -125,14 +126,14 @@ def _lift_start(inst: Instance, a_star: Contract, D_star: JointDistribution):
     Returns (the Case A result or None, the top agent, per-agent E[f(S_i)]).
     """
     _require(is_cce(inst, D_star, a_star), "distribution is not a CCE")
-    own, others = [], []
+    own = []
     for i in range(inst.n):
         mask = inst.agent_mask(i)
         own.append(D_star.expectation(lambda S: inst.reward.value(S & mask)))
-        others.append(D_star.expectation(lambda S: inst.reward.value(S & ~mask)))
     top = _top(inst, a_star)
-    if (a_star[top] > THREE_QUARTERS
-            and (ONE - a_star[top]) * own[top] >= 4 * others[top]):
+    rest = ~inst.agent_mask(top)
+    if (a_star[top] > THREE_QUARTERS and (ONE - a_star[top]) * own[top]
+            >= 4 * D_star.expectation(lambda S: inst.reward.value(S & rest))):
         share = (ONE + a_star[top]) / 2
         contract = Contract.zero(inst.n).replace(top, share)
         S = potential_maximizer_pne(inst, contract, inst.agent_mask(top))
@@ -190,6 +191,7 @@ def lift_xos(inst: Instance, a_star: Contract, D_star: JointDistribution) -> Lif
 
 def robustify_case(inst: Instance, a_star: Contract, S_star: int) -> str:
     """Which branch the robustification takes: A, B, C, or D."""
+    inst.check_contract(a_star)
     zero_cost = 0
     for j in range(inst.m):
         if inst.costs[j] == 0:

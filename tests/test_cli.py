@@ -320,6 +320,15 @@ def test_readme_lists_every_claim():
     assert set(re.findall(r"`([^`]+)`", listed)) == set(cli.REPRODUCE)
 
 
+def test_readme_claims_are_the_sorted_registry():
+    # the order the CI step and the unknown-claim message list them in
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    paragraph = section.split("`contractlab reproduce <claim>`")[1].split("\n\n")[0]
+    listed = re.search(r"Claims: (.*?)\.\s", paragraph, re.S).group(1)
+    assert re.findall(r"`([^`]+)`", listed) == sorted(cli.REPRODUCE)
+
+
 def test_reproduce_registry_complete():
     assert set(cli.REPRODUCE) == {
         "A1-pne-180", "A1-mne-183.6", "P54-cce-7/45", "P54-pne-nonpositive",

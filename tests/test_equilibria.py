@@ -193,6 +193,20 @@ def test_product_expansion_respects_profile_cap(monkeypatch):
         P.to_joint(inst)
 
 
+def test_dynamics_check_every_cap_before_a_reward_read(monkeypatch):
+    # agent 1 owns two actions, over a cap of one bit: the error names it
+    # before agent 0's best response reads f
+    inst = random_instance("table", 4, 2, [1, 2])
+    reads = []
+    real = inst.reward.value
+    monkeypatch.setattr(inst.reward, "value", lambda S: reads.append(S) or real(S))
+    monkeypatch.setenv("CONTRACTLAB_CAP", "1")
+    with pytest.raises(CapacityError,
+                       match=r"best response agent 1: 2\^2 subsets exceeds"):
+        best_response_dynamics(inst, 0, Contract.of(["1/3", "1/3"]))
+    assert reads == []
+
+
 def test_potential_maximizer_rejects_split_restrict():
     """restrict must be whole agents: a split mask is a ValueError up front,
     while the full mask, the empty mask and each agent's mask still give a

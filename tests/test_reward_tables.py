@@ -254,3 +254,24 @@ def test_classify_reads_the_table(monkeypatch):
     expected = rewards.classify(inst.reward)
     monkeypatch.setattr(CoverageReward, "value", _refuse)
     assert rewards.classify(inst.reward) == expected
+
+
+@pytest.mark.parametrize("values, explicit, sign", [
+    ([3, 1, 1, 5], [], 1),  # f > 0: a positive principal's share wins
+    ([-3, -2, -1, -5], [], 0),  # f < 0: a zero share (value 0) wins
+    ([-3, -2, -1, -5], [Contract((ONE, ONE))], -1),  # -f > 0 above 1
+])
+def test_grid_cell_evaluate_cell_and_enumerate_agree(values, explicit, sign):
+    # two free agents; the best cell has at least two PNEs (at the zero
+    # share, profile 1 comes before profile 2, whose f is larger), and the
+    # grid's witness, evaluate_cell and enumerate_pne's first entry agree
+    inst = make_instance([[0], [0]], TableReward(values))
+    report = grid_search(inst, 2, "best_pne", explicit_cells=explicit)
+    a = report.best_contract
+    share = 1 - sum(a.alpha)
+    assert (share > 0) - (share < 0) == sign
+    found = enumerate_pne(inst, a)
+    assert len(found) > 1
+    S, value = found[0]
+    assert (report.witness, report.best_value) == (S, value)
+    assert evaluate_cell(inst, a, "best_pne") == (value, S)

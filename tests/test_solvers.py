@@ -14,6 +14,7 @@ from contractlab.solvers import (
     best_pne,
     best_pne_binary,
     enumerate_pne,
+    evaluate_cell,
     grid_search,
     solve_lp,
     worst_cce,
@@ -168,6 +169,14 @@ def test_grid_search_respects_enumeration_cap(monkeypatch):
     for objective in ("best_pne", "best_cce"):
         with pytest.raises(CapacityError, match="contract grid: 2\\^5"):
             grid_search(inst, 16, objective)
+
+
+def test_unknown_objective_is_a_value_error():
+    inst = separation_example()
+    with pytest.raises(ValueError, match="unknown objective 'bogus'"):
+        evaluate_cell(inst, Contract.zero(2), "bogus")
+    with pytest.raises(ValueError, match="unknown objective 'bogus'"):
+        grid_search(inst, 2, "bogus")
 
 
 def test_grid_search_explicit_cells():

@@ -350,3 +350,33 @@ def test_pne_post_checks_name_the_witness(monkeypatch):
         with pytest.raises(RuntimeError, match=rf"^{what} 0x[0-9a-f]+ failed the "
                            r"equilibrium post-check \(agent 1, deviation 0x2\)$"):
             run()
+
+
+def wrong_length_cases():
+    """Calls on the two-agent separation example that read a contract's
+    shares or floors, each given one or three of them."""
+    for k in (1, 3):
+        a = Contract((F(1, 4),) * k)
+        reads = {
+            "best_response_dynamics":
+                lambda inst, a=a: equilibria.best_response_dynamics(inst, 0, a),
+            "potential_maximizer_pne":
+                lambda inst, a=a: potential_maximizer_pne(inst, a, 0b11),
+            "scaled_contract": lambda inst, a=a: scaled_contract(
+                inst, a, ScalingParams(gamma=F(2), subset=frozenset())),
+            "robustify_case": lambda inst, a=a: robustify_case(inst, a, 0b11),
+        }
+        for name, call in reads.items():
+            yield pytest.param(call, f"contract has {k} shares for 2 agents",
+                               id=f"{name}-{k}-shares")
+        floors = [0] * k
+        yield pytest.param(
+            lambda inst, floors=floors: equilibria.best_response_dynamics(
+                inst, 0, Contract.zero(2), forced_floor=floors),
+            f"forced_floor has {k} entries for 2 agents", id=f"forced_floor-{k}")
+
+
+@pytest.mark.parametrize("call, message", wrong_length_cases())
+def test_a_wrong_length_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(separation_example())
