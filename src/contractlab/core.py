@@ -327,12 +327,14 @@ def agent_utility(inst: Instance, S: int, a: Contract, i: int) -> Fraction:
     """alpha_i * f(S) - c(S_i)."""
     if not 0 <= i < inst.n:
         raise ValueError(f"invalid agent id {i}")
+    inst.check_contract(a)
     inst.check_profile(S)
     return a[i] * inst.reward.value(S) - inst.cost(inst.slice(S, i))
 
 
 def principal_utility(inst: Instance, S: int, a: Contract) -> Fraction:
     """(1 - sum_i alpha_i) * f(S)."""
+    inst.check_contract(a)
     inst.check_profile(S)
     return (ONE - a.total()) * inst.reward.value(S)
 
@@ -349,6 +351,7 @@ def potential(inst: Instance, S: int, a: Contract) -> Optional[Fraction]:
     A zero-cost slice contributes 0 even at alpha_i = 0; a costly slice at
     alpha_i = 0 makes the whole potential -infinity, returned as None.
     """
+    inst.check_contract(a)
     inst.check_profile(S)
     total = inst.reward.value(S)
     for i in range(inst.n):

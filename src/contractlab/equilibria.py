@@ -16,9 +16,10 @@ position, and the verifiers hand it the reward's integer value oracle
 deviations; no ``Fraction`` is built per read. On a support, an agent whose
 slice varies places its deviations through a dict keyed by profile, so that
 f is read once per distinct profile. An agent with one slice R on every
-(distinct) profile reads each deviation T != R straight into a list: such a
-profile has T on the agent's actions where every other read has R, so it is
-read only there.
+(distinct) profile reads only its deviations T != R, straight into a list:
+such a profile has T on the agent's actions where every other read has R, so
+it is read only there. Such agents with the same share, c(R) and lcm get one
+follow list, so a verifier sums that side once for all of them.
 
 All verifiers use weak inequalities decided exactly, in integers over the
 rows' scale and the probabilities' common denominator. The optional ``tol``
@@ -120,13 +121,13 @@ class ProductDistribution:
         check_profile_count(prod(len(entries) for entries in self.per_agent),
                             "product distribution")
         combos = [(0, ONE)]
+        pure = 0  # the slices of the agents with one slice, applied once
         for entries in self.per_agent:
             if len(entries) == 1:
-                mask = entries[0][0]
-                combos = [(S | mask, p) for S, p in combos]
+                pure |= entries[0][0]
             else:
                 combos = [(S | mask, p * q) for S, p in combos for mask, q in entries]
-        return JointDistribution(tuple(combos))
+        return JointDistribution(tuple((S | pure, p) for S, p in combos))
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,8 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
     order of first appearance, and skips T == R; CCE has one group per agent
     (None) that holds every profile; dropout is CCE with T = 0 only. Agents
     come in order, deviations in ``submasks`` order, and a group's rows
-    share one members object, one follow list and one scale.
+    share one members object, one follow list and one scale; the fixed
+    agents (below) share one follow list per (a_i, c(R), lcm) of the call.
 
     ``f(S)`` is f at profile S as an integer pair (numerator, denominator),
     the denominator positive and the pair not necessarily in lowest terms: a
@@ -207,12 +209,14 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
     On a non-empty ``profiles``, an agent that owns none of the actions on
     which the profiles differ is fixed: it plays one slice R on every
     profile (every agent of a point mass, every pure agent of a product, an
-    agent with no actions). Its one group holds every profile; for each
-    deviation T != R it reads f(S_-i | T) once per member into its own copy
-    of the list, with no dict. No other read of the call can equal such a
-    read: it has slice T on A_i, and every profile and every other read has
-    R there. So f is read once per distinct profile when the profiles are
-    distinct, as ``JointDistribution`` guarantees.
+    agent with no actions). Its one group holds every profile, and it reads
+    only its deviations: f(S_-i | T) once per member for each T != R, into
+    a list with no dict; T == R reads nothing. No other read of the call can
+    equal such a read: it has slice T on A_i, and every profile and every
+    other read has R there. So f is read once per distinct profile when the
+    profiles are distinct, as ``JointDistribution`` guarantees. Its lcm is
+    the profiles' own, worked out once per call, with the denominators of
+    those reads, and its follow list depends only on (a_i, c(R), lcm).
     """
     if concept not in ("ce", "cce", "dropout"):
         raise ValueError(f"unknown concept {concept!r}")
@@ -220,13 +224,13 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
     width = len(profiles)
     full = range(width)
     pairs = list(map(f, profiles))  # f as (numerator, denominator), profile k at k
+    own_den = lcm(*{d for _, d in pairs})  # the profiles' lcm
     # the actions on which the profiles differ; None on an empty support,
     # where no agent is fixed
     varying = None
     if profiles == range(1 << inst.m):
         where = None  # each profile is its own position in pairs
         varying = (1 << inst.m) - 1
-        every_den = lcm(*{d for _, d in pairs})
     else:
         where = dict(zip(profiles, full))  # deviation S_-i | T -> its position
         claim = where.setdefault  # a new profile gets the next free position
@@ -235,6 +239,7 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
             varying = 0
             for S in profiles:
                 varying |= S ^ profiles[0]
+    follows = {}  # (top, q, den, c(R)) -> the follow list of fixed agents
     # read once, as it is parsed from the environment; dropout rows are not
     # held to it, as they price only 0 and the agent's own slices
     cap = enum_cap_bits()
@@ -248,51 +253,53 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
                 check_enum_bits(bits, f"{concept} rows agent {i}")
             targets = list(submasks(mask))
         top, q = a[i].numerator * inst.cost_den, a[i].denominator
-        fixed = varying is not None and not mask & varying
-        if fixed:
-            R = profiles[0] & mask  # the agent's slice on every profile
-            owns = [R] * width
-            groups = ((R if concept == "ce" else None, full),)
-        else:
-            owns = [S & mask for S in profiles]
-            rests = [S ^ own for S, own in zip(profiles, owns)]
-            if concept == "ce":
-                groups: dict = {}
-                for k, own in enumerate(owns):
-                    groups.setdefault(own, []).append(k)
-                groups = groups.items()
-            else:
-                groups = ((None, full),)
-        # each profile's own slice cost, from the instance's slice costs; a
-        # dropout agent past the cap sums its own slices instead (c(0) = 0)
+        # each slice's cost, from the instance's slice costs; a dropout agent
+        # past the cap prices its own slices from their actions (c(0) = 0)
         if bits <= cap:
             shift, cost = inst.slice_costs(i)
-            paid = [cost[own >> shift] for own in owns]
+            price = cost.__getitem__
         else:
-            shift, cost = 0, (0,)
-            paid = list(map(inst.cost_numerator, owns))
+            shift, cost, price = 0, (0,), inst.cost_numerator
+        if varying is not None and not mask & varying:
+            # fixed: one group of every profile, following R; each deviation
+            # T != R reads f(S_-i | T) fresh, T == R reads nothing
+            R = profiles[0] & mask
+            rec = R if concept == "ce" else None
+            deviations = [T for T in targets if T != rec]
+            fresh = [None if T == R else [f((S ^ R) | T) for S in profiles]
+                     for T in deviations]
+            den = lcm(own_den, *{d for got in fresh if got for _, d in got})
+            base = q * den
+            cost_R = price(R >> shift)
+            follow = follows.get((top, q, den, cost_R))
+            if follow is None:
+                follow = _scaled(pairs[:width], top, den, cost_R * base)
+                follows[top, q, den, cost_R] = follow
+            scale = base * inst.cost_den
+            for T, got in zip(deviations, fresh):
+                deviate = (list(follow) if got is None
+                           else _scaled(got, top, den, cost[T >> shift] * base))
+                yield i, rec, T, full, follow, deviate, scale
+            continue
+        owns = [S & mask for S in profiles]
+        rests = [S ^ own for S, own in zip(profiles, owns)]
+        paid = [price(own >> shift) for own in owns]
+        if concept == "ce":
+            groups: dict = {}
+            for k, own in enumerate(owns):
+                groups.setdefault(own, []).append(k)
+            groups = groups.items()
+        else:
+            groups = ((None, full),)
         value, value_den = None, None  # position -> a_i f(S) * scale, for the last lcm
         for rec, members in groups:
             deviations = [T for T in targets if T != rec]
-            if fixed:
-                # the profiles' own values keep their positions; each
-                # deviation T != R reads f(S_-i | T) fresh after them
-                got = pairs[:width]
-                reads = []
-                for T in deviations:
-                    if T == R:
-                        reads.append(members)
-                    else:
-                        reads.append(range(len(got), len(got) + width))
-                        got += [f((S ^ R) | T) for S in profiles]
-                den = lcm(*{d for _, d in got})
-                value = _scaled(got, top, den)
-            elif where is None:
+            if where is None:
                 # the group's members and their deviations S_-i | T, over
                 # all of the agent's slices T, read every profile
                 away = [rests[k] for k in members]
                 reads = [[rest | T for rest in away] for T in deviations]
-                den = every_den
+                den = own_den
                 if value is None:
                     value = _scaled(pairs, top, den)
             else:
@@ -320,10 +327,11 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
                 yield i, rec, T, members, follow, deviate, scale
 
 
-def _scaled(pairs, top: int, den: int) -> list:
-    """top * f(S) * den for each pair (numerator, denominator) of f(S), den a
-    multiple of every pair's denominator: the agents' a_i f(S) over a scale."""
-    return [top * num * (den // d) for num, d in pairs]
+def _scaled(pairs, top: int, den: int, paid: int = 0) -> list:
+    """top * f(S) * den - paid for each pair (numerator, denominator) of f(S),
+    den a multiple of every pair's denominator: the agents' a_i f(S) less a
+    cost, over a scale."""
+    return [top * num * (den // d) - paid for num, d in pairs]
 
 
 def _violation(inst: Instance, support, a: Contract, concept: str,

@@ -181,6 +181,20 @@ def test_principal_utility():
     assert principal_utility(sup, 0b111, Contract.of(["0.925", "1/18"])) == F(7, 36)
 
 
+@pytest.mark.parametrize("shares", [["1/4"], ["1/4", "1/4", "1/4"]])
+@pytest.mark.parametrize("call", [
+    lambda inst, a: principal_utility(inst, 0b11, a),
+    lambda inst, a: agent_utility(inst, 0b11, a, 1),
+    lambda inst, a: potential(inst, 0b11, a),
+], ids=["principal_utility", "agent_utility", "potential"])
+def test_a_contract_of_the_wrong_length_is_a_value_error(call, shares):
+    # a two-agent instance: one share is read past its end, three are one
+    # too many; both raise the verifiers' error before any share is read
+    inst = separation_example()
+    with pytest.raises(ValueError, match=f"contract has {len(shares)} shares for 2 agents"):
+        call(inst, Contract.of(shares))
+
+
 def test_welfare():
     sup = supermodular_cce_gap_instance()
     assert welfare(sup, 0b111) == F(1, 2)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ from contractlab.core import (
     CapacityError,
     Contract,
     bits_of,
+    make_instance,
     potential,
     submasks,
 )
@@ -21,6 +23,7 @@ from contractlab.equilibria import (
     is_pne,
     potential_maximizer_pne,
 )
+from contractlab.rewards import AdditiveReward
 from contractlab.fixtures import (
     random_contract,
     random_instance,
@@ -56,6 +59,55 @@ def test_product_rejects_foreign_slice():
     inst = separation_example()
     P = ProductDistribution((((0b10, F(1)),), ((0b10, F(1)),)))
     with pytest.raises(ValueError):
+        P.to_joint(inst)
+
+
+def expanded(per_agent):
+    """The support of a product distribution, brute force: every combination
+    of one entry per agent, ORed and multiplied, sorted by profile."""
+    support = []
+    for combo in itertools.product(*per_agent):
+        S, p = 0, F(1)
+        for mask, q in combo:
+            S, p = S | mask, p * q
+        support.append((S, p))
+    return tuple(sorted(support))
+
+
+def test_product_expansion_matches_brute_force():
+    # agents 0-3 own 2, 0, 1 and 2 actions; agent 1 can only play 0
+    inst = make_instance([[1, 2], [], [3], [4, 5]],
+                         AdditiveReward([F(k + 1) for k in range(5)]))
+    half, third = F(1, 2), F(1, 3)
+    pure = [((0b11, F(1)),), ((0, F(1)),), ((0b100, F(1)),), ((0b01000, F(1)),)]
+    mixed = [((0b01, half), (0b10, half)), None,
+             ((0, third), (0b100, 1 - third)),
+             ((0b11000, F(1, 6)), (0, F(1, 2)), (0b10000, third))]
+    cases = {
+        "every agent pure": pure,
+        "every agent that owns an action mixed": [pure[1] if m is None else m
+                                                  for m in mixed],
+        "pure first": [pure[0], pure[1], mixed[2], mixed[3]],
+        "pure last": [mixed[0], pure[1], mixed[2], pure[3]],
+        "pure between mixed": [mixed[0], pure[1], pure[2], mixed[3]],
+    }
+    for name, per_agent in cases.items():
+        support = ProductDistribution(tuple(per_agent)).to_joint(inst).support
+        assert support == expanded(per_agent), name
+        assert all(type(p) is F for _, p in support), name
+
+
+def test_product_expansion_errors_keep_their_messages(monkeypatch):
+    inst = separation_example()
+    one = ((0b01, F(1, 2)), (0, F(1, 2)))
+    with pytest.raises(ValueError, match="^agent count mismatch$"):
+        ProductDistribution((one,)).to_joint(inst)
+    with pytest.raises(ValueError, match="^slice 0x2 not owned by agent 0$"):
+        ProductDistribution((((0b10, F(1)),), ((0b10, F(1)),))).to_joint(inst)
+    P = ProductDistribution((one, ((0b10, F(1, 2)), (0, F(1, 2)))))
+    monkeypatch.setenv("CONTRACTLAB_CAP", "24,3")
+    with pytest.raises(CapacityError,
+                       match="^product distribution: 4 profiles exceeds profile cap$"):
         P.to_joint(inst)
 
 

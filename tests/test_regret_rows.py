@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from contractlab.core import CapacityError, Contract, make_instance
+from contractlab.core import CapacityError, Contract, agent_utility, make_instance
 from contractlab.equilibria import (
     JointDistribution,
     ProductDistribution,
@@ -27,7 +27,7 @@ from contractlab.fixtures import (
     sample_dropout_stable,
     subadditive_gap_instance,
 )
-from contractlab.rewards import AdditiveReward, FormulaReward
+from contractlab.rewards import AdditiveReward, FormulaReward, TableReward
 from contractlab.solvers import best_cce, best_ce, worst_cce
 from padded_rows import padded
 
@@ -333,3 +333,78 @@ def test_agents_without_actions_and_empty_supports(actions):
         assert verify(inst, D, a)
         assert utility == (1 - a.total()) * sum(p * inst.reward.value(S)
                                                 for S, p in D.support)
+
+
+def brute_verdict(inst, support, a, concept, tol):
+    """The first row of ``concept`` that ``support`` violates by more than
+    ``tol``, as a Verdict, summed profile by profile from ``agent_utility``."""
+    for i, rec, T in rows_in_order(inst, support, concept):
+        mask = inst.agent_mask(i)
+        follow = deviate = F(0)
+        for S, p in support:
+            if rec is None or S & mask == rec:
+                follow += p * agent_utility(inst, S, a, i)
+                deviate += p * agent_utility(inst, (S & ~mask) | T, a, i)
+        if deviate > follow + (tol or 0):
+            return Verdict(False, i, T, rec, follow, deviate)
+    return Verdict(True)
+
+
+# per layout: each agent's action costs and the index of its share among
+# three drawn shares. Agents 0, 2, 3 and 4 own one action each and play one
+# slice on every support below (their action or nothing); agent 1 owns two
+# and mixes, between 0 and 2
+LAYOUTS = [
+    # 0, 2 and 4 alike; 3 differs from them only in its cost
+    ([[1], [1, 2], [1], [2], [1]], [0, 1, 0, 0, 0]),
+    # 0, 2 and 4 alike; 3 differs from them only in its share
+    ([[1], [2, 1], [1], [1], [1]], [0, 1, 0, 2, 0]),
+    # agent 1 has the share of 0 and 2; 3 differs from them only in its
+    # cost, 4 only in its share
+    ([[F(1, 2)], [F(1, 2), 1], [F(1, 2)], [F(1, 3)], [F(1, 2)]], [0, 0, 0, 0, 1]),
+]
+
+
+@pytest.mark.parametrize("layout", range(len(LAYOUTS)))
+def test_pinned_agents_around_a_varying_agent_match_brute_force(layout):
+    """Pinned agents with equal shares and slice costs share their rows'
+    follow list; a varying agent between them has rows of its own. Every
+    verifier's full Verdict (agent, deviation, recommendation, lhs, rhs)
+    equals a brute-force check written profile by profile, with and
+    without a tolerance, on integer rewards (where the pinned agents' lcm
+    agrees) and on rewards over several denominators."""
+    costs, share_of = LAYOUTS[layout]
+    rng = random.Random(f"pinned-around/{layout}")
+    held = failed = 0
+    for trial in range(40):
+        den = 1 if trial % 2 else rng.choice([2, 3, 6])
+        reward = TableReward([0] + [F(rng.randint(0, 40 * den), den) * S.bit_count()
+                                    for S in range(1, 64)])
+        inst = make_instance(costs, reward)
+        shares = [F(rng.randint(1, 12), rng.choice([12, 20, 30])) for _ in range(3)]
+        a = Contract(tuple(shares[k] for k in share_of))
+        pinned = 0
+        for i in (0, 2, 3, 4):
+            if rng.random() < 0.8:
+                pinned |= inst.agent_mask(i)
+        middle = [T for T in subsets(inst.agent_mask(1)) if rng.random() < 0.7] or [0]
+        weights = [rng.randint(1, 4) for _ in middle]
+        mixed = tuple((T, F(w, sum(weights))) for T, w in zip(middle, weights))
+        P = ProductDistribution(tuple(mixed if i == 1 else
+                                      ((pinned & inst.agent_mask(i), F(1)),)
+                                      for i in range(inst.n)))
+        D = P.to_joint(inst)
+        for tol in (None, F(1, 7)):
+            for S, _ in D.support:
+                expected = brute_verdict(inst, ((S, F(1)),), a, "ce", tol)
+                assert is_pne(inst, S, a, tol=tol) \
+                    == replace(expected, recommendation=None), (S, tol)
+            verdicts = [(concept, verify(inst, D, a, tol=tol))
+                        for concept, verify in VERIFIERS.items()]
+            verdicts.append(("cce", is_mne(inst, P, a, tol=tol)))
+            for concept, verdict in verdicts:
+                assert verdict == brute_verdict(inst, D.support, a, concept, tol), \
+                    (trial, concept, tol)
+                held += bool(verdict)
+                failed += not verdict
+    assert held and failed
