@@ -19,13 +19,13 @@ from .core import (
     CapacityError,
     Contract,
     Instance,
-    ONE,
     ZERO,
     as_fraction,
     bits_of,
     fraction_str,
     make_instance,
     mask_of,
+    principal_utility,
 )
 from .equilibria import (
     JointDistribution,
@@ -287,8 +287,8 @@ def cmd_lift(args) -> int:
     joint, _ = distribution_from_json(_load_json(args.distribution), inst)
     lift = (transforms.lift_xos if args.mode == "xos"
             else transforms.lift_subadditive)(inst, a_star, joint)
-    reference = (ONE - a_star.total()) * joint.expected_reward(inst)
-    achieved = (ONE - lift.contract.total()) * inst.reward.value(lift.pne)
+    reference = joint.principal_utility(inst, a_star)
+    achieved = principal_utility(inst, lift.pne, lift.contract)
     print(f"case: {lift.case_tag}")
     print(f"contract: {contract_str(lift.contract)}")
     print(f"pne: {profile_str(lift.pne)}")
@@ -315,7 +315,7 @@ def cmd_robustify(args) -> int:
     case = transforms.robustify_case(inst, a_star, S_star)
     contract = transforms.robustify_submodular(inst, a_star, S_star)
     _, worst_utility = solvers.worst_cce(inst, contract)
-    reference = (ONE - a_star.total()) * inst.reward.value(S_star)
+    reference = principal_utility(inst, S_star, a_star)
     print(f"case: {case}")
     print(f"contract: {contract_str(contract)}")
     print(f"worst-cce utility: {fraction_str(worst_utility)}")
@@ -471,7 +471,7 @@ def _repro_t51():
         a = fixtures.random_contract(inst.n, rng)
         D, _ = solvers.best_cce(inst, a)
         contract, S = transforms.cce_to_pne_supermodular_binary(inst, a, D)
-        principal = (ONE - contract.total()) * inst.reward.value(S)
+        principal = principal_utility(inst, S, contract)
         yield (f"trial {trial} construction utility", ">= cce utility",
                principal, principal >= D.principal_utility(inst, a))
 
@@ -483,7 +483,7 @@ def _repro_t52():
         a = fixtures.random_contract(inst.n, rng)
         D, ce_utility = solvers.best_ce(inst, a)
         _, S = transforms.ce_to_pne_supermodular(inst, a, D)
-        utility = (ONE - a.total()) * inst.reward.value(S)
+        utility = principal_utility(inst, S, a)
         yield (f"trial {trial} dynamics utility", ">= ce utility", utility,
                utility >= ce_utility)
 

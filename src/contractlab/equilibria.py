@@ -189,22 +189,22 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
 
     ``f(S)`` is f at profile S as an integer pair (numerator, denominator),
     the denominator positive and the pair not necessarily in lowest terms: a
-    reward's ``table()`` read by index, or its ``value_pair``. The
-    scale is q_i * cost_den * the lcm of the denominators of the pairs the
-    group reads, for a_i = p_i / q_i, so every entry is an exact integer.
-    f is read into one list in which profile k keeps position k, one read
-    per entry of ``profiles`` (a repeated profile is read once per
-    occurrence), and the deviations' reads come after. When ``profiles`` is
-    ``range(2**m)``, as the LP benchmarks pass it, a deviation S_-i | T is a
-    profile and indexes the list directly; every group then reads every
-    profile (its members and their deviations over all of the agent's
-    slices T are all 2^m), and its lcm is the whole list's. Otherwise, as
-    the verifiers pass a support, a dict gives each deviation its position:
-    the profile's own when it is one of the profiles, else the next free
-    one, read when a group first needs it. The scaled values
-    a_i f(S) * scale are kept per agent while the lcm stays the same, so
-    the full-width groups of an agent scale each value once. Slice costs
-    come from ``Instance.slice_costs``, kept per instance.
+    reward's ``table()`` read by index, or its ``value_pair``. The scale is
+    q_i * cost_den * the lcm of the denominators of the pairs the group
+    reads, for a_i = p_i / q_i, so every entry is an exact integer. The
+    profiles must be distinct (ValueError otherwise), as
+    ``JointDistribution`` guarantees. f is read into one list in which
+    profile k keeps position k, and the deviations' reads come after. When
+    ``profiles`` is ``range(2**m)``, as the LP benchmarks pass it, a
+    deviation S_-i | T is a profile and indexes the list directly; every
+    group then reads every profile (its members and their deviations over
+    all of the agent's slices T are all 2^m), and its lcm is the whole
+    list's. Otherwise, as the verifiers pass a support, a dict gives each
+    deviation its position: the profile's own when it is one of the
+    profiles, else the next free one, read when a group first needs it. The
+    scaled values a_i f(S) * scale are kept per agent while the lcm stays
+    the same, so the full-width groups of an agent scale each value once.
+    Slice costs come from ``Instance.slice_costs``, kept per instance.
 
     On a non-empty ``profiles``, an agent that owns none of the actions on
     which the profiles differ is fixed: it plays one slice R on every
@@ -213,8 +213,7 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
     only its deviations: f(S_-i | T) once per member for each T != R, into
     a list with no dict; T == R reads nothing. No other read of the call can
     equal such a read: it has slice T on A_i, and every profile and every
-    other read has R there. So f is read once per distinct profile when the
-    profiles are distinct, as ``JointDistribution`` guarantees. Its lcm is
+    other read has R there. So f is read once per distinct profile. Its lcm is
     the profiles' own, worked out once per call, with the denominators of
     those reads, and its follow list depends only on (a_i, c(R), lcm).
     """
@@ -233,8 +232,9 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
         varying = (1 << inst.m) - 1
     else:
         where = dict(zip(profiles, full))  # deviation S_-i | T -> its position
+        if len(where) < width:
+            raise ValueError("regret_rows needs distinct profiles")
         claim = where.setdefault  # a new profile gets the next free position
-        repeats = width - len(where)  # positions held by repeated profiles
         if width:
             varying = 0
             for S in profiles:
@@ -305,8 +305,8 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
             else:
                 reads = []  # per deviation, the position of each member's f
                 for T in deviations:
-                    row = [claim(rests[k] | T, len(where) + repeats) for k in members]
-                    if len(where) + repeats > len(pairs):  # new profiles, in order
+                    row = [claim(rests[k] | T, len(where)) for k in members]
+                    if len(where) > len(pairs):  # new profiles, in order
                         for k, at in zip(members, row):
                             if at == len(pairs):
                                 pairs.append(f(rests[k] | T))

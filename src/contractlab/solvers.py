@@ -747,12 +747,11 @@ def best_pne(inst: Instance):
     contract makes S a PNE).
     """
     fracs, slices, interval = _pne_table(inst)
-    for S, (n_S, d_S) in enumerate(fracs):
-        if n_S < 0:
-            raise ValueError(
-                f"best_pne needs f >= 0, but f({S}) = {Fraction(n_S, d_S)}")
     best_S, best_n, best_d = None, -1, 1  # every PNE is worth at least 0
     for S, (n_S, d_S) in enumerate(fracs):
+        if n_S < 0:  # checked before the skip, so no profile escapes it
+            raise ValueError(
+                f"best_pne needs f >= 0, but f({S}) = {Fraction(n_S, d_S)}")
         if n_S * best_d <= best_n * d_S:
             continue
         sum_n, sum_d = 0, 1

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Contract, Instance, ONE, ZERO, as_fraction
+from .core import Contract, Instance, ONE, ZERO, as_fraction, mask_of, principal_utility
 from .equilibria import (
     JointDistribution,
     best_response_dynamics,
@@ -61,6 +61,8 @@ class LiftResult:
 def scaled_contract(inst: Instance, a: Contract, params: ScalingParams) -> Contract:
     """gamma * a_i + epsilon on the subset, epsilon elsewhere; must stay in [0,1].
 
+    The one scaling rule: the lifts' and robustification's scaled cases
+    and both scale-for-existence steps build their contracts here.
     Every id in the subset must be an agent, an int in range(n): ValueError
     names the first that is not, the smallest by ``repr``.
     """
@@ -191,12 +193,8 @@ def lift_xos(inst: Instance, a_star: Contract, D_star: JointDistribution) -> Lif
 
 def robustify_case(inst: Instance, a_star: Contract, S_star: int) -> str:
     """Which branch the robustification takes: A, B, C, or D."""
-    inst.check_contract(a_star)
-    zero_cost = 0
-    for j in range(inst.m):
-        if inst.costs[j] == 0:
-            zero_cost |= 1 << j
-    threshold = Fraction(2, 17) * (ONE - a_star.total()) * inst.reward.value(S_star)
+    threshold = Fraction(2, 17) * principal_utility(inst, S_star, a_star)
+    zero_cost = mask_of(j for j in range(inst.m) if inst.costs[j] == 0)
     if inst.reward.value(zero_cost) >= threshold:
         return "A"
     top = _top(inst, a_star)
@@ -224,35 +222,25 @@ def robustify_submodular(inst: Instance, a_star: Contract, S_star: int) -> Contr
     if case == "B":
         return Contract.zero(inst.n).replace(top, (ONE + a_star[top]) / 2)
     if case == "C":
-        shares = [2 * a_star[i] if i != top else ZERO for i in range(inst.n)]
-        for i, v in enumerate(shares):
-            if v > 1:
-                raise ValueError(f"doubled share {v} for agent {i} leaves [0, 1]")
-        return Contract(tuple(shares))
-    chosen = _richer_bundle(inst, partition_agents(a_star),
-                            JointDistribution.point(S_star))
-    return Contract(tuple(
-        Fraction(7, 6) * a_star[i] if i in chosen else ZERO
-        for i in range(inst.n)))
+        params = ScalingParams(gamma=Fraction(2),
+                               subset=frozenset(range(inst.n)) - {top})
+    else:
+        params = ScalingParams(gamma=Fraction(7, 6), subset=_richer_bundle(
+            inst, partition_agents(a_star), JointDistribution.point(S_star)))
+    return scaled_contract(inst, a_star, params)
 
 
 def scale_for_existence_subadditive(inst: Instance, a: Contract,
                                     D: JointDistribution, i: int, gamma: Fraction):
     """Single-agent scaling for subadditive rewards.
 
-    Returns (a', S') with a' paying only agent i (gamma * a_i) and S' the
+    Returns (a', S'): a' pays only agent i (gamma * a_i), by the one scaling
+    rule ``scaled_contract``, checked before D's dropout stability; S' is the
     potential maximizer over A_i; f(S') >= (1 - 1/gamma) * E_D[f(S_i)].
     """
-    if not 0 <= i < inst.n:
-        raise ValueError(f"invalid agent id {i}")
-    if gamma <= 1:
-        raise ValueError("gamma must exceed 1")
+    contract = scaled_contract(inst, a, ScalingParams(gamma, frozenset({i})))
     if not is_dropout_stable(inst, D, a):
         raise ValueError("distribution is not dropout-stable for the contract")
-    scaled = gamma * a[i]
-    if scaled > 1:
-        raise ValueError(f"scaled share {scaled} leaves [0, 1]")
-    contract = Contract.zero(inst.n).replace(i, scaled)
     S = potential_maximizer_pne(inst, contract, inst.agent_mask(i))
     return contract, S
 

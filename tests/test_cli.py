@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from contractlab import cli
-from contractlab.core import CapacityError
+from contractlab.core import ONE, CapacityError
 from contractlab.fixtures import (
     random_instance,
     separation_example,
@@ -300,11 +300,24 @@ def test_reproduce_every_claim(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--help"], *([command, "--help"] for command in (
+        "verify", "lift", "robustify", "reproduce", "gap-report", "classify",
+        "gen"))], ids=" ".join)
+def test_help_formats(argv, capsys):
+    """argparse formats a help text only when asked, so a stray % in one
+    shows only here."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.strip()
+
+
 def test_reproduce_prints_every_record_on_mismatch(monkeypatch, capsys):
     # the point mass on every action is no CCE at the fixture's contract:
     # agent 0 gains by dropping one of its two actions
     a, _ = cli.fixtures.supermodular_gap_cce()
-    D = cli.JointDistribution(((7, cli.ONE),))
+    D = cli.JointDistribution(((7, ONE),))
     monkeypatch.setattr(cli.fixtures, "supermodular_gap_cce", lambda: (a, D))
     assert cli.main(["reproduce", "P54-cce-7/45"]) == 1
     lines = capsys.readouterr().out.splitlines()

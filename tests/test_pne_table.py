@@ -189,6 +189,15 @@ def test_best_pne_rejects_negative_rewards():
             search(inst)
 
 
+def test_best_pne_rejects_a_negative_reward_past_the_best_so_far():
+    """f(2) = -1 is below the best value found at profiles 0 and 1, so the
+    sweep skips profile 2 as a candidate; the f >= 0 check must not."""
+    inst = make_instance([[1], [1]], TableReward([0, 5, -1, 6]))
+    for search in (best_pne, best_pne_binary):
+        with pytest.raises(ValueError, match=r"f >= 0, but f\(2\) = -1"):
+            search(inst)
+
+
 def test_pne_table_respects_profile_cap(monkeypatch):
     inst = random_instance("additive", 8, 5, 1)
     a = Contract.zero(5)

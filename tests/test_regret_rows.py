@@ -232,6 +232,17 @@ def test_rows_reject_unknown_concept():
                          [0], inst.reward.value_pair))
 
 
+@pytest.mark.parametrize("concept", ["ce", "cce", "dropout"])
+@pytest.mark.parametrize("profiles", [[0b10, 0b10], [0b01, 0b10, 0b01]])
+def test_rows_reject_repeated_profiles(concept, profiles):
+    """Positions in the rows are positions in ``profiles``: a repeated
+    profile would misplace the deviations' reads, so it is refused."""
+    inst = random_instance("additive", 1, 2, 1)
+    with pytest.raises(ValueError, match="distinct profiles"):
+        next(regret_rows(inst, random_contract(2, random.Random(1)), concept,
+                         profiles, inst.reward.value_pair))
+
+
 def test_samplers_respect_profile_cap(monkeypatch):
     inst = random_instance("additive", 3, 5, 1)
     a = random_contract(inst.n, random.Random(3))

@@ -11,7 +11,7 @@ from contractlab.equilibria import (
     is_pne,
     potential_maximizer_pne,
 )
-from contractlab.rewards import AdditiveReward
+from contractlab.rewards import AdditiveReward, TableReward
 from contractlab.solvers import worst_cce
 from contractlab.transforms import (
     ScalingParams,
@@ -227,6 +227,16 @@ def test_robustify_case_c():
     assert out.alpha == (F(0), F(1, 5))
     _, worst = worst_cce(inst, out)
     assert worst >= principal_utility(inst, 0b11, a_star) / 40
+
+
+def test_robustify_case_c_keeps_doubled_shares_in_range():
+    """With negative rewards Case C can double a share past 1: agent 1's
+    17/20 would become 17/10, which is refused."""
+    inst = make_instance([[3], [3]], TableReward([-2, -4, 2, -3]))
+    a_star = Contract.of(["1", "17/20"])
+    assert robustify_case(inst, a_star, 0b10) == "C"
+    with pytest.raises(ValueError, match="17/10"):
+        robustify_submodular(inst, a_star, 0b10)
 
 
 def test_robustify_rejects_non_pne():
