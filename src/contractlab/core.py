@@ -213,7 +213,7 @@ class Instance:
         object.__setattr__(self, "_slice_costs", [None] * self.n)
         # the rows of solvers' PNE table, filled on first read by _pne_rows
         object.__setattr__(self, "_pne_cache", None)
-        # solvers' equilibrium LPs: concept -> (contract, table, rows, region)
+        # solvers' equilibrium LPs: concept -> (contract, table, region)
         object.__setattr__(self, "_lp_cache", {})
 
     @property

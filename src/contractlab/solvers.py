@@ -42,10 +42,10 @@ rounding.
 rows alone decide: the integer rows, the presolve, the tableau, the crash
 and phase 1, that is the feasible region with a feasible basis.
 ``_optimum`` runs phase 2 for the objective on a copy of that tableau, reads
-the duals and certifies the optimum on every row. A program can carry a
-region built for the same rows (``LinearProgram._region``); phase 2 then
-starts from the same basis, so it takes the same pivots to the same vertex
-as a fresh solve.
+the duals and certifies the optimum on every row. ``LpResult.region`` is
+the region phase 2 started from, and ``solve_lp(lp, region)`` takes one
+built for the same rows: phase 2 then starts from the same basis, so it
+takes the same pivots to the same vertex as a fresh solve.
 
 The equilibrium benchmarks and the ``fixtures`` samplers are one LP,
 ``equilibrium_lp``: every regret row the distribution verifiers check
@@ -92,7 +92,7 @@ as soon as its lower ends lose.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop
 from itertools import chain
@@ -114,13 +114,7 @@ from .equilibria import JointDistribution, regret_rows, require_pne
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max/min objective . x subject to rows, x >= 0.
-
-    ``_region`` is private and None unless ``equilibrium_lp`` hands the
-    program to ``solve_lp`` with a list there: one that holds the ``_Region``
-    of a program with the same rows, which ``solve_lp`` then runs phase 2
-    from, or an empty one, which it fills with the region it builds.
-    """
+    """max/min objective . x subject to rows, x >= 0."""
 
     objective: tuple
     sense: str
@@ -135,7 +129,6 @@ class LinearProgram:
                 raise ValueError("row width does not match variable count")
             if rel not in ("<=", "=", ">="):
                 raise ValueError(f"unknown relation {rel!r}")
-        object.__setattr__(self, "_region", None)
 
 
 @dataclass(frozen=True)
@@ -143,6 +136,8 @@ class LpResult:
     status: str  # optimal | infeasible | unbounded
     x: Optional[tuple] = None
     value: Optional[Fraction] = None
+    # the region phase 2 started from; None when the program is infeasible
+    region: Optional[_Region] = field(default=None, repr=False, compare=False)
 
 
 def _eliminate(row, prow, p, d, c):
@@ -232,6 +227,7 @@ class _Region:
     """What ``solve_lp`` derives from a program's rows alone: its feasible
     region, as the tableau after the crash and phase 1.
 
+    ``rows`` is the program's ``rows`` tuple it was built from, not a copy.
     ``scaled[r]`` is row r in integers, rhs last, as the certificate reads
     it, or None where that is the row as given, ``[*coeffs, rhs]``, so that
     an integer row is kept once. The met and forcing rows are out of the
@@ -243,6 +239,7 @@ class _Region:
     into them.
     """
 
+    rows: tuple
     scaled: list
     forcing: list
     forced: tuple
@@ -255,18 +252,17 @@ class _Region:
     total: int
 
 
-def solve_lp(lp: LinearProgram) -> LpResult:
-    """Solve ``lp`` exactly: build its region (``_region``), unless ``lp``
-    carries one, then run phase 2 and certify the optimum (``_optimum``)."""
-    kept = lp._region
-    if kept:
-        region = kept[0]
-    else:
+def solve_lp(lp: LinearProgram, region: Optional[_Region] = None) -> LpResult:
+    """Solve ``lp`` exactly: build its region (``_region``) unless ``region``,
+    one built for the same rows, is given, then run phase 2 and certify the
+    optimum (``_optimum``). Raises ValueError if ``region`` was built for
+    other rows."""
+    if region is None:
         region = _region(lp)
         if region is None:
             return LpResult(status="infeasible")
-        if kept is not None:
-            kept.append(region)
+    elif region.rows != lp.rows:
+        raise ValueError("the region was built for other rows")
     return _optimum(lp, region)
 
 
@@ -375,9 +371,9 @@ def _region(lp: LinearProgram) -> Optional[_Region]:
             r += 1
 
     duals = [(r, s_r, u) for r, s_r, u in zip(at, signs, unit) if u not in dropped]
-    return _Region(scaled=scaled, forcing=forcing, forced=tuple(forced), cols=cols,
-                   duals=duals, tab=tab, basis=basis, d=d, first_art=first_art,
-                   total=total)
+    return _Region(rows=lp.rows, scaled=scaled, forcing=forcing, forced=tuple(forced),
+                   cols=cols, duals=duals, tab=tab, basis=basis, d=d,
+                   first_art=first_art, total=total)
 
 
 def _optimum(lp: LinearProgram, region: _Region) -> LpResult:
@@ -398,7 +394,7 @@ def _optimum(lp: LinearProgram, region: _Region) -> LpResult:
     tab.append(obj)
     status, d = _iterate(tab, basis, d, region.first_art)
     if status == "unbounded":
-        return LpResult(status="unbounded")
+        return LpResult(status="unbounded", region=region)
     obj = tab.pop()
     x = [0] * len(objective)
     for row, b in zip(tab, basis):
@@ -433,7 +429,7 @@ def _optimum(lp: LinearProgram, region: _Region) -> LpResult:
     value = _certify(lp, rows, objective, x, d, w)
     return LpResult(status="optimal",
                     x=tuple(Fraction(v, d) if v else ZERO for v in x),
-                    value=Fraction(value, d * obj_scale))
+                    value=Fraction(value, d * obj_scale), region=region)
 
 
 def _certify(lp: LinearProgram, rows, objective, x, d, w) -> int:
@@ -501,10 +497,11 @@ def equilibrium_lp(inst: Instance, a: Contract, concept: str, sense: str = "max"
     unless the LP is solved to optimality.
 
     The feasible region depends on the instance, the contract and the
-    concept only, so the instance keeps, per concept, the last contract's
-    rows and the region ``solve_lp`` built for them. A later call with that
-    contract and concept, whatever its objective and sense, reads no reward
-    and builds no row: ``solve_lp`` runs phase 2 from the kept crash basis,
+    concept only, so the instance keeps, per concept, the last contract,
+    the table and the region ``solve_lp`` returned, whose ``rows`` are the
+    LP rows. A later call with that contract and concept, whatever its
+    objective and sense, reads no reward and builds no row: it hands the
+    region to ``solve_lp``, which runs phase 2 from the kept crash basis,
     so it takes the pivots a fresh solve would, and still certifies every
     row. The caps are checked on every call.
     """
@@ -512,7 +509,8 @@ def equilibrium_lp(inst: Instance, a: Contract, concept: str, sense: str = "max"
     kept = inst._lp_cache
     entry = kept.get(concept)
     if entry is not None and entry[0] == a:
-        _, table, rows, region = entry
+        _, table, region = entry
+        rows = region.rows
         if concept != "dropout":  # the caps regret_rows checks
             _check_agent_caps(inst, f"{concept} rows")
     else:
@@ -533,15 +531,11 @@ def equilibrium_lp(inst: Instance, a: Contract, concept: str, sense: str = "max"
     else:
         den = 1
         weights = [objective(S) for S in profiles]
-    lp = LinearProgram(objective=tuple(weights), sense=sense, rows=rows)
-    handed = [] if region is None else [region]
-    object.__setattr__(lp, "_region", handed)  # for this solve only
-    result = solve_lp(lp)
-    object.__setattr__(lp, "_region", None)
+    result = solve_lp(LinearProgram(objective=tuple(weights), sense=sense, rows=rows),
+                      region)
     if result.status != "optimal":
         raise RuntimeError(f"equilibrium LP came back {result.status}")
-    if handed:
-        kept[concept] = (a, table, rows, handed[0])
+    kept[concept] = (a, table, result.region)
     dist = JointDistribution(tuple(
         (S, p) for S, p in zip(profiles, result.x) if p))
     return dist, result.value / den

@@ -85,13 +85,14 @@ def scale_for_existence(inst: Instance, a: Contract, D: JointDistribution,
     """Scale the subset's shares by gamma and take the potential maximizer.
 
     For XOS rewards the result (a', S') is a PNE of a' with
-    f(S') >= (1 - 1/gamma) * E_D[f(union of subset slices)].
+    f(S') >= (1 - 1/gamma) * E_D[f(union of subset slices)]. The scaling is
+    checked (``scaled_contract``) before D's dropout stability.
     """
     if params.epsilon != 0:
         raise ValueError("existence-side scaling takes no epsilon bump")
+    scaled = scaled_contract(inst, a, params)
     if not is_dropout_stable(inst, D, a):
         raise ValueError("distribution is not dropout-stable for the contract")
-    scaled = scaled_contract(inst, a, params)
     S = potential_maximizer_pne(inst, scaled, inst.full_mask)
     return scaled, S
 
@@ -253,7 +254,10 @@ def lift_subadditive(inst: Instance, a_star: Contract,
         return case_a
     if a_star[top] > THREE_QUARTERS:
         star = max((i for i in range(inst.n) if i != top),
-                   key=lambda i: (own[i], -i))
+                   key=lambda i: (own[i], -i), default=None)
+        if star is None:
+            raise ValueError("Case B needs an agent other than the top one, "
+                             f"agent {top}")
         contract, S = scale_for_existence_subadditive(
             inst, a_star, D_star, star, Fraction(2))
         return LiftResult(contract, S, "B", Fraction(1, 20 * inst.n))

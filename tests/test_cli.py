@@ -116,6 +116,23 @@ def test_lift_command(separation_path, mne_path, tmp_path, capsys):
     assert doc["contract"] == ["7/216", "0"]
 
 
+def test_lift_subadditive_case_b_without_a_second_agent(tmp_path, capsys):
+    """One agent at 4/5 whose own reward fails Case A: the subadditive lift
+    exits 2 naming what Case B lacks, the XOS lift answers."""
+    inst = write(tmp_path, "one.json", {"agents": [
+        {"id": 0, "actions": [{"id": 0, "cost": "0"}]}],
+        "reward": {"type": "table", "values": ["1", "2"]}})
+    dist = write(tmp_path, "d.json", {"support": [{"profile": [0], "prob": "1"}]})
+    args = ["lift", inst, "--contract", "4/5", "--distribution", dist, "--mode"]
+    assert cli.main(args + ["subadditive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: Case B needs an agent other than the top one, "
+                            "agent 0\n")
+    assert cli.main(args + ["xos"]) == 0
+    assert "case: B" in capsys.readouterr().out
+
+
 def test_robustify_command(separation_path, capsys):
     code = cli.main(["robustify", separation_path, "--contract", "1/20,1/20",
                      "--profile", "0,1"])

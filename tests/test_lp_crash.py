@@ -241,9 +241,9 @@ def test_equilibrium_lps_skip_phase_one(trace, monkeypatch, kind, sizes):
     calls = []
     real_solve = solvers.solve_lp
 
-    def solve(prog):
+    def solve(prog, region=None):
         start = len(trace)
-        result = real_solve(prog)
+        result = real_solve(prog, region)
         # the profiles a homogeneous ">=" row with entries <= 0 forces to 0
         # leave the tableau; column k of the tableau is profile kept[k]
         forced = {S for coeffs, rel, rhs in prog.rows

@@ -288,9 +288,9 @@ def record_start_tableaus(monkeypatch):
             start.append([row[:] for row in tab])
         return real_pivot(tab, basis, d, r, c)
 
-    def solve(prog):
+    def solve(prog, region=None):
         start.clear()
-        result = real_solve(prog)
+        result = real_solve(prog, region)
         log.append((prog, result, start[0]))
         return result
 

@@ -1,19 +1,21 @@
-"""The equilibrium LP an Instance keeps: per concept, the last contract's
-rows, the reward's table and the feasible region ``solve_lp`` built for
-them. A later LP with that contract and concept, whatever its objective,
-answers as a fresh instance does, reads the reward zero times, builds no
-region and still goes through ``solvers.solve_lp``; a new contract or a
-replaced reward builds a region of its own, the caps bind on every call, and
-phase 2 never changes the kept tableau."""
+"""The equilibrium LP an Instance keeps: per concept, the last contract, the
+reward's table and the feasible region ``solve_lp`` built for the LP rows.
+A later LP with that contract and concept, whatever its objective, answers
+as a fresh instance does, reads the reward zero times, builds no region and
+still goes through ``solvers.solve_lp``; a new contract or a replaced reward
+builds a region of its own, the caps bind on every call, and phase 2 never
+changes the kept tableau. On any LP, a region handed back to ``solve_lp``
+gives a fresh solve's answer, and one built for other rows is refused."""
 import copy
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from contractlab import solvers
-from contractlab.core import CapacityError, Contract
+from contractlab.core import CapacityError, Contract, over_common_denominator
 from contractlab.fixtures import (
     random_contract,
     random_instance,
@@ -22,7 +24,8 @@ from contractlab.fixtures import (
     sample_dropout_stable,
 )
 from contractlab.rewards import TableReward
-from contractlab.solvers import best_ce, best_cce, equilibrium_lp, worst_cce
+from contractlab.solvers import best_ce, best_cce, equilibrium_lp, solve_lp, worst_cce
+from test_lp_crash import random_bounded_lp
 
 KINDS = ("additive", "coverage", "xos", "supermodular", "table")
 SIZES = ([2, 2], [1, 1, 1, 1], [2, 2, 1])
@@ -97,8 +100,9 @@ def test_a_hit_reads_no_reward_and_builds_no_region(kind, monkeypatch):
         call(inst, a)
     assert reads == [] and regions == []
     assert len(solved) == len(LPS)  # every LP still goes through solve_lp
-    # each hit's program carries no region once it is solved
-    assert all(lp._region is None for (lp,) in solved)
+    # each hit is handed the region its concept keeps
+    for (lp, region), (concept, _) in zip(solved, LPS.values()):
+        assert region is inst._lp_cache[concept][2] and lp.rows is region.rows
 
 
 def test_a_new_contract_rebuilds_the_region(monkeypatch):
@@ -113,7 +117,7 @@ def test_a_new_contract_rebuilds_the_region(monkeypatch):
     assert kept[0] == a and len(regions) == 1
     worst_cce(inst, b)
     assert len(regions) == 2
-    assert inst._lp_cache["cce"][0] == b and inst._lp_cache["cce"][3] is not kept[3]
+    assert inst._lp_cache["cce"][0] == b and inst._lp_cache["cce"][2] is not kept[2]
     assert inst._lp_cache["cce"][1] is kept[1]  # the table is read once
     assert best_cce(inst, a) == expected  # rebuilt for a again
     assert len(regions) == 3
@@ -162,7 +166,7 @@ def test_phase_two_leaves_the_kept_tableau_as_it_was(kind):
     inst = random_instance(kind, 61, 3, [2, 1, 1])
     a = random_contract(3, random.Random(61))
     first = best_cce(inst, a)
-    region = inst._lp_cache["cce"][3]
+    region = inst._lp_cache["cce"][2]
     snapshot = copy.deepcopy((region.tab, region.basis, region.d))
     worst = worst_cce(inst, a)
     draws = random.Random(62)
@@ -170,7 +174,60 @@ def test_phase_two_leaves_the_kept_tableau_as_it_was(kind):
     for sense in ("max", "min"):
         equilibrium_lp(inst, a, "cce", sense, weights.__getitem__)
     last = best_cce(inst, a)
-    assert inst._lp_cache["cce"][3] is region
+    assert inst._lp_cache["cce"][2] is region
     assert (region.tab, region.basis, region.d) == snapshot
     assert repr(last) == repr(first)
     assert first[1] >= worst[1]
+
+
+def test_a_region_handed_back_solves_a_general_lp_as_a_fresh_solve(monkeypatch):
+    """``solve_lp(lp).region`` serves any objective of either sense on the
+    same rows: the answer equals a fresh solve's in status, x and value. The
+    seeded programs include ones that reach phase 1, ones whose redundant
+    "=" rows phase 1 drops (a multiple of an "=" row added to half of them),
+    and infeasible ones, whose result carries no region."""
+    iterations = count_calls(monkeypatch, "_iterate")
+    rng = random.Random(2707)
+    seen = Counter()
+    for _ in range(300):
+        lp = random_bounded_lp(rng)
+        equalities = [row for row in lp.rows if row[1] == "="]
+        if equalities and rng.random() < 0.5:
+            coeffs, _, rhs = rng.choice(equalities)
+            k = rng.randint(1, 3)
+            lp = dataclasses.replace(
+                lp, rows=lp.rows + ((tuple(k * v for v in coeffs), "=", k * rhs),))
+        iterations.clear()
+        first = solve_lp(lp)
+        if first.status == "infeasible":
+            assert first.region is None
+            seen["infeasible"] += 1
+            continue
+        region = first.region
+        assert region.rows is lp.rows
+        seen["phase 1"] += len(iterations) == 2  # phase 1, then phase 2
+        kept = sum(solvers._presolve(over_common_denominator([*coeffs, rhs])[0], rel)
+                   == "kept" for coeffs, rel, rhs in lp.rows)
+        seen["dropped"] += len(region.basis) < kept
+        for sense in ("max", "min"):
+            other = dataclasses.replace(lp, sense=sense, objective=tuple(
+                F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in lp.objective))
+            handed, fresh = solve_lp(other, region), solve_lp(other)
+            assert (handed.status, handed.x, handed.value) == \
+                (fresh.status, fresh.x, fresh.value), other
+            assert handed.region is region
+    assert min(seen[k] for k in ("infeasible", "phase 1", "dropped")) > 0, seen
+
+
+def test_a_region_built_for_other_rows_is_refused():
+    rng = random.Random(2711)
+    programs = [random_bounded_lp(rng) for _ in range(40)]
+    programs = [lp for lp in programs if solve_lp(lp).status == "optimal"]
+    for lp, other in zip(programs, programs[1:]):
+        region = solve_lp(lp).region
+        with pytest.raises(ValueError, match="built for other rows"):
+            solve_lp(other, region)
+        # equal rows in another tuple are the same rows
+        same = dataclasses.replace(lp, rows=tuple(list(lp.rows)))
+        assert same.rows is not lp.rows
+        assert solve_lp(same, region) == solve_lp(same)

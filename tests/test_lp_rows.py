@@ -59,9 +59,9 @@ def test_rows_met_by_every_distribution_change_nothing(monkeypatch, kind, sizes)
     real_iterate, real_certify = solvers._iterate, solvers._certify
     solved, pivots, tableau_rows, certified = [], [0], [], []
 
-    def solve(prog):
+    def solve(prog, region=None):
         solved.append(prog)
-        return real_solve(prog)
+        return real_solve(prog, region)
 
     def pivot(*args):
         pivots[0] += 1

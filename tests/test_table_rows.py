@@ -98,9 +98,9 @@ def test_default_objective_is_the_tables_integers(monkeypatch):
     solved = []
     real_solve = solvers.solve_lp
 
-    def solve(lp):
+    def solve(lp, region=None):
         solved.append(lp)
-        return real_solve(lp)
+        return real_solve(lp, region)
 
     monkeypatch.setattr(solvers, "solve_lp", solve)
     for label, inst, a in fractional_instances():

@@ -89,6 +89,25 @@ def test_scaled_contract_rejects_ids_that_name_no_agent(subset, named):
         assert out.alpha == tuple(F(1, 4) if i in kept else F(0) for i in range(3))
 
 
+@pytest.mark.parametrize("subset,a,error", [
+    (frozenset({5}), ["1/8", "1/8", "1/8"], "scaling subset id 5 is not an agent"),
+    (frozenset({0, 2}), ["3/4", "1/8", "1/8"], "scaled share 3/2 for agent 0 leaves"),
+])
+def test_scale_for_existence_checks_the_scaling_first(subset, a, error):
+    """The scaling's own errors win over D's dropout stability, as in
+    ``scale_for_existence_subadditive``; a scaling that is fine still meets
+    the dropout check."""
+    inst = random_instance("xos", 3, 3, 1)
+    a = Contract.of(a)
+    D = JointDistribution.point(0b100)  # agent 2 earns 7/8 at a cost of 7/4
+    assert not equilibria.is_dropout_stable(inst, D, a)
+    with pytest.raises(ValueError, match=error):
+        scale_for_existence(inst, a, D, ScalingParams(gamma=F(2), subset=subset))
+    with pytest.raises(ValueError, match="not dropout-stable"):
+        scale_for_existence(inst, Contract.of(["1/8"] * 3), D,
+                            ScalingParams(gamma=F(2), subset=frozenset({0, 2})))
+
+
 def test_scale_for_existence_separation():
     inst = separation_example()
     a, P = separation_mne()
@@ -281,6 +300,19 @@ def test_lift_subadditive_cases():
                            JointDistribution.point(0b11))
     assert res.case_tag == "B" and res.claimed_ratio == F(1, 40)
     assert is_pne(pair, res.pne, res.contract)
+
+
+def test_lift_subadditive_case_b_needs_a_second_agent():
+    """One agent above 3/4 that fails Case A's test: Case B scales the
+    richest other agent, and there is none. ``lift_xos`` scales the empty
+    set of others instead, which pays no one."""
+    inst = make_instance([[0]], TableReward([F(1), F(2)]))
+    a, D = Contract.of(["4/5"]), JointDistribution.point(0b1)
+    with pytest.raises(ValueError,
+                       match="Case B needs an agent other than the top one, agent 0"):
+        lift_subadditive(inst, a, D)
+    res = lift_xos(inst, a, D)
+    assert res.case_tag == "B" and res.contract == Contract.zero(1)
 
 
 def test_cce_to_pne_binary_supermodular():
