@@ -55,6 +55,9 @@ class InputError(Exception):
 # serialization
 
 def parse_scalar(raw) -> Fraction:
+    if isinstance(raw, bool):
+        # a JSON true or false: as_fraction would read it as the int 1 or 0
+        raise InputError(f"bad rational {raw!r}: a boolean is not a number")
     try:
         return as_fraction(raw)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -102,7 +105,7 @@ def instance_from_json(doc) -> Instance:
         for record in agents:
             costs = []
             for action in record["actions"]:
-                if action["id"] != expected:
+                if type(action["id"]) is not int or action["id"] != expected:
                     raise InputError(
                         f"action ids must be 0..m-1 in agent order; "
                         f"got {action['id']}, expected {expected}")
@@ -179,7 +182,9 @@ def _write_json(path: str, doc) -> None:
 
 
 def parse_contract(raw: str, n: int) -> Contract:
-    parts = [p for p in raw.split(",") if p.strip()]
+    parts = raw.split(",")
+    if any(not p.strip() for p in parts):
+        raise InputError(f"bad contract {raw!r}: empty share")
     if len(parts) != n:
         raise InputError(f"contract has {len(parts)} shares, instance has {n} agents")
     try:

@@ -1,7 +1,8 @@
 """Contract transformations: scaling a dropout-stable distribution into a PNE,
 lifting a CCE to a PNE with constant (XOS) or O(n) (subadditive) loss,
 robustifying a PNE so every CCE stays good, and the supermodular CCE/CE to PNE
-constructions.
+constructions. Lifting and robustification share one case split, ``_split``:
+lifting's Cases A-C are robustification's B-D over the point mass on S*.
 """
 from __future__ import annotations
 
@@ -85,16 +86,23 @@ def scale_for_existence(inst: Instance, a: Contract, D: JointDistribution,
     """Scale the subset's shares by gamma and take the potential maximizer.
 
     For XOS rewards the result (a', S') is a PNE of a' with
-    f(S') >= (1 - 1/gamma) * E_D[f(union of subset slices)]. The scaling is
-    checked (``scaled_contract``) before D's dropout stability.
+    f(S') >= (1 - 1/gamma) * E_D[f(union of subset slices)].
     """
     if params.epsilon != 0:
         raise ValueError("existence-side scaling takes no epsilon bump")
+    return _scaled_pne(inst, a, D, params, None)
+
+
+def _scaled_pne(inst: Instance, a: Contract, D: JointDistribution,
+                params: ScalingParams, agent: int | None):
+    """Both scale-for-existence steps: ``scaled_contract`` first, then D's
+    dropout stability for a, then the potential maximizer of the scaled
+    contract over agent's actions (every action when agent is None)."""
     scaled = scaled_contract(inst, a, params)
     if not is_dropout_stable(inst, D, a):
         raise ValueError("distribution is not dropout-stable for the contract")
-    S = potential_maximizer_pne(inst, scaled, inst.full_mask)
-    return scaled, S
+    within = inst.full_mask if agent is None else inst.agent_mask(agent)
+    return scaled, potential_maximizer_pne(inst, scaled, within)
 
 
 def _require(verdict, what: str) -> None:
@@ -106,42 +114,48 @@ def _require(verdict, what: str) -> None:
         raise ValueError(f"input {what} (agent {verdict.agent}, {witness})")
 
 
-def _top(inst: Instance, a: Contract) -> int:
-    """The agent with the largest share, the lowest id on ties."""
-    return max(range(inst.n), key=lambda i: (a[i], -i))
+def _expected_reward(inst: Instance, D: JointDistribution, mask: int) -> Fraction:
+    """E_D[f(S & mask)]."""
+    return D.expectation(lambda S: inst.reward.value(S & mask))
 
 
-def _richer_bundle(inst: Instance, part: AgentPartition,
-                   D: JointDistribution) -> frozenset:
-    """The bundle whose members' slices are worth more under D; b1 on ties."""
-    def bundle_reward(members):
-        masks = 0
-        for i in members:
-            masks |= inst.agent_mask(i)
-        return D.expectation(lambda S: inst.reward.value(S & masks))
-    return part.b1 if bundle_reward(part.b1) >= bundle_reward(part.b2) else part.b2
+def _split(inst: Instance, a_star: Contract, D: JointDistribution):
+    """The case split: (top, dominant, significant). The top agent has the
+    largest share (lowest id on ties), is dominant when it is above 3/4, and
+    significant when also (1 - share) E_D[f(S_top)] >= 4 E_D[f(S_-top)]."""
+    top = max(range(inst.n), key=lambda i: (a_star[i], -i))
+    share, mask = a_star[top], inst.agent_mask(top)
+    dominant = share > THREE_QUARTERS
+    significant = dominant and ((ONE - share) * _expected_reward(inst, D, mask)
+                                >= 4 * _expected_reward(inst, D, ~mask))
+    return top, dominant, significant
 
 
-def _lift_start(inst: Instance, a_star: Contract, D_star: JointDistribution):
-    """What both CCE-to-PNE lifts begin with: check the CCE, then Case A.
+def _top_alone(inst: Instance, a_star: Contract, top: int) -> Contract:
+    """Lifting's Case A, robustification's B: (1 + share)/2 to the top agent alone."""
+    return Contract.zero(inst.n).replace(top, (ONE + a_star[top]) / 2)
 
-    Case A: a significant agent is paid (1 + share)/2 and works alone.
-    Returns (the Case A result or None, the top agent, per-agent E[f(S_i)]).
-    """
-    _require(is_cce(inst, D_star, a_star), "distribution is not a CCE")
-    own = []
-    for i in range(inst.n):
-        mask = inst.agent_mask(i)
-        own.append(D_star.expectation(lambda S: inst.reward.value(S & mask)))
-    top = _top(inst, a_star)
-    rest = ~inst.agent_mask(top)
-    if (a_star[top] > THREE_QUARTERS and (ONE - a_star[top]) * own[top]
-            >= 4 * D_star.expectation(lambda S: inst.reward.value(S & rest))):
-        share = (ONE + a_star[top]) / 2
-        contract = Contract.zero(inst.n).replace(top, share)
-        S = potential_maximizer_pne(inst, contract, inst.agent_mask(top))
-        return LiftResult(contract, S, "A", Fraction(4, 17)), top, own
-    return None, top, own
+
+def _scaling(inst: Instance, a_star: Contract, D: JointDistribution,
+             top: int, dominant: bool) -> ScalingParams:
+    """Lifting's Cases B and C, robustification's C and D: double all but a
+    dominant top agent, or else 7/6 on the bundle worth more under D (b1 on ties)."""
+    if dominant:
+        return ScalingParams(gamma=Fraction(2),
+                             subset=frozenset(range(inst.n)) - {top})
+    part = partition_agents(a_star)
+    worth = [_expected_reward(inst, D, mask_of(
+                 j for j in range(inst.m) if inst.owners[j] in members))
+             for members in (part.b1, part.b2)]
+    return ScalingParams(gamma=Fraction(7, 6),
+                         subset=part.b1 if worth[0] >= worth[1] else part.b2)
+
+
+def _work_alone(inst: Instance, a_star: Contract, top: int) -> LiftResult:
+    """Both lifts' Case A: the top agent, paid alone, works alone."""
+    contract = _top_alone(inst, a_star, top)
+    S = potential_maximizer_pne(inst, contract, inst.agent_mask(top))
+    return LiftResult(contract, S, "A", Fraction(4, 17))
 
 
 def partition_agents(a_star: Contract) -> AgentPartition:
@@ -152,6 +166,8 @@ def partition_agents(a_star: Contract) -> AgentPartition:
     the smallest agent id.
     """
     n = len(a_star)
+    if n == 0:
+        raise ValueError("the empty contract has no agents to partition")
     for i in range(n):
         if a_star[i] > THREE_QUARTERS:
             raise ValueError(f"agent {i} holds a share above 3/4")
@@ -178,93 +194,82 @@ def lift_xos(inst: Instance, a_star: Contract, D_star: JointDistribution) -> Lif
     Case B: drop the dominant agent, scale the rest by 2.
     Case C: partition into two bundles, scale the better one by 7/6.
     """
-    case_a, top, _ = _lift_start(inst, a_star, D_star)
-    if case_a is not None:
-        return case_a
-    if a_star[top] > THREE_QUARTERS:
-        params = ScalingParams(gamma=Fraction(2),
-                               subset=frozenset(range(inst.n)) - {top})
-        contract, S = scale_for_existence(inst, a_star, D_star, params)
-        return LiftResult(contract, S, "B", Fraction(1, 20))
-    chosen = _richer_bundle(inst, partition_agents(a_star), D_star)
-    params = ScalingParams(gamma=Fraction(7, 6), subset=chosen)
-    contract, S = scale_for_existence(inst, a_star, D_star, params)
-    return LiftResult(contract, S, "C", Fraction(1, 112))
+    _require(is_cce(inst, D_star, a_star), "distribution is not a CCE")
+    top, dominant, significant = _split(inst, a_star, D_star)
+    if significant:
+        return _work_alone(inst, a_star, top)
+    contract, S = scale_for_existence(
+        inst, a_star, D_star, _scaling(inst, a_star, D_star, top, dominant))
+    tag, loss = ("B", 20) if dominant else ("C", 112)
+    return LiftResult(contract, S, tag, Fraction(1, loss))
+
+
+def _robust_split(inst: Instance, a_star: Contract, S_star: int):
+    """Robustification's case and the split's top agent (None in Case A)."""
+    threshold = Fraction(2, 17) * principal_utility(inst, S_star, a_star)
+    zero_cost = mask_of(j for j in range(inst.m) if inst.costs[j] == 0)
+    if inst.reward.value(zero_cost) >= threshold:
+        return "A", None
+    top, dominant, significant = _split(inst, a_star, JointDistribution.point(S_star))
+    return ("B" if significant else "C" if dominant else "D"), top
 
 
 def robustify_case(inst: Instance, a_star: Contract, S_star: int) -> str:
     """Which branch the robustification takes: A, B, C, or D."""
-    threshold = Fraction(2, 17) * principal_utility(inst, S_star, a_star)
-    zero_cost = mask_of(j for j in range(inst.m) if inst.costs[j] == 0)
-    if inst.reward.value(zero_cost) >= threshold:
-        return "A"
-    top = _top(inst, a_star)
-    if a_star[top] > THREE_QUARTERS:
-        f_own = inst.reward.value(S_star & inst.agent_mask(top))
-        f_others = inst.reward.value(S_star & ~inst.agent_mask(top))
-        return "B" if (ONE - a_star[top]) * f_own >= 4 * f_others else "C"
-    return "D"
+    return _robust_split(inst, a_star, S_star)[0]
 
 
 def robustify_submodular(inst: Instance, a_star: Contract, S_star: int) -> Contract:
     """Contract under which every CCE keeps >= 1/224 of the input utility.
 
     Case A: zero-cost actions already carry enough reward; pay everyone 1/(2n).
-    Case B: significant agent; pay them (1 + share)/2, others 0.
-    Case C: dominant but insignificant agent; zero them, double the rest.
-    Case D: partition, 7/6 on the bundle whose slice of S* is worth more.
+    Cases B, C and D are ``lift_xos``'s A, B and C over the point mass on S*.
     """
     _require(is_pne(inst, S_star, a_star), "profile is not a PNE")
-    case = robustify_case(inst, a_star, S_star)
+    case, top = _robust_split(inst, a_star, S_star)
     if case == "A":
         eps = Fraction(1, 2 * inst.n)
         return Contract((eps,) * inst.n)
-    top = _top(inst, a_star)
     if case == "B":
-        return Contract.zero(inst.n).replace(top, (ONE + a_star[top]) / 2)
-    if case == "C":
-        params = ScalingParams(gamma=Fraction(2),
-                               subset=frozenset(range(inst.n)) - {top})
-    else:
-        params = ScalingParams(gamma=Fraction(7, 6), subset=_richer_bundle(
-            inst, partition_agents(a_star), JointDistribution.point(S_star)))
-    return scaled_contract(inst, a_star, params)
+        return _top_alone(inst, a_star, top)
+    return scaled_contract(inst, a_star, _scaling(
+        inst, a_star, JointDistribution.point(S_star), top, case == "C"))
 
 
 def scale_for_existence_subadditive(inst: Instance, a: Contract,
                                     D: JointDistribution, i: int, gamma: Fraction):
     """Single-agent scaling for subadditive rewards.
 
-    Returns (a', S'): a' pays only agent i (gamma * a_i), by the one scaling
-    rule ``scaled_contract``, checked before D's dropout stability; S' is the
+    Returns (a', S'): a' pays only agent i (gamma * a_i) and S' is the
     potential maximizer over A_i; f(S') >= (1 - 1/gamma) * E_D[f(S_i)].
     """
-    contract = scaled_contract(inst, a, ScalingParams(gamma, frozenset({i})))
-    if not is_dropout_stable(inst, D, a):
-        raise ValueError("distribution is not dropout-stable for the contract")
-    S = potential_maximizer_pne(inst, contract, inst.agent_mask(i))
-    return contract, S
+    return _scaled_pne(inst, a, D, ScalingParams(gamma, frozenset({i})), i)
 
 
 def lift_subadditive(inst: Instance, a_star: Contract,
                      D_star: JointDistribution) -> LiftResult:
     """CCE to PNE for subadditive rewards, losing at most an O(n) factor."""
-    case_a, top, own = _lift_start(inst, a_star, D_star)
-    if case_a is not None:
-        return case_a
-    if a_star[top] > THREE_QUARTERS:
-        star = max((i for i in range(inst.n) if i != top),
-                   key=lambda i: (own[i], -i), default=None)
-        if star is None:
-            raise ValueError("Case B needs an agent other than the top one, "
-                             f"agent {top}")
-        contract, S = scale_for_existence_subadditive(
-            inst, a_star, D_star, star, Fraction(2))
-        return LiftResult(contract, S, "B", Fraction(1, 20 * inst.n))
-    star = max(range(inst.n), key=lambda i: (own[i], -i))
-    contract, S = scale_for_existence_subadditive(
-        inst, a_star, D_star, star, Fraction(7, 6))
-    return LiftResult(contract, S, "C", Fraction(1, 56 * inst.n))
+    _require(is_cce(inst, D_star, a_star), "distribution is not a CCE")
+    top, dominant, significant = _split(inst, a_star, D_star)
+    if significant:
+        return _work_alone(inst, a_star, top)
+    star = max((i for i in range(inst.n) if not (dominant and i == top)),
+               key=lambda i: (_expected_reward(inst, D_star, inst.agent_mask(i)), -i),
+               default=None)
+    if star is None:
+        raise ValueError("Case B needs an agent other than the top one, "
+                         f"agent {top}")
+    gamma, tag, loss = (Fraction(2), "B", 20) if dominant else (Fraction(7, 6), "C", 56)
+    contract, S = scale_for_existence_subadditive(inst, a_star, D_star, star, gamma)
+    return LiftResult(contract, S, tag, Fraction(1, loss * inst.n))
+
+
+def _support_union(D: JointDistribution) -> int:
+    """Every action that some profile in D's support plays."""
+    union = 0
+    for S, _ in D.support:
+        union |= S
+    return union
 
 
 def cce_to_pne_supermodular_binary(inst: Instance, a: Contract,
@@ -273,9 +278,7 @@ def cce_to_pne_supermodular_binary(inst: Instance, a: Contract,
     if not inst.binary:
         raise ValueError("construction needs binary actions")
     _require(is_cce(inst, D, a), "distribution is not a CCE")
-    union = 0
-    for S, _ in D.support:
-        union |= S
+    union = _support_union(D)
     contract = Contract(tuple(
         a[i] if union >> i & 1 else ZERO for i in range(inst.n)))
     require_pne(inst, union, contract, "support union")
@@ -290,9 +293,7 @@ def ce_to_pne_supermodular(inst: Instance, a: Contract, D: JointDistribution):
     lands on a PNE of the same contract with at least the CE's utility.
     """
     _require(is_ce(inst, D, a), "distribution is not a CE")
-    union = 0
-    for S, _ in D.support:
-        union |= S
+    union = _support_union(D)
     floors = [union & inst.agent_mask(i) for i in range(inst.n)]
     S = best_response_dynamics(inst, union, a, forced_floor=floors)
     require_pne(inst, S, a, "floor-restricted dynamics end")

@@ -591,3 +591,65 @@ def test_classify_follows_the_profile_cap(tmp_path, monkeypatch, capsys):
     assert exit_code(["classify", write(tmp_path, "five.json",
                                         cli.instance_to_json(five))]) == 3
     assert capsys.readouterr().err.startswith("capacity: classify: 32 profiles")
+
+
+def two_agent_doc():
+    return {"agents": [{"id": 0, "actions": [{"id": 0, "cost": "0"}]},
+                       {"id": 1, "actions": [{"id": 1, "cost": "1/2"}]}],
+            "reward": {"type": "additive", "values": ["1", "2"]}}
+
+
+def set_cost(doc, value):
+    doc["agents"][1]["actions"][0]["cost"] = value
+
+
+def set_first_id(doc, value):
+    doc["agents"][0]["actions"][0]["id"] = value
+
+
+def set_second_id(doc, value):
+    doc["agents"][1]["actions"][0]["id"] = value
+
+
+def set_reward_value(doc, value):
+    doc["reward"]["values"][1] = value
+
+
+@pytest.mark.parametrize("edit, value", [
+    (set_cost, True), (set_cost, False), (set_reward_value, True),
+    (set_second_id, True), (set_first_id, False), (set_second_id, 1.0),
+], ids=lambda x: getattr(x, "__name__", repr(x)))
+def test_booleans_and_float_ids_are_not_numbers(edit, value, tmp_path, capsys):
+    """json reads true as True, which is the int 1: a boolean cost, reward
+    value or action id, or a float id such as 1.0, is a usage error."""
+    doc = two_agent_doc()
+    assert exit_code(["classify", write(tmp_path, "good.json", doc)]) == 0
+    capsys.readouterr()
+    edit(doc, value)
+    assert exit_code(["classify", write(tmp_path, "bad.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_a_boolean_probability_is_a_usage_error(separation_path, tmp_path, capsys):
+    with pytest.raises(cli.InputError, match="boolean"):
+        cli.parse_scalar(True)
+    dist = write(tmp_path, "d.json", {"support": [{"profile": [], "prob": True}]})
+    assert exit_code(["verify", separation_path, "--contract", "1/36,1/36",
+                      "--distribution", dist, "--concept", "cce"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad rational True: a boolean is not a number\n"
+
+
+@pytest.mark.parametrize("raw", ["1/2,,1/2", " ,1/2,1/2,", "1/2,1/2,", ",1/2,1/2"])
+def test_an_empty_contract_share_is_a_usage_error(raw, separation_path, capsys):
+    """A --profile with an empty item is refused; so is a --contract."""
+    with pytest.raises(cli.InputError, match="empty share"):
+        cli.parse_contract(raw, 2)
+    assert exit_code(["robustify", separation_path, "--contract", raw,
+                      "--profile", "0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad contract {raw!r}: empty share\n"

@@ -1,0 +1,31 @@
+"""Every name the benchmark's traced run wraps still exists in contractlab.
+
+``perfbench/recorder.py`` wraps library functions and methods by name; a
+name deleted or renamed in ``src/`` would otherwise show only when a traced
+run is made. The recorder is imported the way ``perfbench/test_checker.py``
+imports the checker, and its tables are only read: nothing is wrapped.
+"""
+import importlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import recorder  # noqa: E402
+
+
+def test_every_traced_function_resolves():
+    assert recorder.FUNCTIONS
+    for span, (home, attrs, _) in recorder.FUNCTIONS.items():
+        module = importlib.import_module(f"contractlab.{home}")
+        for attr in attrs:
+            assert callable(getattr(module, attr, None)), \
+                f"{span}: contractlab.{home} has no function {attr}"
+
+
+def test_every_traced_method_resolves():
+    assert recorder.METHODS
+    for span, (home, cls, method, _) in recorder.METHODS.items():
+        owner = getattr(importlib.import_module(f"contractlab.{home}"), cls, None)
+        assert callable(getattr(owner, method, None)), \
+            f"{span}: contractlab.{home} has no method {cls}.{method}"

@@ -12,7 +12,7 @@ from contractlab.equilibria import (
     potential_maximizer_pne,
 )
 from contractlab.rewards import AdditiveReward, TableReward
-from contractlab.solvers import worst_cce
+from contractlab.solvers import enumerate_pne, worst_cce
 from contractlab.transforms import (
     ScalingParams,
     ce_to_pne_supermodular,
@@ -147,6 +147,11 @@ def test_partition_traces():
         partition_agents(Contract.of(["3/4", "3/4"]))
 
 
+def test_partition_agents_refuses_the_empty_contract():
+    with pytest.raises(ValueError, match="the empty contract has no agents"):
+        partition_agents(Contract(()))
+
+
 def test_partition_bounds_random():
     rng = random.Random(31)
     for _ in range(50):
@@ -246,6 +251,37 @@ def test_robustify_case_c():
     assert out.alpha == (F(0), F(1, 5))
     _, worst = worst_cce(inst, out)
     assert worst >= principal_utility(inst, 0b11, a_star) / 40
+
+
+def point_mass_cases():
+    """Seeded coverage, XOS and additive instances with S* among a*'s first
+    two PNEs, then the Case B and Case C inputs above: random draws reach
+    Cases A, B and D but not C."""
+    rng = random.Random(2801)
+    for trial in range(90):
+        kind = ("coverage", "xos", "additive")[trial % 3]
+        inst = random_instance(kind, 28010 + trial, rng.randint(2, 3), rng.randint(1, 2))
+        a_star = random_contract(inst.n, rng)
+        for S_star, _ in enumerate_pne(inst, a_star)[:2]:
+            yield inst, a_star, S_star
+    yield make_instance([[1]], AdditiveReward([F(10)])), Contract.of(["4/5"]), 0b1
+    yield (make_instance([["1/100"], [1]], AdditiveReward([F(1), F(100)])),
+           Contract.of(["4/5", "1/10"]), 0b11)
+
+
+def test_lifting_a_point_mass_agrees_with_robustification():
+    """Outside Case A, robustification's Cases B, C and D are lift_xos's A, B
+    and C on the point mass on S*, and pay the same contract."""
+    seen = {}
+    for inst, a_star, S_star in point_mass_cases():
+        case = robustify_case(inst, a_star, S_star)
+        seen[case] = seen.get(case, 0) + 1
+        if case == "A":
+            continue
+        lift = lift_xos(inst, a_star, JointDistribution.point(S_star))
+        assert "ABC".index(lift.case_tag) == "BCD".index(case)
+        assert lift.contract == robustify_submodular(inst, a_star, S_star)
+    assert set(seen) == {"A", "B", "C", "D"}, seen
 
 
 def test_robustify_case_c_keeps_doubled_shares_in_range():
