@@ -23,6 +23,7 @@ from .core import (
     as_fraction,
     bits_of,
     fraction_str,
+    int_digit_limit,
     make_instance,
     mask_of,
     principal_utility,
@@ -45,6 +46,8 @@ from .rewards import (
 )
 
 PASS, FAIL, PARSE_ERROR, CAPACITY_ERROR, INTERNAL_ERROR = 0, 1, 2, 3, 4
+# a formula reward, which has no succinct form, is tabulated up to this many actions
+TABULATED_ACTIONS = 16
 
 
 class InputError(Exception):
@@ -146,8 +149,7 @@ def instance_to_json(inst: Instance) -> dict:
                    "weights": [fraction_str(w) for w in reward.weights],
                    "covers": [list(bits_of(c)) for c in reward.covers]}
     else:
-        # formula rewards have no succinct form; tabulate while small
-        if reward.m > 16:
+        if reward.m > TABULATED_ACTIONS:
             raise InputError("reward has no serializable form at this size")
         payload = {"type": "table",
                    "values": [fraction_str(reward.value(S))
@@ -385,10 +387,15 @@ def cmd_gen(args) -> int:
     if name == "separation":
         inst = fixtures.separation_example()
     elif name == "subadditive-gap":
+        if 2 * args.n + 2 > TABULATED_ACTIONS:
+            raise InputError(f"--n {args.n} gives more than {TABULATED_ACTIONS} actions")
         inst = fixtures.subadditive_gap_instance(args.n)
     elif name == "supermodular-gap":
         inst = fixtures.supermodular_cce_gap_instance()
     elif name == "golden":
+        # the table holds phi + 1, whose numerator has digits + 1 digits
+        if 0 < int_digit_limit() <= args.digits:
+            raise InputError(f"--digits must be below {int_digit_limit()}")
         inst = fixtures.golden_ratio_instance(args.digits)
     elif name == "random":
         if not args.kind:

@@ -80,14 +80,18 @@ def check_profile_count(count: int, what: str) -> None:
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
+def int_digit_limit() -> int:
+    """``sys.get_int_max_str_digits()``; 0 (none) on Pythons before 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def as_fraction(x) -> Fraction:
     """Coerce ints, Fractions, and 'p/q' / decimal strings to an exact rational.
 
     ``Fraction`` multiplies by 10**exp for a decimal exponent, in time and
     memory that grow faster than |exp|, so a string whose exponent is above
-    Python's integer-digit limit (``sys.get_int_max_str_digits()``; 0 means
-    none, as on the Pythons before 3.10.7 that lack the limit) raises
-    ValueError before it gets there.
+    the integer-digit limit (``int_digit_limit``) raises ValueError before
+    it gets there.
     """
     if isinstance(x, Fraction):
         return x
@@ -95,8 +99,7 @@ def as_fraction(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         exp = _EXPONENT.search(x)
-        get_limit = getattr(sys, "get_int_max_str_digits", None)
-        limit = get_limit() if get_limit else 0
+        limit = int_digit_limit()
         if exp and limit:
             digits = exp.group(1).replace("_", "").lstrip("0")
             if len(digits) > len(str(limit)) or int(digits or 0) > limit:

@@ -8,18 +8,17 @@ and samplers take them as constraints. A PNE is the point-mass case:
 carries the positions of its group's profiles (one recommendation's for CE,
 every profile for CCE and dropout) and its values there only, so a verifier
 sums over the members, and only ``solvers.equilibrium_lp`` writes a row out
-over every profile. ``regret_rows`` reads f as integer pairs (numerator,
-denominator), profile k at position k: the LPs hand it the reward's
-``table()`` over all 2^m profiles, where a deviation is itself a profile's
-position, and the verifiers hand it the reward's integer value oracle
-(``RewardFunction.value_pair``), read on a support's profiles and their
-deviations; no ``Fraction`` is built per read. On a support, an agent whose
-slice varies places its deviations through a dict keyed by profile, so that
-f is read once per distinct profile. An agent with one slice R on every
-(distinct) profile reads only its deviations T != R, straight into a list:
-such a profile has T on the agent's actions where every other read has R, so
-it is read only there. Such agents with the same share, c(R) and lcm get one
-follow list, so a verifier sums that side once for all of them.
+over every profile. ``regret_rows`` reads f by profile, as integer pairs
+(numerator, denominator); no ``Fraction`` is built per read. The LPs hand
+it the reward's ``table()`` over all 2^m profiles, which a deviation
+S_-i | T indexes directly. The verifiers hand it the reward's integer value
+oracle (``RewardFunction.value_pair``), kept in a dict keyed by profile and
+seeded with a support's profiles; a deviation is read when a group first
+needs it, so f is read once per distinct profile. An agent with one slice R
+on every (distinct) profile reads only its deviations T != R, straight into
+a list: such a profile has T on the agent's actions where every other read
+has R, so it is read only there. Such agents with the same share, c(R) and
+lcm get one follow list, so a verifier sums that side once for all of them.
 
 All verifiers use weak inequalities decided exactly, in integers over the
 rows' scale and the probabilities' common denominator. The optional ``tol``
@@ -31,8 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 from math import lcm, prod
-from operator import mul
+from operator import mul, or_
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -193,17 +193,17 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
     q_i * cost_den * the lcm of the denominators of the pairs the group
     reads, for a_i = p_i / q_i, so every entry is an exact integer. The
     profiles must be distinct (ValueError otherwise), as
-    ``JointDistribution`` guarantees. f is read into one list in which
-    profile k keeps position k, and the deviations' reads come after. When
-    ``profiles`` is ``range(2**m)``, as the LP benchmarks pass it, a
-    deviation S_-i | T is a profile and indexes the list directly; every
-    group then reads every profile (its members and their deviations over
-    all of the agent's slices T are all 2^m), and its lcm is the whole
-    list's. Otherwise, as the verifiers pass a support, a dict gives each
-    deviation its position: the profile's own when it is one of the
-    profiles, else the next free one, read when a group first needs it. The
-    scaled values a_i f(S) * scale are kept per agent while the lcm stays
-    the same, so the full-width groups of an agent scale each value once.
+    ``JointDistribution`` guarantees. A row reads f by profile, and f is
+    read once per distinct profile. When ``profiles`` is ``range(2**m)``, as
+    the LP benchmarks pass it, f over the profiles is a list that a
+    deviation S_-i | T indexes directly; every group then reads every
+    profile (its members and their deviations over all of the agent's
+    slices T are all 2^m), and its lcm is the whole list's. Otherwise, as
+    the verifiers pass a support, f is kept in a dict keyed by profile,
+    seeded with the profiles' reads, and a group reads each deviation
+    S_-i | T that is not there yet. The scaled values a_i f(S) * scale are
+    kept per agent, by profile, while the lcm stays the same, so the
+    full-width groups of an agent scale each value once.
     Slice costs come from ``Instance.slice_costs``, kept per instance.
 
     On a non-empty ``profiles``, an agent that owns none of the actions on
@@ -220,25 +220,19 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
     if concept not in ("ce", "cce", "dropout"):
         raise ValueError(f"unknown concept {concept!r}")
     inst.check_contract(a)
-    width = len(profiles)
-    full = range(width)
+    full = range(len(profiles))
     pairs = list(map(f, profiles))  # f as (numerator, denominator), profile k at k
     own_den = lcm(*{d for _, d in pairs})  # the profiles' lcm
-    # the actions on which the profiles differ; None on an empty support,
-    # where no agent is fixed
-    varying = None
+    # varying: the actions on which the profiles differ; None on an empty
+    # support, where no agent is fixed
     if profiles == range(1 << inst.m):
-        where = None  # each profile is its own position in pairs
+        read = None  # pairs is f by profile
         varying = (1 << inst.m) - 1
     else:
-        where = dict(zip(profiles, full))  # deviation S_-i | T -> its position
-        if len(where) < width:
+        read = dict(zip(profiles, pairs))  # f by profile, deviations added
+        if len(read) < len(full):
             raise ValueError("regret_rows needs distinct profiles")
-        claim = where.setdefault  # a new profile gets the next free position
-        if width:
-            varying = 0
-            for S in profiles:
-                varying |= S ^ profiles[0]
+        varying = reduce(or_, [S ^ profiles[0] for S in profiles]) if full else None
     follows = {}  # (top, q, den, c(R)) -> the follow list of fixed agents
     # read once, as it is parsed from the environment; dropout rows are not
     # held to it, as they price only 0 and the agent's own slices
@@ -273,7 +267,7 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
             cost_R = price(R >> shift)
             follow = follows.get((top, q, den, cost_R))
             if follow is None:
-                follow = _scaled(pairs[:width], top, den, cost_R * base)
+                follow = _scaled(pairs, top, den, cost_R * base)
                 follows[top, q, den, cost_R] = follow
             scale = base * inst.cost_den
             for T, got in zip(deviations, fresh):
@@ -291,39 +285,34 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
             groups = groups.items()
         else:
             groups = ((None, full),)
-        value, value_den = None, None  # position -> a_i f(S) * scale, for the last lcm
+        value, value_den = None, None  # profile -> a_i f(S) * scale, for the last lcm
         for rec, members in groups:
             deviations = [T for T in targets if T != rec]
-            if where is None:
+            away = [rests[k] for k in members]
+            reads = [[rest | T for rest in away] for T in deviations]
+            if read is None:
                 # the group's members and their deviations S_-i | T, over
                 # all of the agent's slices T, read every profile
-                away = [rests[k] for k in members]
-                reads = [[rest | T for rest in away] for T in deviations]
                 den = own_den
                 if value is None:
                     value = _scaled(pairs, top, den)
+                at = members  # each profile is its own position
             else:
-                reads = []  # per deviation, the position of each member's f
-                for T in deviations:
-                    row = [claim(rests[k] | T, len(where)) for k in members]
-                    if len(where) > len(pairs):  # new profiles, in order
-                        for k, at in zip(members, row):
-                            if at == len(pairs):
-                                pairs.append(f(rests[k] | T))
-                    reads.append(row)
-                needed = set(members)
-                needed.update(*reads)
-                den = lcm(*{pairs[at][1] for at in needed})
+                at = [profiles[k] for k in members]  # the members' profiles
+                needed = set(at).union(*reads)
+                # the deviations no earlier group has read
+                read.update((S, f(S)) for S in needed - read.keys())
+                den = lcm(*{read[S][1] for S in needed})
                 if den != value_den:
                     value, value_den = {}, den
-                new = [at for at in needed if at not in value]
-                value.update(zip(new, _scaled([pairs[at] for at in new], top, den)))
+                new = list(needed - value.keys())
+                value.update(zip(new, _scaled([read[S] for S in new], top, den)))
             base = q * den
-            follow = [value[k] - paid[k] * base for k in members]
+            follow = [value[S] - paid[k] * base for S, k in zip(at, members)]
             scale = base * inst.cost_den
             for T, row in zip(deviations, reads):
                 cost_T = cost[T >> shift] * base
-                deviate = [value[at] - cost_T for at in row]
+                deviate = [value[S] - cost_T for S in row]
                 yield i, rec, T, members, follow, deviate, scale
 
 

@@ -1,13 +1,14 @@
 import hashlib
 import json
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from contractlab import cli
-from contractlab.core import ONE, CapacityError
+from contractlab.core import ONE, CapacityError, int_digit_limit
 from contractlab.fixtures import (
     random_instance,
     separation_example,
@@ -416,6 +417,53 @@ def test_gen_subadditive_gap_non_square(capsys):
 def test_gen_golden_too_few_digits(capsys):
     assert exit_code(["gen", "golden", "--digits", "3"]) == 2
     assert "error: need at least 20 digits" in capsys.readouterr().err
+
+
+def unbuilt(*_):
+    """A fixture builder that must not be reached."""
+    raise AssertionError("the instance was built before its size was checked")
+
+
+@pytest.mark.parametrize("n", ["9", "16", str(10 ** 12)])
+def test_gen_subadditive_gap_refuses_untabulated_sizes_unbuilt(n, monkeypatch, capsys):
+    # 2n + 2 actions, above the 16 up to which a formula reward is written out
+    monkeypatch.setattr(cli.fixtures, "subadditive_gap_instance", unbuilt)
+    assert exit_code(["gen", "subadditive-gap", "--n", n]) == 2
+    assert f"error: --n {n} gives more than 16 actions" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not int_digit_limit(), reason="this Python has no digit limit")
+def test_gen_golden_refuses_digits_at_the_digit_limit_unbuilt(monkeypatch, capsys):
+    # phi + 1 would have digits + 1 digits, more than str() writes
+    monkeypatch.setattr(cli.fixtures, "golden_ratio_instance", unbuilt)
+    for digits in (int_digit_limit(), 10 ** 5):
+        assert exit_code(["gen", "golden", "--digits", str(digits)]) == 2
+        assert f"error: --digits must be below {int_digit_limit()}" \
+            in capsys.readouterr().err
+
+
+def test_readme_cli_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    """Each line of the README's CLI block, run through ``main`` next to the
+    distribution files the README shows, exits 0 or 1; a line's ``> file``
+    writes what it printed to that file."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    block = re.search(r"```\n(contractlab .*?)```", section, re.S).group(1)
+    files = re.findall(r"is `(\w+\.json)`:\n\n```json\n(.*?)```", section, re.S)
+    assert sorted(name for name, _ in files) == ["cce.json", "mne.json"]
+    monkeypatch.chdir(tmp_path)
+    for name, doc in files:
+        (tmp_path / name).write_text(doc)
+    for line in filter(None, block.splitlines()):
+        words = shlex.split(line)
+        out = None
+        if ">" in words:
+            words, out = words[:words.index(">")], words[words.index(">") + 1]
+        assert words[0] == "contractlab"
+        assert exit_code(words[1:]) in (0, 1), (line, capsys.readouterr().err)
+        printed = capsys.readouterr().out
+        if out:
+            (tmp_path / out).write_text(printed)
 
 
 def test_gen_random_table_past_enumeration_cap(capsys):

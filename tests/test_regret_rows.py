@@ -317,22 +317,31 @@ def written_out(inst, a, concept, profiles):
 def test_agents_without_actions_and_empty_supports(actions):
     """An agent that owns no actions plays the empty slice on every profile.
     Its rows, in LP mode, on supports and on an empty support, match the
-    utilities written out profile by profile, and the LPs and the verifiers
-    run on such an instance."""
+    utilities written out profile by profile, and on a support f is read
+    once per distinct profile. The LPs and the verifiers run on such an
+    instance."""
     m = sum(map(len, actions))
     inst = make_instance(actions, AdditiveReward([F(k + 2, k + 1) for k in range(m)]))
+    counted, calls = counting(inst)
     a = Contract(tuple(F(1, 4 + i) for i in range(inst.n)))
     table = inst.reward.table()
     everything = range(1 << m)
     supports = [[], list(everything), [everything[-1], 0]] + [[S] for S in everything]
+    if m == 3:
+        # by hand: agent 2 (actions 1 and 2) has rest {0} on {0} and on
+        # {0, 1}, so its CCE group reads each deviation {0} | T twice, and
+        # its deviation to {1} from {0} is the support profile {0, 1}
+        supports.append([0b001, 0b011, 0b100])
     for concept in VERIFIERS:
         for profiles, f in [(everything, table.__getitem__)] + [
-                (profiles, inst.reward.value_pair) for profiles in supports]:
+                (profiles, counted.reward.value_pair) for profiles in supports]:
+            calls.clear()
             rows = [(i, rec, T, [F(v, scale) for v in follow],
                      [F(v, scale) for v in deviate])
                     for i, rec, T, follow, deviate, scale in padded(regret_rows(
                         inst, a, concept, profiles, f), len(profiles))]
             assert rows == written_out(inst, a, concept, list(profiles))
+            assert len(calls) == len(set(calls))
         for S in everything:
             violated = violations(inst, ((S, F(1)),), a, concept)
             assert bool(VERIFIERS[concept](inst, JointDistribution(((S, F(1)),)), a)) \

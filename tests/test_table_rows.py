@@ -1,5 +1,7 @@
 """Equilibrium LPs read f as the reward table's integer pairs: the regret rows
-in their two position modes, and E[f] taken from the certified LP value."""
+read f by profile, from the table over every profile (LP mode) or from a dict
+over a support's profiles (support mode), and E[f] is taken from the
+certified LP value."""
 import random
 from fractions import Fraction as F
 from math import lcm
@@ -50,10 +52,11 @@ def fractional_instances():
 
 
 @pytest.mark.parametrize("concept", ("ce", "cce", "dropout"))
-def test_profile_positions_match_dict_positions(concept):
-    """Over range(2^m) each profile is its own position in the table; over
-    the same profiles as a list they are claimed in a dict. Both yield the
-    same agents, recommendations, deviations, rows and scales."""
+def test_lp_mode_matches_support_mode(concept):
+    """Over range(2^m), as the LPs pass it, f is the table indexed by
+    profile; over the same profiles as a list, as a support, f is kept in a
+    dict keyed by profile. Both yield the same agents, recommendations,
+    deviations, rows and scales."""
     for label, inst, a in [*instances(), *fractional_instances()]:
         table = inst.reward.table()
         count = 1 << inst.m
