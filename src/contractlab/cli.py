@@ -387,6 +387,7 @@ def cmd_gen(args) -> int:
     if name == "separation":
         inst = fixtures.separation_example()
     elif name == "subadditive-gap":
+        # fixtures.subadditive_gap_instance(n) has m = 2n + 2 actions
         if 2 * args.n + 2 > TABULATED_ACTIONS:
             raise InputError(f"--n {args.n} gives more than {TABULATED_ACTIONS} actions")
         inst = fixtures.subadditive_gap_instance(args.n)

@@ -30,9 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
 from math import lcm, prod
-from operator import mul, or_
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -223,8 +222,9 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
     full = range(len(profiles))
     pairs = list(map(f, profiles))  # f as (numerator, denominator), profile k at k
     own_den = lcm(*{d for _, d in pairs})  # the profiles' lcm
-    # varying: the actions on which the profiles differ; None on an empty
-    # support, where no agent is fixed
+    # the actions on which the profiles differ; None on an empty support,
+    # where no agent is fixed
+    varying = None
     if profiles == range(1 << inst.m):
         read = None  # pairs is f by profile
         varying = (1 << inst.m) - 1
@@ -232,7 +232,10 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
         read = dict(zip(profiles, pairs))  # f by profile, deviations added
         if len(read) < len(full):
             raise ValueError("regret_rows needs distinct profiles")
-        varying = reduce(or_, [S ^ profiles[0] for S in profiles]) if full else None
+        if full:
+            varying = 0
+            for S in profiles:
+                varying |= S ^ profiles[0]
     follows = {}  # (top, q, den, c(R)) -> the follow list of fixed agents
     # read once, as it is parsed from the environment; dropout rows are not
     # held to it, as they price only 0 and the agent's own slices

@@ -2,7 +2,6 @@
 change to contractlab keeps them all.
 
     python3 tools/output_hashes.py [--src DIR] [--seeds 811,2701] [--rounds 0-2]
-                                   [--workload NAME ...]
 
 Run from anywhere; the library is imported once, from ``--src`` (default:
 ``src/`` of this checkout), and the queries are built by
@@ -82,14 +81,12 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--seeds", type=_numbers, default=[811, 2701])
     parser.add_argument("--rounds", type=_numbers, default=[0, 1, 2])
-    parser.add_argument("--workload", action="append",
-                        choices=list(workloads.WORKLOADS))
     args = parser.parse_args(argv)
     if not (args.src / "contractlab" / "__init__.py").is_file():
         print(f"error: no contractlab sources at {args.src}", file=sys.stderr)
         return 2
     lib = library(args.src)
-    for workload in args.workload or workloads.WORKLOADS:
+    for workload in workloads.WORKLOADS:
         count, digest = output_hash(lib, workload, args.seeds, args.rounds)
         print(f"{workload}: {count} queries, sha256 {digest}")
     return 0
