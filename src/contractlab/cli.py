@@ -117,11 +117,7 @@ def instance_from_json(doc) -> Instance:
             per_agent.append(costs)
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad instance document: {exc}") from None
-    reward = _reward_from_json(doc.get("reward"), expected)
-    try:
-        return make_instance(per_agent, reward)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return make_instance(per_agent, _reward_from_json(doc.get("reward"), expected))
 
 
 def instance_to_json(inst: Instance) -> dict:
@@ -189,10 +185,7 @@ def parse_contract(raw: str, n: int) -> Contract:
         raise InputError(f"bad contract {raw!r}: empty share")
     if len(parts) != n:
         raise InputError(f"contract has {len(parts)} shares, instance has {n} agents")
-    try:
-        return Contract(tuple(parse_scalar(p) for p in parts))
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return Contract(tuple(parse_scalar(p) for p in parts))
 
 
 def _id_mask(ids, width: int, what: str) -> int:
@@ -270,12 +263,9 @@ def cmd_verify(args) -> int:
         if product is None:
             raise InputError("mne verification needs a product-form distribution")
         verdict = is_mne(inst, product, a, tol=tol)
-    elif concept == "ce":
-        verdict = is_ce(inst, joint, a, tol=tol)
-    elif concept == "cce":
-        verdict = is_cce(inst, joint, a, tol=tol)
     else:
-        verdict = is_dropout_stable(inst, joint, a, tol=tol)
+        verdict = {"ce": is_ce, "cce": is_cce,
+                   "dropout": is_dropout_stable}[concept](inst, joint, a, tol=tol)
     if verdict:
         print(f"{concept}: holds")
         return PASS
@@ -319,8 +309,7 @@ def cmd_robustify(args) -> int:
     inst = load_instance(args.instance)
     a_star = parse_contract(args.contract, inst.n)
     S_star = parse_profile(args.profile, inst)
-    case = transforms.robustify_case(inst, a_star, S_star)
-    contract = transforms.robustify_submodular(inst, a_star, S_star)
+    case, contract = transforms._robustify(inst, a_star, S_star)
     _, worst_utility = solvers.worst_cce(inst, contract)
     reference = principal_utility(inst, S_star, a_star)
     print(f"case: {case}")
@@ -387,8 +376,7 @@ def cmd_gen(args) -> int:
     if name == "separation":
         inst = fixtures.separation_example()
     elif name == "subadditive-gap":
-        # fixtures.subadditive_gap_instance(n) has m = 2n + 2 actions
-        if 2 * args.n + 2 > TABULATED_ACTIONS:
+        if fixtures.subadditive_gap_actions(args.n) > TABULATED_ACTIONS:
             raise InputError(f"--n {args.n} gives more than {TABULATED_ACTIONS} actions")
         inst = fixtures.subadditive_gap_instance(args.n)
     elif name == "supermodular-gap":

@@ -71,6 +71,15 @@ def check_enum_bits(bits: int, what: str) -> None:
         raise CapacityError(f"{what}: 2^{bits} subsets exceeds enumeration cap")
 
 
+def check_agent_caps(inst: Instance, what: str) -> None:
+    """The enumeration cap on each agent's slices, as "<what> agent i"."""
+    cap = enum_cap_bits()  # read once, as it is parsed from the environment
+    for i in range(inst.n):
+        bits = inst.agent_mask(i).bit_count()
+        if bits > cap:
+            check_enum_bits(bits, f"{what} agent {i}")
+
+
 def check_profile_count(count: int, what: str) -> None:
     if count > profile_cap():
         raise CapacityError(f"{what}: {count} profiles exceeds profile cap")

@@ -41,6 +41,7 @@ from .core import (
     ZERO,
     agent_utility,
     bits_of,
+    check_agent_caps,
     check_enum_bits,
     check_profile_count,
     enum_cap_bits,
@@ -51,6 +52,24 @@ from .core import (
 from .rewards import demand
 
 
+def _check_probabilities(entries, empty: str, duplicate: str, what: str) -> None:
+    """Check (key, probability) ``entries`` one at a time, then that they sum
+    to 1; ``empty``, ``duplicate`` and ``what`` word the three messages."""
+    if not entries:
+        raise ValueError(empty)
+    seen = set()
+    total = ZERO
+    for key, p in entries:
+        if key in seen:
+            raise ValueError(duplicate)
+        seen.add(key)
+        if not isinstance(p, Fraction) or p <= 0:
+            raise ValueError("probabilities must be positive rationals")
+        total += p
+    if total != 1:
+        raise ValueError(f"{what} sum to {total}, not 1")
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Finitely supported distribution over action profiles, exact rationals."""
@@ -58,19 +77,8 @@ class JointDistribution:
     support: tuple  # ((profile mask, probability), ...)
 
     def __post_init__(self):
-        if not self.support:
-            raise ValueError("empty support")
-        seen = set()
-        total = ZERO
-        for S, p in self.support:
-            if S in seen:
-                raise ValueError("duplicate profile in support")
-            seen.add(S)
-            if not isinstance(p, Fraction) or p <= 0:
-                raise ValueError("probabilities must be positive rationals")
-            total += p
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        _check_probabilities(self.support, "empty support",
+                             "duplicate profile in support", "probabilities")
         object.__setattr__(self, "support",
                            tuple(sorted(self.support, key=lambda e: e[0])))
 
@@ -96,19 +104,8 @@ class ProductDistribution:
 
     def __post_init__(self):
         for entries in self.per_agent:
-            if not entries:
-                raise ValueError("each agent needs at least one slice")
-            seen = set()
-            total = ZERO
-            for mask, p in entries:
-                if mask in seen:
-                    raise ValueError("duplicate slice for an agent")
-                seen.add(mask)
-                if not isinstance(p, Fraction) or p <= 0:
-                    raise ValueError("probabilities must be positive rationals")
-                total += p
-            if total != 1:
-                raise ValueError(f"agent probabilities sum to {total}, not 1")
+            _check_probabilities(entries, "each agent needs at least one slice",
+                                 "duplicate slice for an agent", "agent probabilities")
 
     def to_joint(self, inst: Instance) -> JointDistribution:
         if len(self.per_agent) != inst.n:
@@ -396,8 +393,7 @@ def best_response_dynamics(inst: Instance, start: int, a: Contract,
             raise ValueError(f"floor for agent {i} not owned by the agent")
         if fl & ~start:
             raise ValueError("start profile does not contain the floor")
-    for i in range(inst.n):
-        check_enum_bits(inst.agent_mask(i).bit_count(), f"best response agent {i}")
+    check_agent_caps(inst, "best response")
     S = start
     while True:
         improved = False

@@ -64,6 +64,11 @@ def _square_root(n: int) -> int:
     return root
 
 
+def subadditive_gap_actions(n: int) -> int:
+    """The action count m = 2n + 2 of ``subadditive_gap_instance(n)``."""
+    return 2 * n + 2
+
+
 def subadditive_gap_instance(n: int) -> Instance:
     """2n+2 binary agents: two free agents x, y plus 2n agents at cost 2/(3n).
 
@@ -72,7 +77,7 @@ def subadditive_gap_instance(n: int) -> Instance:
     and, when exactly one of [2n] is missing, on which half it came from.
     """
     root = _square_root(n)
-    m = 2 * n + 2
+    m = subadditive_gap_actions(n)
     first_half = mask_of(range(2, n + 2))
     group = mask_of(range(2, m))
 

@@ -7,7 +7,8 @@ Each reward writes its rule once, in integers: ``value_pair(S)`` is f(S) as
 a (numerator, denominator) pair, and ``value(S)`` is that pair as one
 ``Fraction``. Additive, XOS and coverage rewards put their weights over one
 common denominator when they are built, so a read sums ints and ``table()``
-fills its rows from the same ints.
+fills its rows from the same ints. Additive and XOS rewards read f through
+one clause kernel (additive is one clause); ``demand`` keeps them apart.
 """
 from __future__ import annotations
 
@@ -117,28 +118,39 @@ class TableReward(RewardFunction):
                 for v in (values[base | T] for T in submasks(self._cube(mask, base)))]
 
 
-class AdditiveReward(RewardFunction):
-    def __init__(self, per_action: Sequence):
-        self.per_action = tuple(as_fraction(v) for v in per_action)
-        self.m = len(self.per_action)
-        self._weights, self._den = over_common_denominator(self.per_action)
+class _ClauseReward(RewardFunction):
+    """f(S) = max over ``_clauses`` (ints over ``_den``) of its sum over S; an
+    additive reward is one clause, its weights of either sign."""
 
     def value(self, S: int) -> Fraction:
         return Fraction(*self.value_pair(S))
 
     def value_pair(self, S: int) -> tuple:
         self._check(S)
-        weights = self._weights
-        return sum(weights[j] for j in bits_of(S)), self._den
+        positions = list(bits_of(S))
+        return max([sum(map(clause.__getitem__, positions))
+                    for clause in self._clauses]), self._den
 
     def table(self, mask: int | None = None, base: int = 0) -> list:
-        weights, den = self._weights, self._den
+        """One running sum per clause, and their max at each profile."""
+        den, best = self._den, None
         positions = list(bits_of(self._cube(mask, base)))
-        return [(s, den) for s in _subset_sums([weights[j] for j in positions],
-                                               sum(weights[j] for j in bits_of(base)))]
+        for clause in self._clauses:
+            sums = _subset_sums([clause[j] for j in positions],
+                                sum(clause[j] for j in bits_of(base)))
+            best = sums if best is None else list(map(max, best, sums))
+        return [(s, den) for s in best]
 
 
-class XosReward(RewardFunction):
+class AdditiveReward(_ClauseReward):
+    def __init__(self, per_action: Sequence):
+        self.per_action = tuple(as_fraction(v) for v in per_action)
+        self.m = len(self.per_action)
+        weights, self._den = over_common_denominator(self.per_action)
+        self._clauses = [weights]
+
+
+class XosReward(_ClauseReward):
     """Pointwise max of nonnegative additive clauses."""
 
     def __init__(self, clauses: Sequence[Sequence]):
@@ -155,25 +167,6 @@ class XosReward(RewardFunction):
             [v for cl in self.clauses for v in cl])
         m = self.m
         self._clauses = [flat[k * m:(k + 1) * m] for k in range(len(self.clauses))]
-
-    def value(self, S: int) -> Fraction:
-        return Fraction(*self.value_pair(S))
-
-    def value_pair(self, S: int) -> tuple:
-        self._check(S)
-        positions = list(bits_of(S))
-        return (max(sum(clause[j] for j in positions) for clause in self._clauses),
-                self._den)
-
-    def table(self, mask: int | None = None, base: int = 0) -> list:
-        """One running sum per clause, and their max at each profile."""
-        den, best = self._den, None
-        positions = list(bits_of(self._cube(mask, base)))
-        for clause in self._clauses:
-            sums = _subset_sums([clause[j] for j in positions],
-                                sum(clause[j] for j in bits_of(base)))
-            best = sums if best is None else list(map(max, best, sums))
-        return [(s, den) for s in best]
 
 
 class CoverageReward(RewardFunction):

@@ -104,9 +104,9 @@ from .core import (
     Instance,
     ONE,
     ZERO,
+    check_agent_caps,
     check_enum_bits,
     check_profile_count,
-    enum_cap_bits,
     over_common_denominator,
 )
 from .equilibria import JointDistribution, regret_rows, require_pne
@@ -512,7 +512,7 @@ def equilibrium_lp(inst: Instance, a: Contract, concept: str, sense: str = "max"
         _, table, region = entry
         rows = region.rows
         if concept != "dropout":  # the caps regret_rows checks
-            _check_agent_caps(inst, f"{concept} rows")
+            check_agent_caps(inst, f"{concept} rows")
     else:
         # f is read once per instance: any concept's entry holds the table
         table = next((e[1] for e in kept.values()), None) or inst.reward.table()
@@ -561,19 +561,10 @@ def best_ce(inst: Instance, a: Contract):
     return _principal_lp(inst, a, "ce", "max")
 
 
-def _check_agent_caps(inst: Instance, what: str) -> None:
-    """The enumeration cap on each agent's slices, as "<what> agent i"."""
-    cap = enum_cap_bits()  # read once, as it is parsed from the environment
-    for i in range(inst.n):
-        bits = inst.agent_mask(i).bit_count()
-        if bits > cap:
-            check_enum_bits(bits, f"{what} agent {i}")
-
-
 def _check_pne_caps(inst: Instance) -> None:
     """The caps on the PNE table: 2^m profiles and each agent's subsets."""
     _profiles(inst, "PNE table")
-    _check_agent_caps(inst, "PNE table")
+    check_agent_caps(inst, "PNE table")
 
 
 def _pne_table(inst: Instance):
@@ -704,12 +695,12 @@ def _ranked_pnes(rows, shares, s_n):
 
 def _best_pne(rows, shares, share):
     """The principal's utility at the first PNE of ``_ranked_pnes``, as an
-    integer pair (numerator, positive denominator), and the profile, or
-    None; ``share`` = (s_n, s_d), s_d > 0, is the principal's share."""
+    integer pair (numerator, positive denominator), and the profile; ``share``
+    = (s_n, s_d), s_d > 0, is the principal's share. Every contract has a PNE."""
     s_n, s_d = share
     for S, (n_S, d_S) in _ranked_pnes(rows, shares, s_n):
         return (s_n * n_S, s_d * d_S), S
-    return None
+    raise RuntimeError("no PNE found, though every contract has one")
 
 
 def enumerate_pne(inst: Instance, a: Contract) -> list:
@@ -822,10 +813,7 @@ def evaluate_cell(inst: Instance, a: Contract, objective: str):
         raise ValueError(f"unknown objective {objective!r}")
     if objective == "best_pne":
         inst.check_contract(a)
-        found = _best_pne(_pne_rows(inst), *_shares(a))
-        if found is None:
-            return None
-        (num, den), S = found
+        (num, den), S = _best_pne(_pne_rows(inst), *_shares(a))
         return Fraction(num, den), S
     dist, utility = _LP_OBJECTIVES[objective](inst, a)
     return utility, dist

@@ -225,14 +225,19 @@ def robustify_submodular(inst: Instance, a_star: Contract, S_star: int) -> Contr
     Case A: zero-cost actions already carry enough reward; pay everyone 1/(2n).
     Cases B, C and D are ``lift_xos``'s A, B and C over the point mass on S*.
     """
+    return _robustify(inst, a_star, S_star)[1]
+
+
+def _robustify(inst: Instance, a_star: Contract, S_star: int):
+    """``robustify_submodular``'s case and contract, from one case split."""
     _require(is_pne(inst, S_star, a_star), "profile is not a PNE")
     case, top = _robust_split(inst, a_star, S_star)
     if case == "A":
         eps = Fraction(1, 2 * inst.n)
-        return Contract((eps,) * inst.n)
+        return case, Contract((eps,) * inst.n)
     if case == "B":
-        return _top_alone(inst, a_star, top)
-    return scaled_contract(inst, a_star, _scaling(
+        return case, _top_alone(inst, a_star, top)
+    return case, scaled_contract(inst, a_star, _scaling(
         inst, a_star, JointDistribution.point(S_star), top, case == "C"))
 
 

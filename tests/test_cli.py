@@ -7,15 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from contractlab import cli
-from contractlab.core import ONE, CapacityError, int_digit_limit
+from contractlab import cli, transforms
+from contractlab.core import ONE, CapacityError, Contract, int_digit_limit, make_instance
 from contractlab.fixtures import (
     random_instance,
     separation_example,
     subadditive_gap_instance,
     supermodular_cce_gap_instance,
 )
-from contractlab.rewards import classify
+from contractlab.rewards import AdditiveReward, XosReward, classify
 
 
 def write(tmp_path, name, doc):
@@ -702,3 +702,86 @@ def test_an_empty_contract_share_is_a_usage_error(raw, separation_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: bad contract {raw!r}: empty share\n"
+
+
+@pytest.mark.parametrize("reward", [
+    AdditiveReward(["1/2", "-3", "2/7"]),
+    XosReward([["1/2", 3, 0], ["5/9", "1/6", 1]]),
+], ids=["additive", "xos"])
+def test_clause_rewards_round_trip_as_their_own_type(reward):
+    """Additive and XOS rewards share one kernel but not one JSON type."""
+    inst = make_instance([[1, "1/2"], [0]], reward)
+    doc = cli.instance_to_json(inst)
+    assert doc["reward"]["type"] == type(reward).__name__[:-len("Reward")].lower()
+    back = cli.instance_from_json(json.loads(cli.canonical_json(doc)))
+    assert type(back.reward) is type(reward)
+    assert back.reward.table() == reward.table()
+    assert cli.instance_to_json(back) == doc
+
+
+@pytest.mark.parametrize("concept", ["ce", "cce", "dropout"])
+def test_verify_distribution_concepts(concept, separation_path, tmp_path, capsys):
+    # the point mass on {0, 1} is an equilibrium at 1/20 each; at 1/36 agent
+    # 0 earns 200/36 - 1 = 41/9 by working and 180/36 = 5 by dropping out
+    point = write(tmp_path, "point.json",
+                  {"support": [{"profile": [0, 1], "prob": "1"}]})
+    argv = ["verify", separation_path, "--distribution", point,
+            "--concept", concept, "--contract"]
+    assert cli.main(argv + ["1/20,1/20"]) == 0
+    assert capsys.readouterr().out == f"{concept}: holds\n"
+    assert cli.main(argv + ["1/36,1/36"]) == 1
+    recommendation = ["  on recommendation {0}"] if concept == "ce" else []
+    assert capsys.readouterr().out.splitlines() == [
+        f"{concept}: violated by agent 0 deviating to {{}}", *recommendation,
+        "  utility following: 41/9", "  utility deviating: 5"]
+
+
+# contract and profile on the separation example: Cases A (three ways), B, C
+# and D (three ways)
+ROBUSTIFY_INPUTS = [("1/20,1/20", "0,1"), ("1/20,1/20", "1"), ("1/36,1/36", "1"),
+                    ("0,0", ""), ("1/2,1/2", "0,1"), ("9/10,0", "0"),
+                    ("4/5,1/10", "0,1"), ("1,0", "0")]
+
+
+@pytest.mark.parametrize("contract, profile", ROBUSTIFY_INPUTS)
+def test_robustify_decides_its_case_once(contract, profile, separation_path,
+                                         monkeypatch, capsys):
+    """One case split per run, and the case and contract printed are those
+    of the public calls, each of which splits on its own."""
+    inst = separation_example()
+    a, S = Contract.of(contract.split(",")), cli.parse_profile(profile, inst)
+    case = transforms.robustify_case(inst, a, S)
+    robust = cli.contract_str(transforms.robustify_submodular(inst, a, S))
+    splits = []
+    split = transforms._robust_split
+    monkeypatch.setattr(transforms, "_robust_split",
+                        lambda *args: splits.append(args) or split(*args))
+    assert cli.main(["robustify", separation_path, "--contract", contract,
+                     "--profile", profile]) == 0
+    assert len(splits) == 1
+    assert capsys.readouterr().out.splitlines()[:2] == [f"case: {case}",
+                                                        f"contract: {robust}"]
+
+
+def test_gen_supermodular_gap(capsys):
+    assert cli.main(["gen", "supermodular-gap"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == cli.instance_to_json(supermodular_cce_gap_instance())
+
+
+def test_gen_random_needs_a_kind(capsys):
+    assert cli.main(["gen", "random"]) == 2
+    assert capsys.readouterr().err == "error: random generation needs --kind\n"
+
+
+def test_library_errors_on_the_input_print_their_own_message(separation_path,
+                                                             tmp_path, capsys):
+    """A ValueError the library raises on a parsed contract or instance
+    reaches ``main`` as it is: exit 2 and its message after ``error:``."""
+    assert cli.main(["robustify", separation_path, "--contract", "3/2,0",
+                     "--profile", ""]) == 2
+    assert capsys.readouterr().err == "error: share Fraction(3, 2) outside [0, 1]\n"
+    empty = write(tmp_path, "empty.json",
+                  {"agents": [], "reward": {"type": "additive", "values": []}})
+    assert cli.main(["classify", empty]) == 2
+    assert capsys.readouterr().err == "error: need at least one agent\n"

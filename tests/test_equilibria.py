@@ -34,6 +34,7 @@ from contractlab.fixtures import (
     supermodular_cce_gap_instance,
     supermodular_gap_cce,
 )
+from contractlab.solvers import best_cce
 
 
 def test_joint_distribution_validation():
@@ -257,6 +258,25 @@ def test_dynamics_check_every_cap_before_a_reward_read(monkeypatch):
                        match=r"best response agent 1: 2\^2 subsets exceeds"):
         best_response_dynamics(inst, 0, Contract.of(["1/3", "1/3"]))
     assert reads == []
+
+
+def test_verifier_rows_check_each_agents_cap(monkeypatch):
+    # agent 0 owns two actions, over a cap of one bit; on a fresh instance
+    # best_cce builds its rows (no kept LP), so the rows check the cap too
+    inst = random_instance("coverage", 52, 2, [2, 1])
+    a = Contract.of(["1/5", "1/6"])
+    D = JointDistribution(((0, F(1, 2)), (inst.full_mask, F(1, 2))))
+    dropout = is_dropout_stable(inst, D, a)
+    monkeypatch.setenv("CONTRACTLAB_CAP", "1")
+    for concept, call in (("ce", is_ce), ("cce", is_cce)):
+        with pytest.raises(CapacityError,
+                           match=rf"^{concept} rows agent 0: 2\^2 subsets exceeds"):
+            call(inst, D, a)
+    with pytest.raises(CapacityError, match=r"^cce rows agent 0: 2\^2 subsets"):
+        best_cce(inst, a)
+    assert inst._lp_cache == {}
+    # dropout rows price only 0 and the agent's own slices: no cap applies
+    assert is_dropout_stable(inst, D, a) == dropout
 
 
 def test_potential_maximizer_rejects_split_restrict():

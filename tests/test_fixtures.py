@@ -17,6 +17,7 @@ from contractlab.fixtures import (
     random_instance,
     separation_example,
     separation_mne,
+    subadditive_gap_actions,
     subadditive_gap_instance,
     supermodular_cce_gap_instance,
     supermodular_gap_cce,
@@ -39,6 +40,11 @@ def test_subadditive_family_shape():
     assert all(c == F(1, 6) for c in inst.costs[2:])
     with pytest.raises(ValueError):
         subadditive_gap_instance(2)
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_subadditive_gap_actions_is_the_instances_size(n):
+    assert subadditive_gap_actions(n) == subadditive_gap_instance(n).m == 2 * n + 2
 
 
 def _expected_xy_marginal(n, root, k, i, first_complete):

@@ -287,3 +287,10 @@ def test_best_pne_certifies_its_contract(monkeypatch):
     monkeypatch.setattr(solvers, "_pne_table", table)
     with pytest.raises(RuntimeError, match=f"best PNE {best_S:#x} failed"):
         best_pne(inst)
+
+
+def test_best_pne_of_no_rows_is_an_internal_error():
+    """Every contract has a PNE, so a contract that meets no row means the
+    kept rows are wrong: RuntimeError, never a None for a caller to unpack."""
+    with pytest.raises(RuntimeError, match="no PNE found"):
+        solvers._best_pne((), [(1, 2)], (1, 2))
