@@ -10,16 +10,15 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 from fractions import Fraction
 
 from . import fixtures, solvers, transforms
+from .claims import REPRODUCE
 from .core import (
     CapacityError,
     Contract,
     Instance,
-    ZERO,
     as_fraction,
     bits_of,
     fraction_str,
@@ -27,6 +26,7 @@ from .core import (
     make_instance,
     mask_of,
     principal_utility,
+    profile_str,
 )
 from .equilibria import (
     JointDistribution,
@@ -130,10 +130,7 @@ def instance_to_json(inst: Instance) -> dict:
             j += 1
         agents.append({"id": i, "actions": actions})
     reward = inst.reward
-    if isinstance(reward, TableReward):
-        payload = {"type": "table",
-                   "values": [fraction_str(v) for v in reward.values]}
-    elif isinstance(reward, AdditiveReward):
+    if isinstance(reward, AdditiveReward):
         payload = {"type": "additive",
                    "values": [fraction_str(v) for v in reward.per_action]}
     elif isinstance(reward, XosReward):
@@ -144,12 +141,11 @@ def instance_to_json(inst: Instance) -> dict:
         payload = {"type": "coverage",
                    "weights": [fraction_str(w) for w in reward.weights],
                    "covers": [list(bits_of(c)) for c in reward.covers]}
+    elif reward.m > TABULATED_ACTIONS and not isinstance(reward, TableReward):
+        raise InputError("reward has no serializable form at this size")
     else:
-        if reward.m > TABULATED_ACTIONS:
-            raise InputError("reward has no serializable form at this size")
-        payload = {"type": "table",
-                   "values": [fraction_str(reward.value(S))
-                              for S in range(1 << reward.m)]}
+        payload = {"type": "table", "values": [fraction_str(Fraction(*pair))
+                                               for pair in reward.table()]}
     return {"agents": agents, "reward": payload}
 
 
@@ -240,10 +236,6 @@ def distribution_to_json(D: JointDistribution) -> dict:
 
 def contract_str(a: Contract) -> str:
     return "(" + ", ".join(fraction_str(v) for v in a.alpha) + ")"
-
-
-def profile_str(S: int) -> str:
-    return "{" + ",".join(str(j) for j in bits_of(S)) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -395,147 +387,6 @@ def cmd_gen(args) -> int:
         raise InputError(f"unknown fixture {name!r}")
     sys.stdout.write(canonical_json(instance_to_json(inst)))
     return PASS
-
-
-# ---------------------------------------------------------------------------
-# reproduction registry
-
-# Each claim yields records (label, expected, computed[, ok]); ok defaults to
-# computed == expected, and cmd_reproduce prints every record.
-
-def _repro_a1_pne():
-    inst = fixtures.separation_example()
-    S, _, utility = solvers.best_pne(inst)
-    yield "best pure-equilibrium utility", Fraction(180), utility
-    yield "inducing profile", "{0,1}", profile_str(S)
-
-
-def _repro_a1_mne():
-    inst = fixtures.separation_example()
-    a, P = fixtures.separation_mne()
-    joint = P.to_joint(inst)
-    yield "mixed equilibrium verifies", True, bool(is_mne(inst, P, a))
-    yield "principal utility", Fraction(918, 5), joint.principal_utility(inst, a)
-
-
-def _repro_p54_cce():
-    inst = fixtures.supermodular_cce_gap_instance()
-    a, D = fixtures.supermodular_gap_cce()
-    yield "distribution verifies as cce", True, bool(is_cce(inst, D, a))
-    yield "principal utility", Fraction(7, 45), D.principal_utility(inst, a)
-
-
-def _repro_p54_pne():
-    inst = fixtures.supermodular_cce_gap_instance()
-    _, _, utility = solvers.best_pne(inst)
-    yield ("best pure-equilibrium utility over all contracts", ZERO, utility,
-           utility <= 0)
-
-
-def _repro_p61_pne():
-    inst = fixtures.golden_ratio_instance(50)
-    _, _, g = solvers.best_pne(inst)
-    bound = Fraction(1, 10 ** 18)
-    yield "max inducible utility", "within 1e-18 of 0", g, -bound <= g <= bound
-
-
-def _repro_p61_mne():
-    inst = fixtures.golden_ratio_instance(50)
-    a, P = fixtures.golden_ratio_mne(50)
-    tol = Fraction(1, 10 ** 40)
-    yield ("mixed equilibrium verifies (tolerance 1e-40)", True,
-           bool(is_mne(inst, P, a, tol=tol)))
-    utility = P.to_joint(inst).principal_utility(inst, a)
-    yield ("principal utility exceeds 1/50", "> 1/50", utility,
-           utility > Fraction(1, 50))
-
-
-def _repro_c2():
-    inst = fixtures.subadditive_gap_instance(1)
-    _, _, g = solvers.best_pne(inst)
-    yield "best pure-equilibrium utility (n=1)", "<= 13/2", g, g <= Fraction(13, 2)
-
-
-def _repro_c3():
-    for n in (4, 9, 25):
-        inst = fixtures.subadditive_gap_instance(n)
-        a, P = fixtures.claim_c3_mne(inst, n)
-        yield f"n={n} mixed equilibrium verifies", True, bool(is_mne(inst, P, a))
-        yield (f"n={n} principal utility", fixtures.claim_c3_expected_utility(n),
-               P.to_joint(inst).principal_utility(inst, a))
-
-
-def _repro_t51():
-    rng = random.Random(51)
-    for trial in range(5):
-        inst = fixtures.random_instance("supermodular", 510 + trial, 3, 1)
-        a = fixtures.random_contract(inst.n, rng)
-        D, _ = solvers.best_cce(inst, a)
-        contract, S = transforms.cce_to_pne_supermodular_binary(inst, a, D)
-        principal = principal_utility(inst, S, contract)
-        yield (f"trial {trial} construction utility", ">= cce utility",
-               principal, principal >= D.principal_utility(inst, a))
-
-
-def _repro_t52():
-    rng = random.Random(52)
-    for trial in range(5):
-        inst = fixtures.random_instance("supermodular", 520 + trial, 2, [2, 1])
-        a = fixtures.random_contract(inst.n, rng)
-        D, ce_utility = solvers.best_ce(inst, a)
-        _, S = transforms.ce_to_pne_supermodular(inst, a, D)
-        utility = principal_utility(inst, S, a)
-        yield (f"trial {trial} dynamics utility", ">= ce utility", utility,
-               utility >= ce_utility)
-
-
-def _repro_l32():
-    rng = random.Random(32)
-    for trial in range(10):
-        inst = fixtures.random_instance("xos", 320 + trial, 2, [2, 1])
-        a = fixtures.random_contract(inst.n, rng, budget=Fraction(1, 2))
-        D = fixtures.sample_dropout_stable(inst, a, rng)
-        params = transforms.ScalingParams(gamma=Fraction(2),
-                                          subset=frozenset(range(inst.n)))
-        _, S = transforms.scale_for_existence(inst, a, D, params)
-        target = Fraction(1, 2) * D.expected_reward(inst)
-        value = inst.reward.value(S)
-        yield (f"trial {trial} scaled reward bound", f">= {fraction_str(target)}",
-               value, value >= target)
-
-
-def _repro_l36():
-    rng = random.Random(36)
-    for trial in range(10):
-        inst = fixtures.random_instance("coverage", 360 + trial, 2, [2, 1])
-        a = fixtures.random_contract(inst.n, rng, budget=Fraction(1, 4))
-        D = fixtures.sample_dropout_stable(inst, a, rng)
-        eps = Fraction(1, 2 * inst.n)
-        scaled = transforms.scaled_contract(
-            inst, a, transforms.ScalingParams(
-                gamma=Fraction(2), subset=frozenset(range(inst.n)),
-                epsilon=eps))
-        worst, _ = solvers.worst_cce(inst, scaled)
-        target = Fraction(1, 4) * D.expected_reward(inst)
-        reward = worst.expected_reward(inst)
-        yield (f"trial {trial} worst-cce reward", f">= {fraction_str(target)}",
-               reward, reward >= target)
-
-
-REPRODUCE = {
-    "A1-pne-180": _repro_a1_pne,
-    "A1-mne-183.6": _repro_a1_mne,
-    "P54-cce-7/45": _repro_p54_cce,
-    "P54-pne-nonpositive": _repro_p54_pne,
-    "P61-golden-pne-zero": _repro_p61_pne,
-    "P61-golden-mne-positive": _repro_p61_mne,
-    "C2-small-n-pne": _repro_c2,
-    "C3-mne-valid": _repro_c3,
-    "T51-binary-construction": _repro_t51,
-    "T52-ce-construction": _repro_t52,
-    "L32-property": _repro_l32,
-    "L36-property": _repro_l36,
-}
 
 
 def cmd_reproduce(args) -> int:

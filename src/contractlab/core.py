@@ -140,6 +140,10 @@ def fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
+def profile_str(S: int) -> str:
+    return "{" + ",".join(str(j) for j in bits_of(S)) + "}"
+
+
 # ---------------------------------------------------------------------------
 # bitset helpers
 

@@ -7,6 +7,7 @@ import random
 import time
 from fractions import Fraction as F
 
+from contractlab import claims
 from contractlab.core import (
     Contract,
     ONE,
@@ -37,25 +38,25 @@ from contractlab.transforms import (
     cce_to_pne_supermodular_binary,
     lift_xos,
     robustify_submodular,
-    scale_for_existence,
-    scaled_contract,
 )
 from contractlab.fixtures import (
     claim_c3_expected_utility,
     claim_c3_mne,
     golden_ratio_instance,
-    golden_ratio_mne,
     random_contract,
     random_instance,
     sample_cce,
     sample_ce,
     sample_dropout_stable,
     separation_example,
-    separation_mne,
     subadditive_gap_instance,
     supermodular_cce_gap_instance,
-    supermodular_gap_cce,
 )
+
+
+def computed(claim):
+    """The computed values of a ``reproduce`` claim's records, in order."""
+    return [record[2] for record in claims.REPRODUCE[claim]()]
 
 
 def test_criterion_01_pure_vs_mixed_separation():
@@ -65,9 +66,8 @@ def test_criterion_01_pure_vs_mixed_separation():
     assert utility == 180
     assert contract.alpha == (F(1, 20), F(1, 20))
     assert is_pne(inst, S, contract)
-    a, P = separation_mne()
-    assert is_mne(inst, P, a)
-    mixed = P.to_joint(inst).principal_utility(inst, a)
+    verifies, mixed = computed("A1-mne-183.6")
+    assert verifies is True
     assert mixed == F(918, 5)
     assert F(mixed, 1) / utility == F(51, 50)  # ratio 1.02 > 1
     assert time.perf_counter() - start < 1.0
@@ -75,10 +75,8 @@ def test_criterion_01_pure_vs_mixed_separation():
 
 def test_criterion_02_supermodular_cce_beats_every_pne():
     start = time.perf_counter()
+    assert computed("P54-cce-7/45") == [True, F(7, 45)]
     inst = supermodular_cce_gap_instance()
-    a, D = supermodular_gap_cce()
-    assert is_cce(inst, D, a)
-    assert D.principal_utility(inst, a) == F(7, 45)
     explicit = [
         Contract.of(["17/18", "1/18"]),
         Contract.of(["37/40", "1/18"]),
@@ -122,21 +120,16 @@ def test_criterion_03_golden_ratio_knife_edge():
             continue
         assert g <= eps, (S, g)
         assert g >= -eps or g < 0, (S, g)
-    a, P = golden_ratio_mne(50)
-    assert is_mne(inst, P, a, tol=eps)
-    utility = P.to_joint(inst).principal_utility(inst, a)
+    verifies, utility = computed("P61-golden-mne-positive")
+    assert verifies is True
     assert utility > F(1, 50)
     assert time.perf_counter() - start < 1.0
 
 
 def test_criterion_04_subadditive_family_gap():
     start = time.perf_counter()
-    for n in (4, 9, 25):
-        inst = subadditive_gap_instance(n)
-        a, P = claim_c3_mne(inst, n)
-        assert is_mne(inst, P, a)
-        utility = P.to_joint(inst).principal_utility(inst, a)
-        assert utility == claim_c3_expected_utility(n)
+    assert computed("C3-mne-valid") == [
+        value for n in (4, 9, 25) for value in (True, claim_c3_expected_utility(n))]
     _, _, g1 = best_pne_binary(subadditive_gap_instance(1))
     assert g1 <= F(13, 2)
     big = subadditive_gap_instance(729)
@@ -160,15 +153,10 @@ def test_criterion_05_scaling_for_existence_suite():
         subset = frozenset(i for i in range(inst.n) if rng.random() < 0.7)
         if not subset:
             subset = frozenset({rng.randrange(inst.n)})
-        params = ScalingParams(gamma=gamma, subset=subset)
-        contract, S = scale_for_existence(inst, a, D, params)
+        contract, S, value, bound = claims.scaling_sides(
+            inst, a, D, ScalingParams(gamma=gamma, subset=subset))
         assert is_pne(inst, S, contract)
-        union_mask = 0
-        for i in subset:
-            union_mask |= inst.agent_mask(i)
-        bound = (ONE - 1 / gamma) * D.expectation(
-            lambda P: inst.reward.value(P & union_mask))
-        assert inst.reward.value(S) >= bound
+        assert value >= bound
 
 
 def test_criterion_06_lift_cce_to_pne_xos():
@@ -213,11 +201,8 @@ def test_criterion_08_robust_scaling_reward_floor():
         a = random_contract(inst.n, rng, budget=F(1, 4))
         D = sample_dropout_stable(inst, a, rng)
         assert D is not None
-        bumped = scaled_contract(inst, a, ScalingParams(
-            gamma=F(2), subset=frozenset(range(inst.n)),
-            epsilon=F(1, 2 * inst.n)))
-        worst, _ = worst_cce(inst, bumped)
-        assert worst.expected_reward(inst) >= F(1, 4) * D.expected_reward(inst)
+        reward, floor = claims.robust_scaling_sides(inst, a, D)
+        assert reward >= floor
 
 
 def test_criterion_09_supermodular_constructions():
@@ -227,10 +212,10 @@ def test_criterion_09_supermodular_constructions():
         a = random_contract(inst.n, rng)
         D = sample_cce(inst, a, rng)
         assert D is not None
-        contract, S = cce_to_pne_supermodular_binary(inst, a, D)
+        contract, S, utility, reference = claims.construction_sides(
+            cce_to_pne_supermodular_binary, inst, a, D)
         assert is_pne(inst, S, contract)
-        assert principal_utility(inst, S, contract) >= \
-            D.principal_utility(inst, a)
+        assert utility >= reference
         if trial % 5 == 0:
             cce = grid_search(inst, 3, "best_cce")
             pne = grid_search(inst, 3, "best_pne")
@@ -240,10 +225,10 @@ def test_criterion_09_supermodular_constructions():
         a = random_contract(inst.n, rng)
         D = sample_ce(inst, a, rng)
         assert D is not None
-        contract, S = ce_to_pne_supermodular(inst, a, D)
+        contract, S, utility, reference = claims.construction_sides(
+            ce_to_pne_supermodular, inst, a, D)
         assert is_pne(inst, S, contract)
-        assert principal_utility(inst, S, contract) >= \
-            D.principal_utility(inst, a)
+        assert utility >= reference
 
 
 def test_criterion_10_containment_and_potential():

@@ -294,6 +294,30 @@ def test_robustify_case_c_keeps_doubled_shares_in_range():
         robustify_submodular(inst, a_star, 0b10)
 
 
+@pytest.mark.parametrize("weights, costs, shares, case, lift_case", [
+    # f of the zero-cost action, 1, is exactly 2/17 of the principal's 17/2
+    (["1", "16"], ["0", "1"], ["0", "1/2"], "A", None),
+    # 3/4 falls short of 2/17 of 67/8, which is 67/68
+    (["3/4", "16"], ["0", "1"], ["0", "1/2"], "D", None),
+    # the top agent's (1 - 4/5) * 20 is exactly 4 times the other's reward, 1
+    (["20", "1"], ["1", "1/10"], ["4/5", "1/10"], "B", "A"),
+    # (1 - 4/5) * 18 = 18/5 falls short of 4
+    (["18", "1"], ["1", "1/10"], ["4/5", "1/10"], "C", "B"),
+], ids=["threshold-met", "threshold-missed", "significance-met",
+        "significance-missed"])
+def test_cases_at_each_boundary(weights, costs, shares, case, lift_case):
+    """Binary additive instances at S* = {0, 1} on robustification's 2/17
+    threshold or just below it, and on the split's significance test
+    (1 - share) E[f(S_top)] >= 4 E[f(S_-top)] or just below it."""
+    inst = make_instance([[c] for c in costs], AdditiveReward([F(w) for w in weights]))
+    a_star = Contract.of(shares)
+    assert is_pne(inst, 0b11, a_star)
+    assert robustify_case(inst, a_star, 0b11) == case
+    if lift_case is not None:
+        lift = lift_xos(inst, a_star, JointDistribution.point(0b11))
+        assert lift.case_tag == lift_case
+
+
 def test_robustify_rejects_non_pne():
     inst = separation_example()
     with pytest.raises(ValueError):
