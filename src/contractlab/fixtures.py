@@ -27,6 +27,7 @@ from .rewards import (
     FormulaReward,
     TableReward,
     XosReward,
+    _subset_sums,
 )
 from .solvers import equilibrium_lp
 
@@ -192,11 +193,20 @@ def _random_costs(rng: random.Random, count: int) -> list:
 
 
 def _split_actions(n: int, sizes) -> list:
-    if isinstance(sizes, int):
-        return [sizes] * n
-    if len(sizes) != n:
+    """Per-agent action counts from one count or a list of n; ValueError,
+    naming the agent, for a count that is negative or not an int (a bool
+    included). A count of 0 is an agent without actions."""
+    try:
+        counts = list(sizes)
+    except TypeError:  # one count for every agent
+        counts = [sizes] * n
+    if len(counts) != n:
         raise ValueError("sizes length must match agent count")
-    return list(sizes)
+    for i, count in enumerate(counts):
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise ValueError(
+                f"agent {i}: action count must be a non-negative int, got {count!r}")
+    return counts
 
 
 def random_instance(kind: str, seed: int, n: int, sizes) -> Instance:
@@ -205,6 +215,12 @@ def random_instance(kind: str, seed: int, n: int, sizes) -> Instance:
     kinds: additive, coverage (submodular), xos, supermodular (square of an
     additive load), table (random monotone). sizes is one int or a per-agent
     list of action counts.
+
+    The two table kinds are built in ints and handed to ``TableReward``,
+    which stores them as ``Fraction``s: supermodular squares the subset sums
+    of its integer loads, filled by doubling (``rewards._subset_sums``);
+    table draws one increment per profile, in increasing bitmask order, on
+    top of the largest value among the profile's one-action-smaller subsets.
     """
     rng = random.Random(seed)
     counts = _split_actions(n, sizes)
@@ -223,15 +239,13 @@ def random_instance(kind: str, seed: int, n: int, sizes) -> Instance:
                    for _ in range(rng.randint(2, 4))]
         reward = XosReward(clauses)
     elif kind == "supermodular":
-        loads = [Fraction(rng.randint(0, 4)) for _ in range(m)]
-        table = [sum((loads[j] for j in bits_of(S)), ZERO) ** 2
-                 for S in range(1 << m)]
-        reward = TableReward(table)
+        loads = [rng.randint(0, 4) for _ in range(m)]
+        reward = TableReward([s * s for s in _subset_sums(loads)])
     elif kind == "table":
-        table = [ZERO] * (1 << m)
+        table = [0] * (1 << m)
         for S in range(1, 1 << m):
-            floor = max(table[S & ~(1 << j)] for j in bits_of(S))
-            table[S] = floor + Fraction(rng.randint(0, 5))
+            floor = max(table[S ^ (1 << j)] for j in bits_of(S))
+            table[S] = floor + rng.randint(0, 5)
         reward = TableReward(table)
     else:
         raise ValueError(f"unknown kind {kind!r}")

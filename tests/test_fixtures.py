@@ -234,3 +234,78 @@ def test_random_table_instances_respect_enumeration_cap():
     for kind in ("table", "supermodular"):
         with pytest.raises(CapacityError):
             random_instance(kind, 0, 30, 1)
+
+
+def reference_instance(kind, seed, n, sizes):
+    """(costs, f over every profile) of ``random_instance(kind, seed, n,
+    sizes)``: the generator's draws in its order, each f value by its
+    formula over ``Fraction``s, one profile at a time."""
+    rng = random.Random(seed)
+    counts = [sizes] * n if isinstance(sizes, int) else list(sizes)
+    m = sum(counts)
+
+    def members(S):
+        return [j for j in range(m) if S >> j & 1]
+
+    if kind == "additive":
+        weights = [F(rng.randint(0, 20)) for _ in range(m)]
+        f = [sum((weights[j] for j in members(S)), F(0)) for S in range(1 << m)]
+    elif kind == "coverage":
+        universe = m + 2
+        weights = [F(rng.randint(0, 5)) for _ in range(universe)]
+        covers = [rng.randint(1, (1 << universe) - 1) for _ in range(m)]
+        f = []
+        for S in range(1 << m):
+            covered = 0
+            for j in members(S):
+                covered |= covers[j]
+            f.append(sum((weights[e] for e in range(universe) if covered >> e & 1),
+                         F(0)))
+    elif kind == "xos":
+        count = rng.randint(2, 4)
+        clauses = [[F(rng.randint(0, 10)) for _ in range(m)] for _ in range(count)]
+        f = [max(sum((clause[j] for j in members(S)), F(0)) for clause in clauses)
+             for S in range(1 << m)]
+    elif kind == "supermodular":
+        loads = [F(rng.randint(0, 4)) for _ in range(m)]
+        f = [sum((loads[j] for j in members(S)), F(0)) ** 2 for S in range(1 << m)]
+    else:
+        f = [F(0)] * (1 << m)
+        for S in range(1, 1 << m):
+            f[S] = max(f[S - (1 << j)] for j in members(S)) + F(rng.randint(0, 5))
+    costs = tuple(F(rng.randint(0, 8), 4) for count in counts for _ in range(count))
+    return costs, f
+
+
+PINNED_SIZES = [(1, 2, 2), (2, 3, [2, 1, 1]), (3, 1, 5), (4, 3, [2, 0, 3]),
+                (5, 10, 1), (6, 12, 1)]
+
+
+@pytest.mark.parametrize("kind", ["additive", "coverage", "xos", "supermodular",
+                                  "table"])
+def test_random_instance_matches_the_fraction_reference(kind):
+    # pins every draw and value: a change of draw order, count or formula fails
+    for seed, n, sizes in PINNED_SIZES:
+        for seed in (seed, 100 + seed, 7919 * seed):
+            inst = random_instance(kind, seed, n, sizes)
+            costs, f = reference_instance(kind, seed, n, sizes)
+            assert inst.costs == costs
+            assert all(type(c) is F for c in inst.costs)
+            value = inst.reward.value
+            assert [value(S) for S in range(1 << inst.m)] == f
+            assert all(type(value(S)) is F for S in range(1 << inst.m))
+
+
+@pytest.mark.parametrize("kind", ["additive", "table", "supermodular"])
+@pytest.mark.parametrize("sizes, agent", [
+    (-1, 0), ([-3, 1], 0), ([2, -1], 1), (True, 0), (2.0, 0), ([1, False], 1),
+    ([1, 2.0], 1), ([F(1), 1], 0), (["2", 1], 0)])
+def test_random_instance_refuses_bad_action_counts(kind, sizes, agent):
+    with pytest.raises(ValueError, match=f"^agent {agent}: action count"):
+        random_instance(kind, 1, 2, sizes)
+
+
+def test_random_instance_takes_agents_without_actions():
+    assert random_instance("table", 1, 2, 0).m == 0
+    inst = random_instance("supermodular", 1, 3, [0, 2, 0])
+    assert inst.n == 3 and inst.owners == (1, 1)
