@@ -26,6 +26,7 @@ from .equilibria import (
 )
 from .rewards import (
     AdditiveReward,
+    CountReward,
     CoverageReward,
     FormulaReward,
     RewardFunction,

@@ -390,17 +390,22 @@ def cmd_gen(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    if args.claim not in REPRODUCE:
+    """One claim, or with --all every claim in sorted order, each printed as
+    its own run prints it; FAIL if any record is a MISMATCH."""
+    if args.all == (args.claim is not None):
+        raise InputError("reproduce takes one claim or --all")
+    if args.claim is not None and args.claim not in REPRODUCE:
         raise InputError(
             f"unknown claim {args.claim!r}; known: {', '.join(sorted(REPRODUCE))}")
     def show(v):
         return fraction_str(v) if isinstance(v, Fraction) else v
     passed = True
-    for label, expected, computed, *ok in REPRODUCE[args.claim]():
-        ok = ok[0] if ok else computed == expected
-        print(f"{label}: expected {show(expected)}, computed {show(computed)} "
-              f"[{'ok' if ok else 'MISMATCH'}]")
-        passed = passed and ok
+    for claim in sorted(REPRODUCE) if args.all else [args.claim]:
+        for label, expected, computed, *ok in REPRODUCE[claim]():
+            ok = ok[0] if ok else computed == expected
+            print(f"{label}: expected {show(expected)}, computed {show(computed)} "
+                  f"[{'ok' if ok else 'MISMATCH'}]")
+            passed = passed and ok
     return PASS if passed else FAIL
 
 
@@ -448,7 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_robustify)
 
     p = sub.add_parser("reproduce", help="re-run a named benchmark check")
-    p.add_argument("claim")
+    p.add_argument("claim", nargs="?")
+    p.add_argument("--all", action="store_true",
+                   help="run every claim, in sorted order")
     p.set_defaults(fn=cmd_reproduce)
 
     p = sub.add_parser("gap-report", help="equilibrium benchmarks over a grid")

@@ -19,6 +19,14 @@ on every (distinct) profile reads only its deviations T != R, straight into
 a list: such a profile has T on the agent's actions where every other read
 has R, so it is read only there. Such agents with the same share, c(R) and
 lcm get one follow list, so a verifier sums that side once for all of them.
+On a ``rewards.CountReward``, f reads only how many actions of each orbit a
+profile holds, so a fixed one-action agent whose orbit, slice, share and
+cost repeat an earlier fixed agent's has that agent's rows, entry for
+entry: swapping the two agents' actions leaves every profile of the support,
+f, the costs and the contract as they were. Its rows are neither read nor
+yielded. The earlier agent's rows come first, so every verdict, witness
+included, is unchanged; the gap family's 2n paid agents are two such
+classes, so its C3 checks read f 12 times at every n, not 8n + 4.
 
 All verifiers use weak inequalities decided exactly, in integers over the
 rows' scale and the probabilities' common denominator. The optional ``tol``
@@ -49,7 +57,7 @@ from .core import (
     principal_utility,
     submasks,
 )
-from .rewards import demand
+from .rewards import CountReward, demand
 
 
 def _check_probabilities(entries, empty: str, duplicate: str, what: str) -> None:
@@ -212,6 +220,18 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
     other read has R there. So f is read once per distinct profile. Its lcm is
     the profiles' own, worked out once per call, with the denominators of
     those reads, and its follow list depends only on (a_i, c(R), lcm).
+
+    When ``inst.reward`` is a ``rewards.CountReward`` (and ``f`` reads it), a
+    fixed agent that owns one action j is keyed, in ints, by (j's orbit,
+    whether R holds j, a_i's numerator and denominator, c_j * cost_den). An
+    agent whose key an earlier agent of the call has is skipped before any
+    of its set-up: its rows are that agent's, entry for entry, with its own
+    action for the other's in T and R. Swapping the two actions maps every
+    profile and every deviation S_-i | T to one with the same count in each
+    orbit, so the same f; the two share the slice on every profile, the
+    share and the cost. So a verifier, which stops at the first violated
+    row, finds the same row. LP mode fixes no agent, so its rows are all
+    written.
     """
     if concept not in ("ce", "cce", "dropout"):
         raise ValueError(f"unknown concept {concept!r}")
@@ -234,12 +254,24 @@ def regret_rows(inst: Instance, a: Contract, concept: str, profiles: Sequence[in
             for S in profiles:
                 varying |= S ^ profiles[0]
     follows = {}  # (top, q, den, c(R)) -> the follow list of fixed agents
+    # a count-symmetric reward's orbit of each action, on a non-empty
+    # support; the class keys of the fixed one-action agents written so far
+    orbit_of = (inst.reward.orbit_of if varying is not None
+                and isinstance(inst.reward, CountReward) else None)
+    classes = set()
     # read once, as it is parsed from the environment; dropout rows are not
     # held to it, as they price only 0 and the agent's own slices
     cap = enum_cap_bits()
     for i in range(inst.n):
         mask = inst.agent_mask(i)
         bits = mask.bit_count()
+        if orbit_of is not None and bits == 1 and not mask & varying:
+            j = mask.bit_length() - 1
+            key = (orbit_of[j], profiles[0] >> j & 1, a[i].numerator,
+                   a[i].denominator, inst._cost_nums[j])
+            if key in classes:
+                continue  # an earlier agent's rows, entry for entry
+            classes.add(key)
         if concept == "dropout":
             targets = (0,)
         else:

@@ -23,8 +23,8 @@ from .core import (
 from .equilibria import JointDistribution, ProductDistribution
 from .rewards import (
     AdditiveReward,
+    CountReward,
     CoverageReward,
-    FormulaReward,
     TableReward,
     XosReward,
     _subset_sums,
@@ -59,9 +59,9 @@ def separation_mne() -> tuple:
 # subadditive gap family
 
 def _square_root(n: int) -> int:
-    root = math.isqrt(n)
-    if root * root != n:
-        raise ValueError(f"n must be a perfect square, got {n}")
+    root = math.isqrt(max(n, 0))
+    if n < 1 or root * root != n:
+        raise ValueError(f"n must be a positive perfect square, got {n}")
     return root
 
 
@@ -75,12 +75,11 @@ def subadditive_gap_instance(n: int) -> Instance:
 
     Action ids: 0 = x, 1 = y, 2..n+1 the distinguished first half of [2n],
     n+2..2n+1 the rest. The value of S depends on |S n {x,y}|, |S n [2n]|,
-    and, when exactly one of [2n] is missing, on which half it came from.
+    and, when exactly one of [2n] is missing, on which half it came from:
+    a ``CountReward`` over the orbits {x, y}, the first half and the rest.
     """
     root = _square_root(n)
     m = subadditive_gap_actions(n)
-    first_half = mask_of(range(2, n + 2))
-    group = mask_of(range(2, m))
 
     @cache
     def level(k: int, i: int, half: bool) -> Fraction:
@@ -99,18 +98,23 @@ def subadditive_gap_instance(n: int) -> Instance:
             base = (3, 4, 6)[k]
         return Fraction(base * root + 2 * n - 1, root)
 
-    def value(S: int) -> Fraction:
-        i = (S & group).bit_count()
-        return level((S & 3).bit_count(), i,
-                     i == 2 * n - 1 and S & first_half == first_half)
+    def value(k: int, first: int, second: int) -> Fraction:
+        i = first + second
+        return level(k, i, i == 2 * n - 1 and first == n)
 
-    reward = FormulaReward(m, value)
+    reward = CountReward(m, (0b11, mask_of(range(2, n + 2)),
+                             mask_of(range(n + 2, m))), value)
     cost = Fraction(2, 3 * n)
     return make_instance([[0], [0]] + [[cost]] * (2 * n), reward)
 
 
 def claim_c3_mne(inst: Instance, n: int) -> tuple:
-    """Contract 4/(9n) on [2n] (x, y free) and the half-half mix of x and y."""
+    """Contract 4/(9n) on [2n] (x, y free) and the half-half mix of x and y;
+    ``inst`` must have the 2n + 2 agents of ``subadditive_gap_instance(n)``
+    (ValueError otherwise)."""
+    if inst.n != subadditive_gap_actions(n):
+        raise ValueError(f"the gap instance at n = {n} has "
+                         f"{subadditive_gap_actions(n)} agents, not {inst.n}")
     share = Fraction(4, 9 * n)
     a = Contract.of([0, 0] + [share] * (2 * n))
     per_agent = [((1, HALF), (0, HALF)), ((2, HALF), (0, HALF))]

@@ -240,6 +240,37 @@ class FormulaReward(RewardFunction):
         return v
 
 
+class CountReward(FormulaReward):
+    """f(S) = g(|S & o| for o in orbits): f reads only how many actions of
+    each orbit S holds, so the actions of one orbit are interchangeable by
+    construction, never by declaration.
+
+    ``orbits`` are masks that partition the m actions, none of them empty
+    (ValueError otherwise). g takes the counts as positional ints, in orbit
+    order, and returns f like a formula reward's callback: an int or a
+    ``Fraction``, or a TypeError on read. ``orbit_of[j]`` is the index of
+    action j's orbit; ``equilibria.regret_rows`` reads it to write the rows
+    of interchangeable agents once.
+    """
+
+    def __init__(self, m: int, orbits: Sequence[int], g: Callable[..., Fraction]):
+        self.orbits = orbits = tuple(map(index, orbits))
+        orbit_of = [None] * m
+        for k, orbit in enumerate(orbits):
+            if orbit <= 0 or orbit >> m:
+                raise ValueError(f"orbit {k} ({orbit:#x}) is empty or has bits "
+                                 f"outside the {m} actions")
+            for j in bits_of(orbit):
+                if orbit_of[j] is not None:
+                    raise ValueError(f"action {j} is in orbits {orbit_of[j]} and {k}")
+                orbit_of[j] = k
+        if None in orbit_of:
+            raise ValueError(f"action {orbit_of.index(None)} is in no orbit")
+        self.orbit_of = tuple(orbit_of)
+        self.g = g
+        super().__init__(m, lambda S: g(*[(S & o).bit_count() for o in orbits]))
+
+
 # ---------------------------------------------------------------------------
 # demand oracle
 

@@ -214,6 +214,17 @@ def test_gen_round_trip(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("n, digest", [
+    ("1", "21b41c0fedff0fa8e8a8edbe392ebe920ed79da04d996eddc258696840388f78"),
+    ("4", "972df94adc5e400c1e8d540115bab7ba5df86d345d003c58b05a217ab5c07ee4"),
+])
+def test_gen_subadditive_gap_bytes(n, digest, capsys):
+    """The gap family's table, pinned by sha256 from before its reward
+    became a count reward."""
+    assert cli.main(["gen", "subadditive-gap", "--n", n]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_gen_capacity(capsys):
     # the subadditive family at n = 16 has 34 actions, past the 16 up to
     # which a formula reward is written out: refused before it is built
@@ -361,6 +372,50 @@ def test_readme_claims_are_the_sorted_registry():
     assert re.findall(r"`([^`]+)`", listed) == sorted(cli.REPRODUCE)
 
 
+def test_reproduce_all_is_every_single_run(capsys):
+    singles = []
+    for claim in sorted(cli.REPRODUCE):
+        assert cli.main(["reproduce", claim]) == 0, claim
+        singles.append(capsys.readouterr().out)
+    assert cli.main(["reproduce", "--all"]) == 0
+    assert capsys.readouterr().out == "".join(singles)
+
+
+def test_reproduce_all_runs_the_registry_and_readme_claims(monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    listed = re.findall(r"`([^`]+)`", re.search(r"Claims: (.*?)\.\s", section, re.S).group(1))
+    ran = []
+    for name, claim in list(cli.REPRODUCE.items()):
+        monkeypatch.setitem(cli.REPRODUCE, name,
+                            lambda name=name, claim=claim: ran.append(name) or claim())
+    assert cli.main(["reproduce", "--all"]) == 0
+    capsys.readouterr()
+    assert ran == sorted(listed) == sorted(cli.REPRODUCE)
+
+
+def test_reproduce_all_fails_on_any_mismatch_and_runs_the_rest(monkeypatch, capsys):
+    assert cli.main(["reproduce", "--all"]) == 0
+    passing = capsys.readouterr().out.splitlines()
+    # as in test_reproduce_prints_every_record_on_mismatch: no CCE
+    a, _ = cli.fixtures.supermodular_gap_cce()
+    D = cli.JointDistribution(((7, ONE),))
+    monkeypatch.setattr(cli.fixtures, "supermodular_gap_cce", lambda: (a, D))
+    assert cli.main(["reproduce", "--all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(passing)
+    assert [line for line in lines if "MISMATCH" in line] == [
+        "distribution verifies as cce: expected True, computed False [MISMATCH]",
+        "principal utility: expected 7/45, computed 7/36 [MISMATCH]"]
+    assert lines[-1] == passing[-1]
+
+
+@pytest.mark.parametrize("argv", [["reproduce"], ["reproduce", "--all", "A1-pne-180"]])
+def test_reproduce_takes_one_claim_or_all(argv, capsys):
+    assert cli.main(argv) == 2
+    assert "error: reproduce takes one claim or --all" in capsys.readouterr().err
+
+
 def test_reproduce_registry_complete():
     assert set(cli.REPRODUCE) == {
         "A1-pne-180", "A1-mne-183.6", "P54-cce-7/45", "P54-pne-nonpositive",
@@ -412,7 +467,7 @@ def test_gen_random_without_agents(capsys):
 
 def test_gen_subadditive_gap_non_square(capsys):
     assert exit_code(["gen", "subadditive-gap", "--n", "5"]) == 2
-    assert "error: n must be a perfect square" in capsys.readouterr().err
+    assert "error: n must be a positive perfect square, got 5" in capsys.readouterr().err
 
 
 def test_gen_golden_too_few_digits(capsys):

@@ -158,6 +158,25 @@ def test_claim_c3_mne():
     assert claim_c3_expected_utility(4) == (F(23, 4) + F(7, 2)) / 9
 
 
+@pytest.mark.parametrize("n", [0, -4, -1, 2, 5])
+@pytest.mark.parametrize("build", [subadditive_gap_instance, claim_c3_expected_utility])
+def test_gap_sizes_must_be_positive_squares(build, n):
+    with pytest.raises(ValueError, match=f"n must be a positive perfect square, got {n}$"):
+        build(n)
+
+
+def test_claim_c3_mne_refuses_another_sizes_instance():
+    with pytest.raises(ValueError, match="at n = 9 has 20 agents, not 10"):
+        claim_c3_mne(subadditive_gap_instance(4), 9)
+    with pytest.raises(ValueError, match="at n = 1 has 4 agents, not 10"):
+        claim_c3_mne(subadditive_gap_instance(4), 1)
+
+
+def test_gap_reward_counts_three_orbits():
+    inst = subadditive_gap_instance(4)
+    assert inst.reward.orbits == (0b11, 0b111100, 0b1111000000)
+
+
 def test_supermodular_gap_fixture():
     inst = supermodular_cce_gap_instance()
     assert inst.owners == (0, 0, 1)

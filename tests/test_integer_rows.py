@@ -3,6 +3,7 @@ the LP benchmarks against a simplex run on rows built from scratch in
 Fractions, the verifiers' tolerance, and is_mne against the product form."""
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -28,7 +29,7 @@ from contractlab.fixtures import (
     separation_mne,
     subadditive_gap_instance,
 )
-from contractlab.rewards import TableReward
+from contractlab.rewards import FormulaReward, TableReward
 from contractlab.solvers import LinearProgram, best_ce, best_cce, solve_lp, worst_cce
 from padded_rows import padded
 
@@ -60,7 +61,7 @@ def zero_costs(inst):
 def cases():
     """(label, instance, contract, mix): the five kinds, with and without
     costs, and nine-digit tables, with mix None; and the subadditive gap
-    instance at n = 4 and 9 (a FormulaReward on 10 and 20 actions) with mix
+    instance at n = 4 and 9 (a CountReward on 10 and 20 actions) with mix
     its C3 product distribution, whose 4-profile support stands in for the
     2^m profiles."""
     rng = random.Random("integer-rows")
@@ -101,20 +102,69 @@ def expected_rows(inst, profiles, concept):
     return rows
 
 
+def formula_copy(inst):
+    """``inst`` with its reward as a plain ``FormulaReward`` of the same f,
+    whose regret rows list every agent."""
+    return replace(inst, reward=FormulaReward(inst.m, inst.reward.fn))
+
+
+def check_class_reduction(inst, a, concept, profiles, rows):
+    """The count reward's rows on ``profiles`` are ``rows``, those of its
+    formula copy, without the agents that repeat an earlier one: fixed on
+    ``profiles``, one action, and the same orbit, slice, share and cost.
+    Each row of such an agent equals its representative's, entry for entry,
+    with T and the recommendation each the agent's own action or 0."""
+    got = list(regret_rows(inst, a, concept, profiles, inst.reward.value_pair))
+    varying = 0
+    for S in profiles:
+        varying |= S ^ profiles[0]
+    first, omitted = {}, {}  # class -> its first agent; agent -> that agent
+    for i in range(inst.n):
+        mask = inst.agent_mask(i)
+        if mask & varying:
+            continue
+        j = mask.bit_length() - 1
+        key = (inst.reward.orbit_of[j], profiles[0] & mask != 0, a[i], inst.costs[j])
+        if key in first:
+            omitted[i] = first[key]
+        else:
+            first[key] = i
+    assert got == [row for row in rows if row[0] not in omitted]
+    by_agent = {}
+    for row in rows:
+        by_agent.setdefault(row[0], []).append(row)
+    for i, rep in omitted.items():
+        assert len(by_agent[i]) == len(by_agent[rep])
+        for (_, rec, T, *entries), (_, rep_rec, rep_T, *rep_entries) in zip(
+                by_agent[i], by_agent[rep]):
+            assert entries == rep_entries
+            assert (rec is None, bool(rec), bool(T)) == \
+                (rep_rec is None, bool(rep_rec), bool(rep_T))
+    return len(omitted)
+
+
 @pytest.mark.parametrize("concept", CONCEPTS)
 def test_row_values_are_exact_utilities(concept):
+    """Every row's values against utilities written out. The gap cases'
+    rows come from a formula copy of their count reward, which lists every
+    agent; the count reward's own rows are those less the agents that
+    repeat an earlier one, whose rows equal that one's."""
     rng = random.Random(f"row-values/{concept}")
     labels = set()
+    omitted = 0
     for label, inst, a, mix in cases():
         if mix:
             support = [S for S, _ in mix.to_joint(inst).support]
             samples = (support, support[1:])
+            count, inst = inst, formula_copy(inst)
         else:
             everything = list(range(1 << inst.m))
             samples = (everything, rng.sample(everything, min(5, len(everything))))
         for profiles in samples:
             got = list(regret_rows(inst, a, concept, profiles,
                                    inst.reward.value_pair))
+            if mix:
+                omitted += check_class_reduction(count, a, concept, profiles, got)
             want = expected_rows(inst, profiles, concept)
             assert [row[:3] for row in got] == [row[:3] for row in want], label
             for (*_, members, follow, deviate, _), (*_, want_members) in zip(got, want):
@@ -136,6 +186,8 @@ def test_row_values_are_exact_utilities(concept):
     assert any("free" in label for label in labels)
     assert any("nine-digit" in label for label in labels)
     assert any("gap" in label for label in labels)
+    # n = 4 and 9, two supports each: all but one agent of each half
+    assert omitted == 2 * (6 + 16)
 
 
 def reference_lp(inst, a, concept, sense):

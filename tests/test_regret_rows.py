@@ -259,7 +259,9 @@ def test_gap_verifiers_read_each_profile_once(n):
     support profiles, and each of them without each of the 2n paid actions.
     So does is_pne on each support profile, a point mass, and so do the
     verifiers on supports of small instances on which some agents play one
-    slice on every profile."""
+    slice on every profile. ``counting`` reads f through a plain formula
+    reward, so every agent's rows are written; the count reward's 12 reads
+    are in test_count_reward.py."""
     inst = subadditive_gap_instance(n)
     a, P = claim_c3_mne(inst, n)
     counted, calls = counting(inst)

@@ -26,7 +26,7 @@ from contractlab.fixtures import (
     sample_dropout_stable,
     subadditive_gap_instance,
 )
-from contractlab.rewards import TableReward
+from contractlab.rewards import FormulaReward, TableReward
 from contractlab.solvers import best_ce, best_cce, best_pne, enumerate_pne, grid_search
 
 KINDS = ("additive", "coverage", "xos", "supermodular", "table")
@@ -90,14 +90,20 @@ def test_dropout_past_the_cap_sums_its_own_slices(monkeypatch):
 
 
 def test_a_second_gap_verifier_call_reuses_the_costs():
-    inst = subadditive_gap_instance(9)
-    a, P = claim_c3_mne(inst, 9)
-    assert is_mne(inst, P, a)
-    kept = list(inst._slice_costs)
-    assert all(kept)
-    joint = P.to_joint(inst)
-    assert is_mne(inst, P, a) and is_dropout_stable(inst, joint, a)
-    assert all(x is y for x, y in zip(inst._slice_costs, kept))
+    """On a plain formula copy of the gap reward every agent's slice costs
+    are built; on the count reward only those of x, y and the first agent of
+    each half, the agents whose rows are written. A second call reuses each
+    list the first call built and builds no other."""
+    count = subadditive_gap_instance(9)
+    formula = dataclasses.replace(count, reward=FormulaReward(count.m, count.reward.fn))
+    for inst, writes in ((formula, list(range(count.n))), (count, [0, 1, 2, 11])):
+        a, P = claim_c3_mne(inst, 9)
+        assert is_mne(inst, P, a)
+        kept = list(inst._slice_costs)
+        assert [i for i, costs in enumerate(kept) if costs] == writes
+        joint = P.to_joint(inst)
+        assert is_mne(inst, P, a) and is_dropout_stable(inst, joint, a)
+        assert all(x is y for x, y in zip(inst._slice_costs, kept))
 
 
 @pytest.mark.parametrize("objective", ["best_pne", "best_cce", "worst_cce", "best_ce"])
