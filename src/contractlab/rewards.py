@@ -1,7 +1,7 @@
 """Reward set functions: value oracles and their integer tables, a demand
 oracle (closed forms for additive and XOS rewards, an exhaustive integer
-search over the reward's table otherwise), and exhaustive class-membership
-testers.
+search over the reward's table otherwise), and exact class-membership
+testers that use the inclusions submodular => XOS => subadditive.
 
 Each reward writes its rule once, in integers: ``value_pair(S)`` is f(S) as
 a (numerator, denominator) pair, and ``value(S)`` is that pair as one
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import index
+from operator import index, le
 from typing import Callable, Sequence
 
 from .core import (
@@ -363,18 +363,29 @@ class ClassReport:
 
 
 def classify(f: RewardFunction) -> ClassReport:
-    """Decide membership in the standard classes by exhaustive checking.
+    """Decide membership in the standard classes, exactly, over f's table.
 
-    XOS membership asks, for each set S, for a supporting clause: a
-    nonnegative additive function matching f on S and dominated by f
-    everywhere. Certified witnesses are tried first: on an ``XosReward``,
-    its own clause attaining f(S) (which always works), then the chain of
-    marginals of S (which always works for submodular f); only where both
-    fail does an exact LP decide. A max of nonnegative additive clauses is
-    monotone, so XOS also requires monotone, which the per-set test alone
-    does not check. Gross substitutes is deliberately not tested. The 2^m
-    profiles must be within the profile cap (``CONTRACTLAB_CAP``), or
-    CapacityError is raised.
+    Monotone, additive, submodular and supermodular are local tests: each
+    action added to each S; f(S) = f(S minus its lowest action) + f(that
+    action) on normalized f; one marginal inequality per S and unordered
+    pair {j, k} outside S. That is O(m^2 2^m) comparisons.
+
+    XOS asks, for each set S, for a supporting clause: a nonnegative
+    additive function matching f on S and dominated by f everywhere; it
+    also requires normalized, monotone f, which the per-set test alone does
+    not check. The chain submodular => XOS => subadditive (Lehmann, Lehmann
+    and Nisan 2006) is used, not proved again set by set: the chain of
+    marginals supports every S of a normalized, monotone, submodular f, and
+    the clause supporting S | T gives f(S | T) <= f(S) + f(T). Otherwise an
+    ``XosReward``'s own clauses are each checked for dominance once over
+    all 2^m profiles, O(k 2^m) for k clauses, and each S tries a dominated
+    clause attaining f(S), the chain of marginals of S and an exact LP, in
+    that order. A reward not found XOS is tested for subadditivity over
+    every pair of sets (disjoint pairs when f is monotone).
+
+    Gross substitutes is deliberately not tested. The 2^m profiles must be
+    within the profile cap (``CONTRACTLAB_CAP``), or CapacityError is
+    raised.
     """
     m = f.m
     check_profile_count(1 << m, "classify")
@@ -400,57 +411,61 @@ def classify(f: RewardFunction) -> ClassReport:
             break
 
     additive = normalized and all(
-        table[S] == sum(table[1 << j] for j in bits_of(S))
-        for S in range(1 << m))
+        table[S] == table[S & (S - 1)] + table[S & -S] for S in range(1, 1 << m))
 
     submodular = True
     supermodular = True
     for S in range(1 << m):
-        for j in range(m):
-            if S >> j & 1:
-                continue
-            for k in range(m):
-                if k == j or S >> k & 1:
-                    continue
-                lo = table[S | 1 << j] - table[S]
-                hi = table[S | 1 << j | 1 << k] - table[S | 1 << k]
+        outside = [1 << j for j in range(m) if not S >> j & 1]
+        for at, J in enumerate(outside):
+            lo = table[S | J] - table[S]
+            for K in outside[at + 1:]:
+                # the same inequality as the (k, j) row, sides swapped
+                hi = table[S | J | K] - table[S | K]
                 if lo < hi:
                     submodular = False
-                if lo > hi:
+                elif lo > hi:
                     supermodular = False
         if not submodular and not supermodular:
             break
 
+    xos = normalized and nonnegative and monotone and _every_set_supported(
+        table, m, clauses, submodular)
+
     # for monotone f, disjoint T suffice: f(S | T) <= f(S) + f(T \ S) <= f(S) + f(T)
-    subadditive = all(
+    subadditive = xos or all(
         table[S] + table[T] >= table[S | T]
         for S in range(1 << m)
         for T in (submasks(full & ~S) if monotone else range(1 << m)))
-
-    xos = normalized and nonnegative and monotone and all(
-        _attaining_clause_supports(table, clauses, S)
-        or _marginal_chain_supports(table, S)
-        or _xos_supporting_clause_exists(table, m, S)
-        for S in range(1, 1 << m))
 
     return ClassReport(monotone=monotone, normalized=normalized, additive=additive,
                        submodular=submodular, xos=xos, subadditive=subadditive,
                        supermodular=supermodular)
 
 
-def _attaining_clause_supports(table, clauses, S: int) -> bool:
-    """Is the first of ``clauses`` with the largest sum over S a supporting
-    clause of S?
+def _every_set_supported(table, m: int, clauses, submodular: bool) -> bool:
+    """Does every nonempty S have a supporting clause, for normalized,
+    monotone f?
 
-    ``clauses`` are an XOS reward's own clauses on the table's scale (none
-    for any other reward). Such a clause is nonnegative and, f being their
-    max, matches f on S and is dominated by f; both are checked here.
+    Submodular f always does (the chain of marginals of each S supports
+    it), so nothing is checked. Otherwise each of ``clauses`` (an XOS
+    reward's own, on the table's scale; none for any other reward) is
+    summed over all 2^m profiles once, and kept when f dominates it: a kept
+    clause supports every S where its sum equals f(S). One running max holds
+    the kept sums, -1 where there is none (below every value of f). Each S
+    then tries that max, the chain of marginals of S, and an exact LP.
     """
-    if not clauses:
-        return False
-    clause = max(clauses, key=lambda cl: sum(cl[j] for j in bits_of(S)))
-    return (sum(clause[j] for j in bits_of(S)) == table[S]
-            and _dominated(table, S, clause))
+    if submodular:
+        return True
+    attained = [-1] * len(table)
+    for clause in clauses:
+        sums = _subset_sums(clause)
+        if all(map(le, sums, table)):
+            attained = list(map(max, attained, sums))
+    return all(attained[S] == table[S]
+               or _marginal_chain_supports(table, S)
+               or _xos_supporting_clause_exists(table, m, S)
+               for S in range(1, len(table)))
 
 
 def _marginal_chain_supports(table, S: int) -> bool:

@@ -1,12 +1,13 @@
-"""The closed-form demand oracles and classify's marginal-chain witness,
-checked against the exhaustive routes they replace."""
+"""The closed-form demand oracles, and classify's witnesses and class
+inclusions, checked against the exhaustive routes and the definitions they
+replace."""
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from contractlab import rewards, solvers
-from contractlab.core import Contract, make_instance
+from contractlab.core import Contract, bits_of, make_instance, submasks
 from contractlab.equilibria import is_pne, potential_maximizer_pne
 from contractlab.fixtures import (
     golden_ratio_instance,
@@ -240,9 +241,13 @@ def test_potential_maximizer_reads_the_oracle_only_in_its_post_check(
 # classify
 
 def _without_witness(monkeypatch, f):
+    """classify with the exact LP as the only XOS route: no own clauses, no
+    submodular shortcut and no chain of marginals."""
+    every_set_supported = rewards._every_set_supported
     with monkeypatch.context() as patch:
-        patch.setattr(rewards, "_attaining_clause_supports",
-                      lambda table, clauses, S: False)
+        patch.setattr(rewards, "_every_set_supported",
+                      lambda table, m, clauses, submodular:
+                          every_set_supported(table, m, (), False))
         patch.setattr(rewards, "_marginal_chain_supports", lambda table, S: False)
         return classify(f)
 
@@ -330,3 +335,105 @@ def test_classify_falls_back_to_the_lp(monkeypatch):
     monkeypatch.setattr(solvers, "solve_lp", counting)
     assert classify(f).xos
     assert len(calls) == 1
+
+
+def _by_definition(f):
+    """Every class decided straight from its definition, over exact values:
+    monotone, submodular and supermodular over all pairs S within T,
+    subadditive over all pairs (S, T), XOS by the exact LP on every S."""
+    m, full = f.m, (1 << f.m) - 1
+    v = [f.value(S) for S in range(1 << m)]
+    nested = [(S, T) for T in range(1 << m) for S in submasks(T)]
+    # f(S + j) - f(S) and f(T + j) - f(T) for S within T and j outside T
+    marginals = [(v[S | 1 << j] - v[S], v[T | 1 << j] - v[T])
+                 for S, T in nested for j in bits_of(full & ~T)]
+    normalized = v[0] == 0
+    monotone = all(v[S] <= v[T] for S, T in nested)
+    return rewards.ClassReport(
+        monotone=monotone,
+        normalized=normalized,
+        additive=normalized and all(
+            v[S] == sum(v[1 << j] for j in bits_of(S)) for S in range(1 << m)),
+        submodular=all(small >= big for small, big in marginals),
+        xos=normalized and monotone and all(
+            rewards._xos_supporting_clause_exists(v, m, S) for S in range(1, 1 << m)),
+        subadditive=all(v[S] + v[T] >= v[S | T]
+                        for S in range(1 << m) for T in range(1 << m)),
+        supermodular=all(small <= big for small, big in marginals))
+
+
+def _seeded_table(rng, m):
+    """Any table: some non-monotone, non-normalized or negative, some from
+    the monotone families above."""
+    style = rng.randrange(4)
+    if style == 0:
+        return TableReward([rng.randint(-3, 6) for _ in range(1 << m)])
+    if style == 1:
+        return TableReward([0] + [F(rng.randint(0, 6), rng.randint(1, 3))
+                                  for _ in range((1 << m) - 1)])
+    return _monotone_table(rng, m, xos=style == 3)
+
+
+BOUNDARY_REWARDS = [
+    TableReward([1, 2, 2, 3]),         # submodular, monotone, not normalized
+    TableReward([0, 2, 2, 1]),         # submodular, not monotone, subadditive
+    XosReward([[0, 1, 1], [1, 0, 0]]),  # XOS, not submodular
+]
+
+
+def test_classify_matches_the_definitions():
+    rng = random.Random(95)
+    rewards_under_test = list(BOUNDARY_REWARDS)
+    rewards_under_test.append(subadditive_gap_instance(1).reward)
+    for m in range(0, 6):
+        rewards_under_test += [_seeded_table(rng, m) for _ in range(12)]
+    for kind in KINDS:
+        for m in range(1, 8):
+            sizes = [s for s in (m - m // 2, m // 2) if s]
+            rewards_under_test.append(
+                random_instance(kind, rng.randrange(1 << 30), len(sizes), sizes).reward)
+    seen = set()
+    for f in rewards_under_test:
+        report = classify(f)
+        assert report == _by_definition(f), f
+        seen.add(report)
+    assert len(seen) >= 8
+
+
+def test_classify_boundary_rewards():
+    shifted, bent, clauses = map(classify, BOUNDARY_REWARDS)
+    assert shifted.submodular and shifted.monotone and not shifted.normalized
+    assert not shifted.xos and shifted.subadditive
+    assert bent.submodular and bent.normalized and not bent.monotone
+    assert not bent.xos and bent.subadditive
+    assert clauses.xos and clauses.subadditive and not clauses.submodular
+
+
+class _LoweredXos(XosReward):
+    """An XOS reward whose table reads one unit lower at one profile than
+    its clauses give, so a clause attaining f there is no longer dominated."""
+
+    def __init__(self, clauses, lowered):
+        super().__init__(clauses)
+        self.lowered = lowered
+
+    def table(self):
+        """The full table, the only one classify reads."""
+        pairs = super().table()
+        n, d = pairs[self.lowered]
+        pairs[self.lowered] = (n - 1, d)
+        return pairs
+
+
+@pytest.mark.parametrize("clauses, lowered, xos", [
+    # (0, 0, 1, 2): no clause reaches f({0, 1}) = 2 under f
+    ([[1, 1]], 0b01, False),
+    # (0, 2, 1, 2, 1, 2, 2, 3): (2, 1, 0) is no longer dominated, yet f is XOS
+    ([[0, 1, 1], [2, 1, 0]], 0b011, True),
+], ids=["undominated", "still-xos"])
+def test_undominated_clause_is_no_witness(monkeypatch, clauses, lowered, xos):
+    f = _LoweredXos(clauses, lowered)
+    report = classify(f)
+    assert not report.submodular
+    assert report.xos == _without_witness(monkeypatch, f).xos == xos
+    assert report == _by_definition(TableReward([F(n, d) for n, d in f.table()]))
