@@ -314,6 +314,15 @@ class Contract:
                 raise ValueError(f"share {a!r} outside [0, 1]")
 
     @classmethod
+    def _checked(cls, alpha: tuple) -> "Contract":
+        """The contract of ``alpha``, a tuple of shares the caller already
+        knows to be ``Fraction``s in [0, 1] (a grid's k/r, say), built
+        without ``__post_init__``'s check of each share."""
+        contract = object.__new__(cls)
+        object.__setattr__(contract, "alpha", alpha)
+        return contract
+
+    @classmethod
     def of(cls, values) -> "Contract":
         return cls(tuple(as_fraction(v) for v in values))
 

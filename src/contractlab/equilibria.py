@@ -54,7 +54,6 @@ from .core import (
     check_profile_count,
     enum_cap_bits,
     over_common_denominator,
-    principal_utility,
     submasks,
 )
 from .rewards import CountReward, demand
@@ -101,7 +100,16 @@ class JointDistribution:
         return self.expectation(inst.reward.value)
 
     def principal_utility(self, inst: Instance, a: Contract) -> Fraction:
-        return self.expectation(lambda S: principal_utility(inst, S, a))
+        """(1 - sum_i a_i) E[f(S)], the sum of the shares taken once; the
+        contract and each profile are checked as ``core.principal_utility``
+        checks them, in the same order."""
+        inst.check_contract(a)
+        value = inst.reward.value
+
+        def checked_value(S):
+            inst.check_profile(S)
+            return value(S)
+        return (ONE - a.total()) * self.expectation(checked_value)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import index, le
+from operator import countOf, index, le
 from typing import Callable, Sequence
 
 from .core import (
@@ -99,7 +99,11 @@ class TableReward(RewardFunction):
         if size == 0 or size & (size - 1):
             raise ValueError("table length must be a power of two")
         self.m = size.bit_length() - 1
-        self.values = tuple(as_fraction(v) for v in values)
+        # ints, their types counted at C speed, skip as_fraction's checks
+        if countOf(map(type, values), int) == size:
+            self.values = tuple(map(Fraction, values))
+        else:
+            self.values = tuple(as_fraction(v) for v in values)
 
     def value(self, S: int) -> Fraction:
         self._check(S)

@@ -84,11 +84,13 @@ shares, the principal's among them, are integer pairs, compared with the
 kept intervals in integers. ``_ranked_pnes`` lists a contract's PNEs best
 first by the sign of the principal's share: ``enumerate_pne`` returns them
 all, and ``_best_pne``, which ``evaluate_cell`` and the grid read, the
-first. A grid cell carries its shares as integer pairs (k, r). Only
-returned values become ``Fraction``s. ``best_pne`` (which needs f >= 0)
-sweeps ``_pne_table`` afresh on every call and keeps nothing: it skips a
-profile whose f(S) cannot beat the best value so far and leaves a profile
-as soon as its lower ends lose.
+first. A grid cell carries its shares as integer pairs (k, r) next to its
+contract, which is not re-checked: its shares are the grid's k / r, built
+once. Only returned values become ``Fraction``s, one per distinct
+(numerator, denominator) cell value in a grid. ``best_pne`` (which needs
+f >= 0) sweeps ``_pne_table`` afresh on every call and keeps nothing: it
+skips a profile whose f(S) cannot beat the best value so far and leaves a
+profile as soon as its lower ends lose.
 """
 from __future__ import annotations
 
@@ -794,7 +796,9 @@ def _grid_contracts(n: int, resolution: int):
     Yields each cell as (contract, shares, share): the contract's share k_i / r
     also as the integer pair (k_i, r) in ``shares``, and the principal's
     share as (r - sum k_i, r), so a best_pne cell is decided without
-    ``Fraction`` arithmetic.
+    ``Fraction`` arithmetic. Every share is one of the r + 1 ``Fraction``s
+    k / r, 0 <= k <= r, built once, so the contract is built by
+    ``Contract._checked``, without a re-check of each share.
     """
     r = resolution
     steps = [Fraction(k, r) for k in range(r + 1)]
@@ -803,7 +807,7 @@ def _grid_contracts(n: int, resolution: int):
     for _ in range(n):
         cells = [(ks + (k,), left - k) for ks, left in cells for k in range(left + 1)]
     for ks, left in cells:
-        yield (Contract(tuple(map(steps.__getitem__, ks))),
+        yield (Contract._checked(tuple(map(steps.__getitem__, ks))),
                list(map(pairs.__getitem__, ks)), (left, r))
 
 
@@ -828,8 +832,12 @@ def grid_search(inst: Instance, resolution: int, objective: str,
     A best_pne cell is ``_best_pne`` over the instance's kept PNE rows,
     ranked by f(S) descending, so a cell whose principal's share is positive
     stops at the first row whose bounds it meets. Each cell's value comes as
-    an integer pair, and cells are compared by cross-multiplying; one
-    ``Fraction`` is built per cell, for the report.
+    an integer pair, and cells are compared by cross-multiplying. Grid cells
+    are not re-checked, as their shares are the grid's k / r
+    (``Contract._checked``); explicit cells are checked against the
+    instance. For the report, one ``Fraction`` is built per distinct
+    (numerator, denominator) value in a call, and cells of equal value
+    share it.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -850,11 +858,14 @@ def grid_search(inst: Instance, resolution: int, objective: str,
             value, witness = evaluate_cell(inst, a, objective)
             return (value.numerator, value.denominator), witness
     cells = []
+    values = {}  # (numerator, denominator) -> its Fraction
     best = None
     for a, shares, share in chain(_grid_contracts(inst.n, resolution),
                                   ((a, *_shares(a)) for a in explicit_cells)):
         (num, den), witness = evaluate(a, shares, share)
-        value = Fraction(num, den)
+        value = values.get((num, den))
+        if value is None:
+            value = values[num, den] = Fraction(num, den)
         cells.append((a, value))
         if best is None or num * best_den > best_num * den:  # both dens > 0
             best, best_num, best_den = (a, value, witness), num, den

@@ -1,8 +1,9 @@
 """``tools/bench_pairs.py`` summarizes paired benchmark runs: quartiles per
-side, the change's wins and a gain / worse / flat verdict. perfbench itself
-is never run here: ``run_once`` is replaced by a stub."""
+side, the change's wins and a gain / refused / worse / flat verdict.
+perfbench itself is never run here: ``run_once`` is replaced by a stub."""
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -80,26 +81,41 @@ def test_worse_than_the_bound_of_the_parent_median(tool):
                           [LOWER])["setup_s"]["verdict"] == "worse"
 
 
-def test_main_alternates_the_first_side_and_appends_its_record(tool, tmp_path,
-                                                               monkeypatch, capsys):
+def checkouts(tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").touch()
+    return [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
+            "pne-search", "--seed", "811", "--seconds", "1"]
+
+
+def stub_runs(tool, monkeypatch, correct=True, failed=0, exits_at=None):
+    """``run_once`` replaced: the change reads half the parent's value on
+    every metric, so every lower-is-better metric would be a gain; the
+    change's run reads ``correct`` and ``failed``, and the ``exits_at``-th
+    call (counted from 0) exits 3."""
     calls = []
 
     def fake_run(checkout, workload, seed, seconds):
         calls.append(checkout.name)
-        value = 1.0 if checkout.name == "parent" else 0.5
-        return {"correct": True, "attempted": 10, "failed": 0,
-                "metrics": {m["name"]: {"value": value, "unit": "s"}
+        if len(calls) - 1 == exits_at:
+            raise subprocess.CalledProcessError(
+                3, ["run.py"], output="", stderr="Traceback ...\nMemoryError\n")
+        change = checkout.name == "change"
+        return {"correct": correct or not change, "attempted": 10,
+                "failed": failed if change else 0,
+                "metrics": {m["name"]: {"value": 0.5 if change else 1.0, "unit": "s"}
                             for m in tool.end_to_end()}}
-
-    for side in ("parent", "change"):
-        (tmp_path / side / "perfbench").mkdir(parents=True)
-        (tmp_path / side / "perfbench" / "run.py").touch()
     monkeypatch.setattr(tool, "run_once", fake_run)
+    return calls
+
+
+def test_main_alternates_the_first_side_and_appends_its_record(tool, tmp_path,
+                                                               monkeypatch, capsys):
+    calls = stub_runs(tool, monkeypatch)
     out = tmp_path / "bench.json"
     out.write_text("[]")
-    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
-            "pne-search", "--seed", "811", "--pairs", "3", "--seconds", "1",
-            "--out", str(out)]
+    argv = checkouts(tmp_path) + ["--pairs", "3", "--out", str(out)]
     assert tool.main(argv) == 0
     assert calls == ["parent", "change", "change", "parent", "parent", "change"]
     assert "setup_s: parent 1 [1, 1] -> change 0.5 [0.5, 0.5], change won 3/3: gain" \
@@ -110,3 +126,50 @@ def test_main_alternates_the_first_side_and_appends_its_record(tool, tmp_path,
     assert [pair["first"] for pair in records[0]["pairs"]] == ["parent", "change",
                                                                "parent"]
     assert records[0]["summary"]["setup_s"]["verdict"] == "gain"
+    assert "exited_nonzero" not in records[0]
+
+
+def test_a_would_be_gain_is_refused_when_told_so(tool):
+    parent = [100, 101, 102, 103]
+    gain = tool.summarize(pairs_of("queries_per_s", parent, [120, 121, 122, 123]),
+                          [HIGHER], refuse=True)["queries_per_s"]
+    assert (gain["wins"], gain["verdict"]) == (4, "refused")
+    worse = tool.summarize(pairs_of("queries_per_s", parent, [70] * 4),
+                           [HIGHER], refuse=True)["queries_per_s"]
+    assert worse["verdict"] == "worse"
+
+
+@pytest.mark.parametrize("correct,failed", [(False, 0), (True, 1)])
+def test_main_refuses_a_gain_of_an_incorrect_or_failing_change(
+        tool, tmp_path, monkeypatch, capsys, correct, failed):
+    stub_runs(tool, monkeypatch, correct=correct, failed=failed)
+    out = tmp_path / "bench.json"
+    assert tool.main(checkouts(tmp_path) + ["--pairs", "2", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "setup_s: parent 1 [1, 1] -> change 0.5 [0.5, 0.5], change won 2/2: " \
+        "refused" in printed
+    assert ": gain" not in printed
+    summary = json.loads(out.read_text())[0]["summary"]
+    assert summary["setup_s"]["verdict"] == "refused"
+
+
+def test_main_names_a_run_that_exits_nonzero_and_keeps_finished_pairs(
+        tool, tmp_path, monkeypatch, capsys):
+    calls = stub_runs(tool, monkeypatch, exits_at=3)  # pair 1, its parent run
+    out = tmp_path / "bench.json"
+    assert tool.main(checkouts(tmp_path) + ["--pairs", "3", "--out", str(out)]) == 1
+    assert calls == ["parent", "change", "change", "parent"]
+    printed = capsys.readouterr()
+    assert "error: pair 1 parent: perfbench/run.py exited 3" in printed.err
+    assert "MemoryError" in printed.err
+    assert "1 pairs of 1 s runs" in printed.out
+    record = json.loads(out.read_text())[0]
+    assert len(record["pairs"]) == 1 and record["exited_nonzero"] == "pair 1 parent"
+    assert record["summary"]["setup_s"]["pairs"] == 1
+    # a run failing in the first pair leaves nothing to summarize
+    stub_runs(tool, monkeypatch, exits_at=0)
+    assert tool.main(checkouts(tmp_path / "again") + ["--pairs", "3", "--out",
+                                                      str(out)]) == 1
+    record = json.loads(out.read_text())[1]
+    assert (record["pairs"], record["summary"]) == ([], {})
+    assert record["exited_nonzero"] == "pair 0 parent"

@@ -25,6 +25,7 @@ from contractlab.core import (
     submasks,
     welfare,
 )
+from contractlab.equilibria import JointDistribution
 from contractlab.rewards import AdditiveReward
 from contractlab.fixtures import (
     random_instance,
@@ -138,6 +139,24 @@ def test_contract_names_the_type_of_a_share_that_is_not_a_fraction():
     assert Contract.of([1, "1/4"]).alpha == (F(1), F(1, 4))
 
 
+def test_checked_contract_equals_the_public_one():
+    """``Contract._checked`` (the grid's cells) builds what ``Contract(...)``
+    builds, equal and of equal hash; it trusts its caller, while the public
+    constructor still refuses a share outside [0, 1] or not a Fraction."""
+    for alpha in ((), (F(0),), (F(1, 8), F(7, 8)), (F(1), F(0), F(1, 3))):
+        checked = Contract._checked(alpha)
+        public = Contract(alpha)
+        assert checked == public and hash(checked) == hash(public)
+        assert checked.alpha is alpha and type(checked) is Contract
+        assert {checked: 1}[public] == 1
+    for bad, error in (((F(5, 4),), ValueError), ((F(1, 2), 1), TypeError)):
+        assert Contract._checked(bad).alpha == bad
+        with pytest.raises(error):
+            Contract(bad)
+    with pytest.raises(AttributeError):
+        Contract._checked((F(1),)).alpha = ()
+
+
 def test_over_common_denominator_counts_ints_at_c_speed():
     """All ints come back as they are; a bool is not an int here and comes
     back as 0 or 1 in a new list; a float or a non-rational is refused."""
@@ -186,7 +205,8 @@ def test_principal_utility():
     lambda inst, a: principal_utility(inst, 0b11, a),
     lambda inst, a: agent_utility(inst, 0b11, a, 1),
     lambda inst, a: potential(inst, 0b11, a),
-], ids=["principal_utility", "agent_utility", "potential"])
+    lambda inst, a: JointDistribution.point(0b11).principal_utility(inst, a),
+], ids=["principal_utility", "agent_utility", "potential", "joint_principal_utility"])
 def test_a_contract_of_the_wrong_length_is_a_value_error(call, shares):
     # a two-agent instance: one share is read past its end, three are one
     # too many; both raise the verifiers' error before any share is read

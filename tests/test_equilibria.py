@@ -10,6 +10,7 @@ from contractlab.core import (
     bits_of,
     make_instance,
     potential,
+    principal_utility,
     submasks,
 )
 from contractlab.equilibria import (
@@ -23,7 +24,7 @@ from contractlab.equilibria import (
     is_pne,
     potential_maximizer_pne,
 )
-from contractlab.rewards import AdditiveReward
+from contractlab.rewards import AdditiveReward, RewardFunction
 from contractlab.fixtures import (
     random_contract,
     random_instance,
@@ -46,6 +47,28 @@ def test_joint_distribution_validation():
         JointDistribution(((0, F(1, 3)),))
     D = JointDistribution(((3, F(1, 2)), (0, F(1, 2))))
     assert D.support[0][0] == 0  # canonical order
+
+
+def test_joint_principal_utility_is_the_mean_over_its_profiles():
+    rng = random.Random(35)
+    for kind in ("additive", "coverage", "xos", "supermodular", "table"):
+        inst = random_instance(kind, rng.randrange(1 << 30), 3, [2, 1, 1])
+        profiles = rng.sample(range(1 << inst.m), 4)
+        D = JointDistribution(tuple(zip(profiles, (F(1, 2), F(1, 4), F(1, 6), F(1, 12)))))
+        for a in (Contract.zero(3), Contract((F(1),) * 3), random_contract(3, rng)):
+            assert D.principal_utility(inst, a) == sum(
+                p * principal_utility(inst, S, a) for S, p in D.support)
+    # a profile with a stray bit raises check_profile's error, also for a
+    # reward that reads any mask
+    class Flat(RewardFunction):
+        m = 2
+
+        def value(self, S):
+            return F(1)
+    flat = make_instance([[1], [1]], Flat())
+    D = JointDistribution(((0, F(1, 2)), (1 << 2, F(1, 2))))
+    with pytest.raises(ValueError, match="has bits outside the 2 actions"):
+        D.principal_utility(flat, Contract.zero(2))
 
 
 def test_product_expansion():

@@ -1,5 +1,7 @@
 """The tabulated PNE search (enumerate_pne, grid_search best_pne cells,
-evaluate_cell) against profiles filtered one by one with is_pne, the exact
+evaluate_cell) against profiles filtered one by one with is_pne, the grid's
+cells (best_pne and best_cce) against public contracts valued cell by cell,
+the exact
 best PNE (best_pne) against the best_pne grid and against a brute-force
 sweep, the closed ends of the share intervals, the profile cap of the
 table, and the contract-length check shared by the PNE and regret-row entry
@@ -112,6 +114,38 @@ def test_grid_best_pne_matches_is_pne(kind, sizes, data, seed, r):
         if best is None or ref_value > best[1]:
             best = (a, ref_value, ref_S)
     assert (report.best_contract, report.best_value, report.witness) == best
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("sizes", ([3], [2, 2], [2, 1, 1], [1, 1, 1, 1], [2, 1, 1, 1]))
+def test_grid_cells_equal_public_contracts_with_fresh_values(kind, sizes):
+    """Every cell of ``grid_search``, explicit ones included, equals the cell
+    built by the public ``Contract(...)`` and valued by ``evaluate_cell``, a
+    fresh ``Fraction`` per cell: the same contract, hash, value and best.
+    The explicit cells repeat a grid cell, sum to more than 1 and have
+    shares off the grid, so equal values of other denominators meet."""
+    inst = random_instance(kind, 3500 + len(sizes), len(sizes), sizes)
+    n = inst.n
+    explicit = [Contract((F(1, n),) * n), Contract((ONE,) * n),
+                Contract((F(1, 3),) + (F(1, 5),) * (n - 1))]
+    for objective in ("best_pne", "best_cce")[:1 + (inst.m <= 4)]:
+        for r in (1, 2, 3, 4, 8):
+            report = grid_search(inst, r, objective, explicit_cells=explicit)
+            reference = [(a, *evaluate_cell(inst, a, objective))
+                         for a in grid_cells(n, r) + explicit]
+            assert report.cells == tuple((a, value) for a, value, _ in reference)
+            for (a, value), (ref, _, _) in zip(report.cells, reference):
+                assert hash(a) == hash(ref)
+                assert type(value) is F and all(type(v) is F for v in a.alpha)
+            best = None
+            for a, value, witness in reference:
+                if best is None or value > best[1]:
+                    best = (a, value, witness)
+            assert (report.best_contract, report.best_value) == best[:2]
+            if objective == "best_pne":
+                assert report.witness == best[2]
+            else:  # an LP may reach its optimum at another vertex
+                assert report.witness.principal_utility(inst, best[0]) == best[1]
 
 
 def reference_best_pne(inst):

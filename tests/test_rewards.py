@@ -49,6 +49,21 @@ def test_table_reward_needs_power_of_two():
         TableReward([0, 1, 2])
 
 
+def test_table_reward_values_are_fractions_of_any_exact_input():
+    """All-int tables skip ``as_fraction``; any other input goes through it,
+    and both give the same Fractions. A float is still refused."""
+    big = 10 ** 30
+    expected = (F(0), F(3), F(-2), F(big))
+    for values in ([0, 3, -2, big], (0, 3, -2, big), [F(0), 3, "-2", big]):
+        table = TableReward(values).values
+        assert table == expected and all(type(v) is F for v in table)
+    flags = TableReward([False, True]).values
+    assert flags == (F(0), F(1)) and all(type(v) is F for v in flags)
+    for bad in ([0, 0.5], [0.0, 1], [1, 2, 3, float("nan")]):
+        with pytest.raises(TypeError, match="inexact float"):
+            TableReward(bad)
+
+
 def test_xos_rejects_negative_clause():
     with pytest.raises(ValueError):
         XosReward([[F(-1), F(2)]])

@@ -13,12 +13,17 @@ many pairs the change won (ties count for neither side) and a verdict:
 - ``gain``: the change won at least nine tenths of the pairs, and its
   median is better than the parent's by more than the distance between the
   parent's quartiles;
+- ``refused``: it would be a gain, but some run read ``correct: false`` or
+  the change failed more operations than the parent;
 - ``worse``: the change's median is worse than the parent's by more than
   the metric's ``BENCHMARK.json`` bound, a fraction of the parent's median;
 - ``flat`` otherwise.
 
 With ``--out`` the runs and the summary are appended, as one record, to the
-JSON list in that file (the file is made if it is missing).
+JSON list in that file (the file is made if it is missing). A run that
+exits nonzero ends the tool with exit status 1: it names the run's pair and
+side and its last lines of standard error, and the pairs finished before it
+are still summarized and appended, with the failed run named in the record.
 """
 from __future__ import annotations
 
@@ -56,11 +61,13 @@ def quartiles(values) -> tuple:
     return q1, q2, q3
 
 
-def summarize(pairs, metrics) -> dict:
+def summarize(pairs, metrics, refuse=False) -> dict:
     """Per metric: each side's quartiles, the change's wins, the pair count
     and the verdict (see the module docstring). ``pairs`` holds one
     ``{"parent": {name: value}, "change": {name: value}}`` per pair;
-    ``metrics`` holds ``BENCHMARK.json`` entries (name, better, bound)."""
+    ``metrics`` holds ``BENCHMARK.json`` entries (name, better, bound).
+    With ``refuse`` (a run was incorrect, or the change failed more
+    operations) a gain reads ``refused``."""
     out = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -71,7 +78,7 @@ def summarize(pairs, metrics) -> dict:
         # gain > 0 when the change's median is the better one
         gain = (p_q[1] - c_q[1]) if lower else (c_q[1] - p_q[1])
         if wins >= GAIN_SHARE * len(pairs) and gain > p_q[2] - p_q[0]:
-            verdict = "gain"
+            verdict = "refused" if refuse else "gain"
         elif -gain > metric["bound"] * abs(p_q[1]):
             verdict = "worse"
         else:
@@ -100,39 +107,54 @@ def main(argv=None) -> int:
 
     metrics = end_to_end()
     runs = []
+    broken = None  # "pair N side": the run that exited nonzero
     for number in range(args.pairs):
         order = SIDES if number % 2 == 0 else SIDES[::-1]
         pair = {"first": order[0]}
         for side in order:
-            pair[side] = run_once(checkouts[side], args.workload, args.seed,
-                                  args.seconds)
+            try:
+                pair[side] = run_once(checkouts[side], args.workload, args.seed,
+                                      args.seconds)
+            except subprocess.CalledProcessError as error:
+                broken = f"pair {number} {side}"
+                tail = "\n".join((error.stderr or "").strip().splitlines()[-5:])
+                print(f"error: {broken}: perfbench/run.py exited "
+                      f"{error.returncode}\n{tail}", file=sys.stderr)
+                break
+        if broken:
+            break
         runs.append(pair)
         print(f"pair {number}: " + ", ".join(
             f"{side} {pair[side]['metrics'][metrics[0]['name']]['value']:.4g}"
             for side in SIDES), file=sys.stderr)
 
-    values = [{side: {name: entry["value"]
-                      for name, entry in pair[side]["metrics"].items()}
-               for side in SIDES} for pair in runs]
-    summary = summarize(values, metrics)
-    failed = {side: sum(pair[side]["failed"] for pair in runs) for side in SIDES}
-    correct = all(pair[side]["correct"] for pair in runs for side in SIDES)
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of "
-          f"{args.seconds:g} s runs; failed parent {failed['parent']}, change "
-          f"{failed['change']}; all correct: {correct}")
-    for name, row in summary.items():
-        p, c = row["parent"], row["change"]
-        print(f"  {name}: parent {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}] -> "
-              f"change {c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}], change won "
-              f"{row['wins']}/{row['pairs']}: {row['verdict']}")
+    summary = {}
+    if runs:
+        values = [{side: {name: entry["value"]
+                          for name, entry in pair[side]["metrics"].items()}
+                   for side in SIDES} for pair in runs]
+        failed = {side: sum(pair[side]["failed"] for pair in runs) for side in SIDES}
+        correct = all(pair[side]["correct"] for pair in runs for side in SIDES)
+        summary = summarize(values, metrics,
+                            refuse=not correct or failed["change"] > failed["parent"])
+        print(f"{args.workload} seed {args.seed}, {len(runs)} pairs of "
+              f"{args.seconds:g} s runs; failed parent {failed['parent']}, change "
+              f"{failed['change']}; all correct: {correct}")
+        for name, row in summary.items():
+            p, c = row["parent"], row["change"]
+            print(f"  {name}: parent {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}] -> "
+                  f"change {c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}], change won "
+                  f"{row['wins']}/{row['pairs']}: {row['verdict']}")
 
     if args.out:
         records = json.loads(args.out.read_text()) if args.out.exists() else []
-        records.append({
-            "workload": args.workload, "seed": args.seed,
-            "seconds": args.seconds, "pairs": runs, "summary": summary})
+        record = {"workload": args.workload, "seed": args.seed,
+                  "seconds": args.seconds, "pairs": runs, "summary": summary}
+        if broken:
+            record["exited_nonzero"] = broken
+        records.append(record)
         args.out.write_text(json.dumps(records, indent=1) + "\n")
-    return 0
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":
